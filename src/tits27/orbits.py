@@ -1,14 +1,49 @@
 """Orbit enumeration and exact group-order certification.
 
-Orbits of 27-vectors (or of 1-spaces, in projective mode) are enumerated by
-breadth-first closure with exact dedup: a point's key is its tuple of
-canonical scalars, so numbering is deterministic for a fixed seed and
-generator order.  Projective points are rescaled so the first nonzero
-coordinate is 1.
+Points and generators
+    Q(zeta20)^27 is Q^216 as a vector space: entry j of a 27-vector is the
+    coefficient block 8j..8j+7 in the power basis 1, zeta, ..., zeta^7.  An
+    orbit stores its points as one n x 216 int64 array at the fixed scale
+    SCALE = 25, so a stored row is 25 times the coefficients of the point;
+    every point of the 2304-point vector orbit and of the 1755-point
+    projective orbit is integral at that scale (the largest stored value is
+    25).  Multiplication by an element of Q(zeta20) is an 8x8 rational
+    matrix on a block, so a generator is a 216x216 rational matrix; it is
+    stored once as the integer matrix B = D * (that matrix), where D is the
+    lcm of the generator's denominators.  Breadth-first search applies B to
+    a whole BFS level with one matrix product and divides by D.
 
-The matrix action on a closed orbit converts to permutations of the point
-indices, and a deterministic Schreier-Sims computation certifies the exact
-order of the permutation group:
+Exactness guards
+    The kernel never rounds and has no other arithmetic path.  Before each
+    product it checks 216 * max|B| * max|V| < 2^63, which bounds every
+    int64 partial sum, and raises KernelOverflowError otherwise.  After the
+    product every entry must be divisible by D (the image is again integral
+    at scale 25), or it raises ScaleError; a seed that is not integral at
+    scale 25 raises ScaleError too.
+
+Projective points
+    A 1-space is stored as the rotation zeta^k v (0 <= k < 20) of any
+    vector v on it whose first nonzero 8-coefficient block is
+    lexicographically least.  No field inversion is needed.  This is sound
+    when the generators generate a finite group, as the Tits group and its
+    subgroups do: every point met is a zeta-power times g v0 for a group
+    element g and the seed v0, and if two such vectors lie on one line, one
+    is c times the other with c an eigenvalue of a matrix of finite order,
+    so c is a root of unity in Q(zeta20), i.e. c is in mu20.  The 20
+    rotations of a nonzero block are pairwise distinct, so the least one is
+    unique and two vectors get the same key exactly when they span the same
+    line.
+
+Numbering
+    BFS visits point i and then the generators in order, and numbers each
+    new image when it is first met, so the numbering is deterministic for a
+    fixed seed and generator order.  A point's key is the bytes of its row.
+    The matrix action on a closed orbit converts to permutations of the
+    point indices by one batched product and one key lookup per point.
+
+Stabilizer chain
+    A deterministic Schreier-Sims computation certifies the exact order of
+    the permutation group:
 
   * base points are chosen as the smallest point moved by the residue that
     creates each level;
@@ -31,7 +66,7 @@ properties with 2F4(2)' is classical and not re-proved.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,6 +76,16 @@ from .exactlinalg import ExactMatrix, RING_CYC
 
 VECTOR = "vector"
 PROJECTIVE = "projective"
+
+#: Stored orbit rows are SCALE times the power-basis coefficients.
+SCALE = 25
+_DIM = 27 * 8
+_INT64_LIMIT = 2 ** 63
+
+# _ROT[k] right-multiplies an 8-coefficient block a (as a row) to give the
+# block of zeta^k * a; its entries are 0 and +-1.
+_ZETA_POW = np.array([cyclo.CycNum.zeta(k).num for k in range(20)], dtype=np.int64)
+_ROT = _ZETA_POW[(np.arange(20)[:, None] + np.arange(8)) % 20]
 
 
 class CapExceededError(ValueError):
@@ -53,6 +98,14 @@ class OrbitNotClosedError(ValueError):
 
 class NotAnEigenvectorError(ValueError):
     pass
+
+
+class KernelOverflowError(ValueError):
+    """A product of the int64 orbit kernel could leave the int64 range."""
+
+
+class ScaleError(ValueError):
+    """A point is not integral at the scale SCALE."""
 
 
 @dataclass(frozen=True)
@@ -111,22 +164,120 @@ def seed_proj_conjugate() -> CanonicalPoint:
     return CanonicalPoint.make(entries, PROJECTIVE)
 
 
-def _matrix_key(m: ExactMatrix):
-    return (m.ring, m.rows, m.cols, tuple(tuple(row) for row in m.data))
+def _check_range(inner, max_b, max_v):
+    if inner * max_b * max_v >= _INT64_LIMIT:
+        raise KernelOverflowError(
+            f"{inner} * {max_b} * {max_v} reaches 2^63; the int64 kernel "
+            "cannot form this product exactly")
 
 
-@dataclass
+def _max_abs(a) -> int:
+    return int(np.abs(a).max())
+
+
+class _IntegerAction:
+    """A 27x27 cyclotomic matrix as an exact integer map on n x 216 rows.
+
+    A block-monomial matrix (one nonzero entry per row, like f1, f2, d and
+    ac) is applied as a gather of 8-coefficient blocks and 27 8x8 products;
+    any other matrix as one dense 216x216 product.  Both are int64 with the
+    same guards.
+    """
+
+    def __init__(self, m: ExactMatrix):
+        if m.ring != RING_CYC or m.rows != 27 or m.cols != 27:
+            raise ValueError("generators must be 27x27 cyclotomic matrices")
+        self.den = math.lcm(*(e.den for row in m.data for e in row))
+        coeffs = [[[n * (self.den // e.den) for n in e.num] for e in row]
+                  for row in m.data]
+        # A block entry sums at most 8 coefficients times +-1, so this also
+        # keeps every entry of B below 2^63.
+        _check_range(_DIM, 8 * max(abs(c) for row in coeffs for e in row for c in e), 1)
+        # blocks[i, j] right-multiplies block j of a row into block i.
+        blocks = np.tensordot(np.array(coeffs, dtype=np.int64), _ROT[:8], axes=(2, 0))
+        self.max_b = _max_abs(blocks)
+        nonzero = blocks.any(axis=(2, 3))
+        if (nonzero.sum(axis=1) == 1).all():
+            self.src = nonzero.argmax(axis=1)
+            self.blocks = blocks[np.arange(27), self.src]
+        else:
+            self.src = None
+            self.dense = blocks.transpose(1, 2, 0, 3).reshape(_DIM, _DIM)
+
+    def __call__(self, rows):
+        _check_range(_DIM, self.max_b, _max_abs(rows))
+        if self.src is None:
+            out = rows @ self.dense
+        else:
+            gathered = rows.reshape(-1, 27, 8)[:, self.src]
+            out = np.einsum("niq,iqk->nik", gathered, self.blocks).reshape(-1, _DIM)
+        quot, rem = np.divmod(out, self.den)
+        if rem.any():
+            raise ScaleError(f"an image is not integral at scale {SCALE}")
+        return quot
+
+
+def _encode(entries) -> np.ndarray:
+    """The 1 x 216 row of SCALE times the coefficients of 27 scalars."""
+    row = []
+    for e in entries:
+        for n in e.num:
+            q, r = divmod(n * SCALE, e.den)
+            if r:
+                raise ScaleError(f"seed entry {e} is not integral at scale {SCALE}")
+            row.append(q)
+    _check_range(1, max(map(abs, row)), 1)
+    return np.array([row], dtype=np.int64)
+
+
+def _canonical(rows, mode):
+    """Rows in the canonical form of `mode` (projective: least rotation)."""
+    if mode == VECTOR:
+        return rows
+    if mode != PROJECTIVE:
+        raise ValueError(f"unknown mode {mode!r}")
+    n = len(rows)
+    blocks = rows.reshape(n, 27, 8)
+    nonzero = blocks.any(axis=2)
+    if not nonzero.any(axis=1).all():
+        raise ValueError("projective point must be nonzero")
+    _check_range(8, 1, _max_abs(rows))
+    first = blocks[np.arange(n), nonzero.argmax(axis=1)]
+    cands = first @ _ROT  # (20, n, 8): the first block of each rotation
+    alive = np.ones((20, n), dtype=bool)
+    for c in range(8):
+        col = np.where(alive, cands[:, :, c], np.iinfo(np.int64).max)
+        alive &= col == col.min(axis=0)
+    k = alive.argmax(axis=0)
+    return np.matmul(blocks, _ROT[k]).reshape(n, _DIM)
+
+
+def _row_keys(rows) -> list:
+    buf = rows.tobytes()
+    step = _DIM * rows.itemsize
+    return [buf[i:i + step] for i in range(0, len(buf), step)]
+
+
+@dataclass(eq=False)
 class Orbit:
-    """An indexed orbit, closed under the generators that built it."""
+    """An indexed orbit, closed under the generators that built it.
 
-    points: list
+    `coords[i]` is point i as SCALE times its 216 power-basis coefficients;
+    `index` maps the bytes of a row to its point number.
+    """
+
+    coords: np.ndarray
     index: dict
     base: CanonicalPoint
     mode: str
-    _perm_cache: dict = field(default_factory=dict, repr=False)
 
     def __len__(self):
-        return len(self.points)
+        return len(self.coords)
+
+    def point(self, i) -> tuple:
+        """Point i as 27 exact scalars."""
+        row = self.coords[i].tolist()
+        return tuple(cyclo.CycNum(row[8 * j:8 * j + 8], SCALE) for j in range(27))
 
 
 @dataclass(frozen=True)
@@ -145,47 +296,37 @@ class PermSet:
 
 def enumerate_orbit(seed: CanonicalPoint, gens, cap: int = 10000) -> Orbit:
     """BFS closure of the seed under the generator matrices."""
-    for g in gens:
-        if g.ring != RING_CYC or g.rows != 27 or g.cols != 27:
-            raise ValueError("generators must be 27x27 cyclotomic matrices")
-    points = [seed]
-    index = {seed.entries: 0}
-    images = [[] for _ in gens]
-    i = 0
-    while i < len(points):
-        p = points[i]
-        for gi, g in enumerate(gens):
-            img = CanonicalPoint.make(la.matvec(g, p.entries), seed.mode)
-            k = index.get(img.entries)
-            if k is None:
-                if len(points) >= cap:
-                    raise CapExceededError(f"orbit exceeds cap {cap}")
-                k = len(points)
-                points.append(img)
-                index[img.entries] = k
-            images[gi].append(k)
-        i += 1
-    cache = {_matrix_key(g): tuple(images[gi]) for gi, g in enumerate(gens)}
-    return Orbit(points, index, seed, seed.mode, cache)
+    actions = [_IntegerAction(g) for g in gens]
+    frontier = _canonical(_encode(seed.entries), seed.mode)
+    levels = [frontier]
+    index = {frontier.tobytes(): 0}
+    while actions and len(frontier):
+        images = np.stack([_canonical(act(frontier), seed.mode) for act in actions])
+        keys = [_row_keys(w) for w in images]
+        new = []
+        for i in range(len(frontier)):
+            for gi, gkeys in enumerate(keys):
+                key = gkeys[i]
+                if key not in index:
+                    if len(index) >= cap:
+                        raise CapExceededError(f"orbit exceeds cap {cap}")
+                    index[key] = len(index)
+                    new.append((gi, i))
+        picks = np.array(new, dtype=np.intp).reshape(-1, 2)
+        frontier = images[picks[:, 0], picks[:, 1]]
+        levels.append(frontier)
+    return Orbit(np.concatenate(levels), index, seed, seed.mode)
 
 
 def perm_images(orbit: Orbit, gens) -> PermSet:
     """The permutations induced on the orbit by each generator."""
     perms = []
     for g in gens:
-        key = _matrix_key(g)
-        cached = orbit._perm_cache.get(key)
-        if cached is None:
-            img = []
-            for p in orbit.points:
-                q = CanonicalPoint.make(la.matvec(g, p.entries), orbit.mode)
-                k = orbit.index.get(q.entries)
-                if k is None:
-                    raise OrbitNotClosedError("image of an orbit point is missing")
-                img.append(k)
-            cached = tuple(img)
-            orbit._perm_cache[key] = cached
-        perms.append(cached)
+        images = _canonical(_IntegerAction(g)(orbit.coords), orbit.mode)
+        try:
+            perms.append(tuple(orbit.index[key] for key in _row_keys(images)))
+        except KeyError:
+            raise OrbitNotClosedError("image of an orbit point is missing") from None
     return PermSet(len(orbit), tuple(perms))
 
 

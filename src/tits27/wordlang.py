@@ -73,12 +73,17 @@ class Conj:
 _RUN = re.compile(r"[A-Za-z][A-Za-z0-9]*")
 _NAME_PART = re.compile(r"[A-Za-z][0-9]*")
 
+#: Deepest nesting of factors (parentheses and exponents) a word may have;
+#: the parser, the printer and the evaluator all recurse once per level.
+MAX_NESTING = 100
+
 
 class _Parser:
     def __init__(self, src, names):
         self.src = src
         self.pos = 0
         self.names = names
+        self.depth = 0
 
     def _skip_ws(self):
         while self.pos < len(self.src) and self.src[self.pos].isspace():
@@ -103,6 +108,10 @@ class _Parser:
         return factors[0] if len(factors) == 1 else Prod(tuple(factors))
 
     def _parse_factor(self):
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise WordSyntaxError(f"word nested deeper than {MAX_NESTING} levels",
+                                  self.pos)
         c = self._peek()
         if c == "(":
             self.pos += 1
@@ -124,6 +133,7 @@ class _Parser:
                 break
             self.pos += 1
             exprs[-1] = self._parse_exponent(exprs[-1])
+        self.depth -= 1
         return exprs
 
     def _parse_exponent(self, base):

@@ -65,7 +65,7 @@ def test_03_orbit_sizes(orbit2304, orbit1755):
     "3000 images (its stabilizer is the order-40 group generated by f1, d and "
     "(ac)^3), not 1755; the complex-conjugate 1-space (-i,1,-1,i) is the one "
     "with the 1755-point orbit, and every stated property of the seed holds "
-    "for it.  See notes/decisions.md."))
+    "for it.  See the README section \"A note on the projective seed\"."))
 def test_03b_verbatim_projective_seed_as_stated(gens5):
     orbit = orbits.enumerate_orbit(orbits.seed_proj_conjugate(), gens5, cap=3000)
     assert len(orbit) == 1755

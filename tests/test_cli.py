@@ -1,5 +1,7 @@
 """The command-line surface: formats, exit codes, determinism."""
 
+import hashlib
+
 import pytest
 
 from tits27 import cli, exactlinalg as la, generators
@@ -63,6 +65,21 @@ def test_orbit_perms_of_singleton(capsys):
     assert "f1 0" in out
 
 
+@pytest.mark.parametrize("seed, size, digest", [
+    ("fixed", 52_085,
+     "363014a4814dd32b27e9f858a2e3093d566ec55692abe8d99bcd1d734e7b1ece"),
+    ("proj1755", 38_360,
+     "dbb152875693e6fa79dae3296256abe7989242a5363719c5ab3827b37dc4b041"),
+])
+def test_orbit_perms_golden_bytes(capsys, seed, size, digest):
+    # recorded from the CycNum breadth-first search: point numbering and
+    # permutations must not depend on how the images are computed
+    code, out = run(capsys, "orbit", "--seed", seed, "--perms")
+    assert code == 0
+    assert len(out.encode()) == size
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_orbit_unknown_gen(capsys):
     code, _ = run(capsys, "orbit", "--seed", "fixed", "--gens", "bogus")
     assert code == 2
@@ -82,6 +99,14 @@ def test_eval_round_trip(tmp_path, capsys):
 def test_eval_bad_word(capsys):
     code, _ = run(capsys, "eval", "--word", "a^(b")
     assert code == 2
+
+
+def test_eval_deeply_nested_word(capsys):
+    code = cli.run(["eval", "--word", "(" * 3000 + "a" + ")" * 3000])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: word nested deeper than")
+    assert "Traceback" not in err
 
 
 def test_eval_bad_binding(capsys):

@@ -30,7 +30,32 @@ def test_orbit_2304(orbit2304):
 def test_orbit_independent_of_generator_order(gens, gens5, orbit2304):
     reordered = [gens.eprime, gens.ac, gens.d, gens.f2, gens.f1]
     other = ob.enumerate_orbit(ob.seed_fixed_vector(), reordered)
-    assert {p.entries for p in other.points} == {p.entries for p in orbit2304.points}
+    assert set(other.index) == set(orbit2304.index)
+
+
+def test_kernel_images_match_cycnum_matvec(orbit2304, gens5, perms_all):
+    # the exact CycNum product is the reference for the integer kernel
+    for i in range(0, len(orbit2304), 97):
+        p = orbit2304.point(i)
+        for g, perm in zip(gens5, perms_all.perms):
+            assert la.matvec(g, p) == orbit2304.point(perm[i])
+
+
+def test_kernel_rejects_non_integral_image(gens, gens5):
+    seventh = la.scale_matrix(gens.f1, cyclo.CycNum.rational(1, 7))
+    with pytest.raises(ob.ScaleError):
+        ob.enumerate_orbit(ob.seed_fixed_vector(), [seventh] + gens5[1:])
+
+
+@pytest.mark.parametrize("exponent", [60, 50])
+def test_kernel_refuses_int64_overflow(exponent):
+    # 2^60 fails the bound when the generator is compiled, before any
+    # product; 2^50 passes it for the seed and fails it one level later,
+    # where the next product would wrap
+    big = la.scale_matrix(la.ExactMatrix.identity(27, la.RING_CYC),
+                          cyclo.CycNum.from_int(2 ** exponent))
+    with pytest.raises(ob.KernelOverflowError):
+        ob.enumerate_orbit(ob.seed_fixed_vector(), [big])
 
 
 def test_perm_images_are_bijections(orbit2304, gens5, perms_all):
@@ -93,6 +118,20 @@ def test_small_group_orders():
 
 def test_orbit_1755(orbit1755):
     assert len(orbit1755) == 1755
+
+
+def test_projective_points_are_distinct_lines(orbit1755):
+    # the first-nonzero-is-1 rule is independent of the mu20 rotation rule
+    lines = {ob.CanonicalPoint.make(orbit1755.point(i), ob.PROJECTIVE)
+             for i in range(len(orbit1755))}
+    assert len(lines) == 1755
+
+
+@pytest.mark.parametrize("k", [1, 5, 10, 19])
+def test_projective_keys_ignore_mu20_scalars(orbit1755, k):
+    scalar = la.scale_matrix(la.ExactMatrix.identity(27, la.RING_CYC),
+                             cyclo.CycNum.zeta(k))
+    assert ob.perm_images(orbit1755, [scalar]).perms[0] == tuple(range(1755))
 
 
 def test_1755_order_and_stabilizer(orbit1755, gens5):

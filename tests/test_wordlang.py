@@ -49,6 +49,15 @@ def test_syntax_errors_carry_position():
         assert exc.pos == 3
 
 
+def test_nesting_limit():
+    depth = wl.MAX_NESTING - 1
+    assert parse_word("(" * depth + "a" + ")" * depth) == Gen("a")
+    with pytest.raises(WordSyntaxError):
+        parse_word("(" * (depth + 1) + "a" + ")" * (depth + 1))
+    with pytest.raises(WordSyntaxError):
+        parse_word("a^(" * wl.MAX_NESTING + "b" + ")" * wl.MAX_NESTING)
+
+
 def test_unknown_name_with_bindings():
     with pytest.raises(WordSyntaxError):
         parse_word("xq", names={"a", "b"})
