@@ -43,19 +43,23 @@ from .exactlinalg import ExactMatrix, ExactVector, RING_GF41
 from . import generators
 
 
-class DimensionNotOneError(ValueError):
+class CheckFailed(ValueError):
+    """The input is well formed, but a step of the pipeline found it wrong."""
+
+
+class DimensionNotOneError(CheckFailed):
     pass
 
 
-class WrongCountError(ValueError):
+class WrongCountError(CheckFailed):
     pass
 
 
-class SingularAssemblyError(ValueError):
+class SingularAssemblyError(CheckFailed):
     pass
 
 
-class PatternViolationError(ValueError):
+class PatternViolationError(CheckFailed):
     pass
 
 

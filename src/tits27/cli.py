@@ -150,6 +150,8 @@ def _cmd_basis(args):
         raise _UsageError("basis requires --selftest or --in DIR")
     a = la.load_matrix(os.path.join(args.indir, "a.mat"))
     b = la.load_matrix(os.path.join(args.indir, "b.mat"))
+    if any(m.ring != la.RING_GF41 or (m.rows, m.cols) != (27, 27) for m in (a, b)):
+        raise _UsageError("basis --in needs a.mat and b.mat as 27x27 gf41 matrices")
     env = {"a": a, "b": b}
     for name, text in wordlang.STANDARD_WORDS:
         expr = wordlang.parse_word(text, names=env.keys())
@@ -311,6 +313,9 @@ def run(argv) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except basisfinder.CheckFailed as exc:
+        print(f"check failed: {exc}", file=sys.stderr)
+        return 1
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

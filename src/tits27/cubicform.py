@@ -11,10 +11,33 @@ Every term must satisfy the diagonal eigenvalue condition: the z-exponents
 of f1 (and of f2) on its three coordinates sum to 0 mod 5, otherwise the
 diagonal subgroup could not fix the monomial.
 
-Invariance under a dense matrix m is checked exactly by expanding
-C(m x) as a polynomial and comparing coefficients with C; that is the same
-test as transforming the symmetric coefficient tensor T by m on all three
-slots, since C(m x) = T(mx, mx, mx)/6.
+Invariance under a matrix m is checked exactly on the int64 kernel of
+`zkernel`.  With T the symmetric coefficient tensor, C(x) = T(x, x, x)/6,
+so C(m x) = T'(x, x, x)/6 with
+
+    T'_abc = sum_ijk T_ijk m_ia m_jb m_kc,
+
+and T' is symmetric again; C(m x) = C(x) iff T' = T.  T is a 27 x 27 x 27
+array of +-1 and 0, all in coefficient slot 0 of the power basis.  With D
+the lcm of the denominators of m, the kernel action of D m^T is applied to
+one slot at a time, with that slot moved next to the coefficient axis.  The
+first step is one (729 x 27) by (27 x 216) integer product, because T lives
+in the 27 coefficient-0 columns; the other two run on one 27 x 27 slab of
+the first step's result at a time, a (27 x 216) by (216 x 216) product
+each, so no second 1.3 MB array is needed (a monomial matrix uses the
+block gather instead of the dense product).  The three steps give D^3 T'
+exactly, so m preserves C iff the result is D^3 T: 125 T for eprime, whose
+denominators are 5.  The kernel refuses, with KernelOverflowError, any
+product whose sums could leave the int64 range.
+
+A term t = {i, j, k} is flip-safe under m when (m x)_i (m x)_j (m x)_k =
+x_i x_j x_k.  The polynomial ring Q(zeta20)[x] is a unique factorization
+domain, x_i, x_j, x_k are pairwise non-associate primes, and each (m x)_r
+is zero or of degree 1.  So the identity holds iff each of the three
+linear forms is a scalar multiple of a different one of x_i, x_j, x_k and
+the scalars multiply to 1; that is, iff rows i, j and k of m each have
+exactly one nonzero entry, the columns of those entries are exactly
+{i, j, k}, and the three entries multiply to 1.  No expansion is needed.
 """
 
 from __future__ import annotations
@@ -22,7 +45,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from . import cyclo
+from . import zkernel
 from .cyclo import CycNum
 from . import exactlinalg as la
 from .exactlinalg import ExactMatrix
@@ -227,57 +253,65 @@ def to_tensor(c: CubicForm) -> dict:
     return t
 
 
-def _term_poly(m: ExactMatrix, idx_triple):
-    """Coefficients of prod_k (m x)_{i_k} as a dict on sorted index triples."""
-    nz = []
-    for i in idx_triple:
-        row = m.data[i]
-        nz.append([(j, e) for j, e in enumerate(row) if not e.is_zero()])
-    out = {}
-    zero = cyclo.ZERO
-    for a, ca in nz[0]:
-        for b, cb in nz[1]:
-            cab = ca * cb
-            for c, cc in nz[2]:
-                key = tuple(sorted((a, b, c)))
-                out[key] = out.get(key, zero) + cab * cc
-    return {k: v for k, v in out.items() if not v.is_zero()}
+def _tensor_array(c: CubicForm) -> np.ndarray:
+    """to_tensor as a 27 x 27 x 27 int64 array on label indices; entries +-1."""
+    t = np.zeros((27, 27, 27), dtype=np.int64)
+    for key, val in to_tensor(c).items():
+        t[tuple(LABEL_INDEX[lab] for lab in key)] = val.num[0]
+    return t
 
 
-def _form_index_dict(c: CubicForm):
-    sign_one = {1: cyclo.ONE, -1: cyclo.MINUS_ONE}
-    return {tuple(sorted(LABEL_INDEX[l] for l in t.coords)): sign_one[t.sign]
-            for t in c}
+def _flip_safe(c: CubicForm, m: ExactMatrix) -> list:
+    """The terms t = {i, j, k} of c with (m x)_i (m x)_j (m x)_k = x_i x_j x_k.
+
+    By the factorization argument in the module docstring: rows i, j and k
+    of m have one nonzero entry each, in columns {i, j, k}, with product 1.
+    """
+    single = {}
+    for i, row in enumerate(m.data):
+        nz = [(j, e) for j, e in enumerate(row) if not e.is_zero()]
+        if len(nz) == 1:
+            single[i] = nz[0]
+    out = []
+    for term in c:
+        idx = [LABEL_INDEX[lab] for lab in term.coords]
+        picks = [single.get(i) for i in idx]
+        if (None not in picks and {j for j, _ in picks} == set(idx)
+                and picks[0][1] * picks[1][1] * picks[2][1] == cyclo.ONE):
+            out.append(term)
+    return out
 
 
 def invariance_report(c: CubicForm, m: ExactMatrix):
-    """Expand C(m x) exactly.
+    """Transform the form's tensor by m exactly on the int64 kernel.
 
     Returns (invariant, flip_safe) where `invariant` says C(m x) = C(x) and
-    `flip_safe` lists the terms whose single sign flip would also leave the
-    form invariant under m (expected empty for a faithful dense generator:
-    flipping term t changes C by -2 sign_t x_t, so the flipped form is
-    invariant iff the expansion of the term's own monomial is exactly that
-    monomial).
+    `flip_safe` lists, in form order, the terms t whose monomial m fixes:
+    (m x)_i (m x)_j (m x)_k = x_i x_j x_k for t = {i, j, k}.  Flipping t
+    changes C by -2 sign_t x_i x_j x_k, so for an invariant form the
+    flipped form is invariant iff t is flip-safe (expected empty for a
+    faithful dense generator).
     """
-    target = _form_index_dict(c)
-    sign_one = {1: cyclo.ONE, -1: cyclo.MINUS_ONE}
-    total = {}
-    zero = cyclo.ZERO
-    flip_safe = []
-    for t in c:
-        key = tuple(sorted(LABEL_INDEX[l] for l in t.coords))
-        poly = _term_poly(m, key)
-        if poly == {key: cyclo.ONE}:
-            flip_safe.append(t)
-        s = sign_one[t.sign]
-        for k, v in poly.items():
-            acc = total.get(k, zero) + s * v
-            if acc.is_zero():
-                total.pop(k, None)
-            else:
-                total[k] = acc
-    return total == target, flip_safe
+    act = zkernel.IntegerAction(la.transpose(m))
+    # the image is compared with D^3 T, so D^3 must be an int64 too
+    d3 = act.den ** 3
+    zkernel.check_range(1, d3, 1)
+    t = _tensor_array(c)
+    # slot k first, on the 27 integer coefficients of T:
+    # first[i, j, a] = D * sum_k m_ka T_ijk
+    first = act.raw(t.reshape(27 * 27, 27)).reshape(27, 27, 27, 8)
+
+    def slab_kept(a):
+        # slots i and j of one 27 x 27 slab, so that only `first` is large:
+        # put the untransformed slot last, then transform it
+        rows = first[:, :, a]
+        for _ in range(2):
+            rows = act.raw(rows.transpose(1, 0, 2).reshape(27, zkernel.DIM)).reshape(27, 27, 8)
+        # rows[b, e] = D^3 T'_bea
+        return np.array_equal(rows[..., 0], d3 * t[:, :, a]) and not rows[..., 1:].any()
+
+    invariant = all(slab_kept(a) for a in range(27))
+    return invariant, _flip_safe(c, m)
 
 
 def verify_invariance(c: CubicForm, m: ExactMatrix) -> bool:

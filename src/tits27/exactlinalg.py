@@ -353,7 +353,10 @@ def parse_matrix(text: str) -> ExactMatrix:
     if ring == RING_CYC:
         if len(body) != rows * cols:
             raise ValueError(f"expected {rows * cols} entry lines, got {len(body)}")
-        entries = [cyclo.CycNum.from_text(ln) for ln in body]
+        try:
+            entries = [cyclo.CycNum.from_text(ln) for ln in body]
+        except ZeroDivisionError:
+            raise ValueError("zero denominator in a cyc entry") from None
         data = [entries[r * cols:(r + 1) * cols] for r in range(rows)]
     else:
         if len(body) != rows:
@@ -381,4 +384,7 @@ def reduce_matrix_mod41(m: ExactMatrix) -> ExactMatrix:
     """Entrywise reduction of a cyclotomic matrix modulo 41."""
     if m.ring != RING_CYC:
         raise RingMismatchError("already a gf41 matrix")
-    return ExactMatrix(RING_GF41, [[gf41.reduce_cyc(e) for e in row] for row in m.data])
+    try:
+        return ExactMatrix(RING_GF41, [[gf41.reduce_cyc(e) for e in row] for row in m.data])
+    except ZeroDivisionError:
+        raise ValueError("an entry has a denominator divisible by 41") from None

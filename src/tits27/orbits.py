@@ -1,25 +1,21 @@
 """Orbit enumeration and exact group-order certification.
 
 Points and generators
-    Q(zeta20)^27 is Q^216 as a vector space: entry j of a 27-vector is the
-    coefficient block 8j..8j+7 in the power basis 1, zeta, ..., zeta^7.  An
-    orbit stores its points as one n x 216 int64 array at the fixed scale
-    SCALE = 25, so a stored row is 25 times the coefficients of the point;
-    every point of the 2304-point vector orbit and of the 1755-point
-    projective orbit is integral at that scale (the largest stored value is
-    25).  Multiplication by an element of Q(zeta20) is an 8x8 rational
-    matrix on a block, so a generator is a 216x216 rational matrix; it is
-    stored once as the integer matrix B = D * (that matrix), where D is the
-    lcm of the generator's denominators.  Breadth-first search applies B to
-    a whole BFS level with one matrix product and divides by D.
+    An orbit stores its points as one n x 216 int64 array at the fixed scale
+    SCALE = 25, so a stored row is 25 times the power-basis coefficients of
+    the point (see `zkernel` for the Z^216 coordinates); every point of the
+    2304-point vector orbit and of the 1755-point projective orbit is
+    integral at that scale (the largest stored value is 25).  Each generator
+    is turned once into a `zkernel.IntegerAction`, and breadth-first search
+    applies it to a whole BFS level with one exact product.
 
 Exactness guards
-    The kernel never rounds and has no other arithmetic path.  Before each
-    product it checks 216 * max|B| * max|V| < 2^63, which bounds every
-    int64 partial sum, and raises KernelOverflowError otherwise.  After the
-    product every entry must be divisible by D (the image is again integral
-    at scale 25), or it raises ScaleError; a seed that is not integral at
-    scale 25 raises ScaleError too.
+    All products run through `zkernel`, which never rounds, has no other
+    arithmetic path and raises KernelOverflowError before any product that
+    could leave the int64 range.  Every image must divide exactly by the
+    generator's denominator lcm, so it is again integral at scale 25, or
+    the kernel raises ScaleError; a seed that is not integral at scale 25
+    raises ScaleError too.
 
 Projective points
     A 1-space is stored as the rotation zeta^k v (0 <= k < 20) of any
@@ -72,20 +68,17 @@ import numpy as np
 
 from . import cyclo
 from . import exactlinalg as la
-from .exactlinalg import ExactMatrix, RING_CYC
+from .exactlinalg import ExactMatrix
+# KernelOverflowError and ScaleError are re-exported: callers of the orbit
+# functions catch them from this module.
+from .zkernel import (DIM, ROT, IntegerAction, KernelOverflowError, ScaleError,  # noqa: F401
+                      check_range, max_abs)
 
 VECTOR = "vector"
 PROJECTIVE = "projective"
 
 #: Stored orbit rows are SCALE times the power-basis coefficients.
 SCALE = 25
-_DIM = 27 * 8
-_INT64_LIMIT = 2 ** 63
-
-# _ROT[k] right-multiplies an 8-coefficient block a (as a row) to give the
-# block of zeta^k * a; its entries are 0 and +-1.
-_ZETA_POW = np.array([cyclo.CycNum.zeta(k).num for k in range(20)], dtype=np.int64)
-_ROT = _ZETA_POW[(np.arange(20)[:, None] + np.arange(8)) % 20]
 
 
 class CapExceededError(ValueError):
@@ -98,14 +91,6 @@ class OrbitNotClosedError(ValueError):
 
 class NotAnEigenvectorError(ValueError):
     pass
-
-
-class KernelOverflowError(ValueError):
-    """A product of the int64 orbit kernel could leave the int64 range."""
-
-
-class ScaleError(ValueError):
-    """A point is not integral at the scale SCALE."""
 
 
 @dataclass(frozen=True)
@@ -164,59 +149,6 @@ def seed_proj_conjugate() -> CanonicalPoint:
     return CanonicalPoint.make(entries, PROJECTIVE)
 
 
-def _check_range(inner, max_b, max_v):
-    if inner * max_b * max_v >= _INT64_LIMIT:
-        raise KernelOverflowError(
-            f"{inner} * {max_b} * {max_v} reaches 2^63; the int64 kernel "
-            "cannot form this product exactly")
-
-
-def _max_abs(a) -> int:
-    return int(np.abs(a).max())
-
-
-class _IntegerAction:
-    """A 27x27 cyclotomic matrix as an exact integer map on n x 216 rows.
-
-    A block-monomial matrix (one nonzero entry per row, like f1, f2, d and
-    ac) is applied as a gather of 8-coefficient blocks and 27 8x8 products;
-    any other matrix as one dense 216x216 product.  Both are int64 with the
-    same guards.
-    """
-
-    def __init__(self, m: ExactMatrix):
-        if m.ring != RING_CYC or m.rows != 27 or m.cols != 27:
-            raise ValueError("generators must be 27x27 cyclotomic matrices")
-        self.den = math.lcm(*(e.den for row in m.data for e in row))
-        coeffs = [[[n * (self.den // e.den) for n in e.num] for e in row]
-                  for row in m.data]
-        # A block entry sums at most 8 coefficients times +-1, so this also
-        # keeps every entry of B below 2^63.
-        _check_range(_DIM, 8 * max(abs(c) for row in coeffs for e in row for c in e), 1)
-        # blocks[i, j] right-multiplies block j of a row into block i.
-        blocks = np.tensordot(np.array(coeffs, dtype=np.int64), _ROT[:8], axes=(2, 0))
-        self.max_b = _max_abs(blocks)
-        nonzero = blocks.any(axis=(2, 3))
-        if (nonzero.sum(axis=1) == 1).all():
-            self.src = nonzero.argmax(axis=1)
-            self.blocks = blocks[np.arange(27), self.src]
-        else:
-            self.src = None
-            self.dense = blocks.transpose(1, 2, 0, 3).reshape(_DIM, _DIM)
-
-    def __call__(self, rows):
-        _check_range(_DIM, self.max_b, _max_abs(rows))
-        if self.src is None:
-            out = rows @ self.dense
-        else:
-            gathered = rows.reshape(-1, 27, 8)[:, self.src]
-            out = np.einsum("niq,iqk->nik", gathered, self.blocks).reshape(-1, _DIM)
-        quot, rem = np.divmod(out, self.den)
-        if rem.any():
-            raise ScaleError(f"an image is not integral at scale {SCALE}")
-        return quot
-
-
 def _encode(entries) -> np.ndarray:
     """The 1 x 216 row of SCALE times the coefficients of 27 scalars."""
     row = []
@@ -226,7 +158,7 @@ def _encode(entries) -> np.ndarray:
             if r:
                 raise ScaleError(f"seed entry {e} is not integral at scale {SCALE}")
             row.append(q)
-    _check_range(1, max(map(abs, row)), 1)
+    check_range(1, max(map(abs, row)), 1)
     return np.array([row], dtype=np.int64)
 
 
@@ -241,20 +173,20 @@ def _canonical(rows, mode):
     nonzero = blocks.any(axis=2)
     if not nonzero.any(axis=1).all():
         raise ValueError("projective point must be nonzero")
-    _check_range(8, 1, _max_abs(rows))
+    check_range(8, 1, max_abs(rows))
     first = blocks[np.arange(n), nonzero.argmax(axis=1)]
-    cands = first @ _ROT  # (20, n, 8): the first block of each rotation
+    cands = first @ ROT  # (20, n, 8): the first block of each rotation
     alive = np.ones((20, n), dtype=bool)
     for c in range(8):
         col = np.where(alive, cands[:, :, c], np.iinfo(np.int64).max)
         alive &= col == col.min(axis=0)
     k = alive.argmax(axis=0)
-    return np.matmul(blocks, _ROT[k]).reshape(n, _DIM)
+    return np.matmul(blocks, ROT[k]).reshape(n, DIM)
 
 
 def _row_keys(rows) -> list:
     buf = rows.tobytes()
-    step = _DIM * rows.itemsize
+    step = DIM * rows.itemsize
     return [buf[i:i + step] for i in range(0, len(buf), step)]
 
 
@@ -296,7 +228,7 @@ class PermSet:
 
 def enumerate_orbit(seed: CanonicalPoint, gens, cap: int = 10000) -> Orbit:
     """BFS closure of the seed under the generator matrices."""
-    actions = [_IntegerAction(g) for g in gens]
+    actions = [IntegerAction(g) for g in gens]
     frontier = _canonical(_encode(seed.entries), seed.mode)
     levels = [frontier]
     index = {frontier.tobytes(): 0}
@@ -322,7 +254,7 @@ def perm_images(orbit: Orbit, gens) -> PermSet:
     """The permutations induced on the orbit by each generator."""
     perms = []
     for g in gens:
-        images = _canonical(_IntegerAction(g)(orbit.coords), orbit.mode)
+        images = _canonical(IntegerAction(g)(orbit.coords), orbit.mode)
         try:
             perms.append(tuple(orbit.index[key] for key in _row_keys(images)))
         except KeyError:

@@ -25,6 +25,20 @@ def test_cubic_emits_45_sorted_lines(capsys):
     assert set(signs) == {"+", "-"}
 
 
+@pytest.mark.parametrize("argv, size, digest", [
+    (("cubic",), 450,
+     "a9a9e87b27c120ab7dd404ea6efc5d0779b411e58ab5efe5a10c7ae99043f1aa"),
+    (("cubic", "--check"), 622,
+     "44ffe9816c232a7f15885fbbd8599b8e01d52ce197bef1b91192e8f6e9f82bdb"),
+])
+def test_cubic_golden_bytes(capsys, argv, size, digest):
+    # recorded from the CycNum expansion of C(m x), before the int64 kernel
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert len(out.encode()) == size
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_cubic_check(capsys):
     code, out = run(capsys, "cubic", "--check")
     assert code == 0
@@ -126,6 +140,54 @@ def test_reduce41(tmp_path, capsys):
 def test_reduce41_missing_file(capsys):
     code, _ = run(capsys, "reduce41", "--in", "/nonexistent/m.mat")
     assert code == 2
+
+
+def run_err(capsys, *argv):
+    code = cli.run(list(argv))
+    return code, capsys.readouterr().err
+
+
+ZERO_DENOMINATOR = "cyc 1 1\n1/0 0 0 0 0 0 0 0\n"
+
+
+def test_reduce41_zero_denominator(tmp_path, capsys):
+    (tmp_path / "m.mat").write_text(ZERO_DENOMINATOR)
+    code, err = run_err(capsys, "reduce41", "--in", str(tmp_path / "m.mat"))
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_eval_bind_zero_denominator(tmp_path, capsys):
+    (tmp_path / "m.mat").write_text(ZERO_DENOMINATOR)
+    code, err = run_err(capsys, "eval", "--word", "a", "--bind", f"a={tmp_path / 'm.mat'}")
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_reduce41_denominator_divisible_by_41(tmp_path, capsys):
+    (tmp_path / "m.mat").write_text("cyc 1 1\n1/82 0 0 0 0 0 0 0\n")
+    code, err = run_err(capsys, "reduce41", "--in", str(tmp_path / "m.mat"))
+    assert code == 2
+    assert "divisible by 41" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("n, ring", [(27, la.RING_CYC), (3, la.RING_GF41)])
+def test_basis_in_rejects_other_matrices(tmp_path, capsys, n, ring):
+    for name in ("a", "b"):
+        la.save_matrix(la.ExactMatrix.identity(n, ring), tmp_path / f"{name}.mat")
+    code, err = run_err(capsys, "basis", "--in", str(tmp_path))
+    assert code == 2
+    assert err.startswith("error: ") and "gf41" in err
+
+
+def test_basis_in_failed_check_exits_1(tmp_path, capsys):
+    # well-formed GF(41) input that is not a pair of Tits generators is a
+    # failed check, not a usage error
+    for name in ("a", "b"):
+        la.save_matrix(la.ExactMatrix.identity(27, la.RING_GF41), tmp_path / f"{name}.mat")
+    code, err = run_err(capsys, "basis", "--in", str(tmp_path))
+    assert code == 1
+    assert err.startswith("check failed: ") and "dimension 0" in err
 
 
 def test_basis_selftest_one_seed_block(capsys):
