@@ -21,6 +21,7 @@ import os
 import sys
 
 from . import basisfinder
+from . import certificates
 from . import cubicform
 from . import exactlinalg as la
 from . import generators
@@ -140,11 +141,12 @@ def _cmd_basis(args):
         seeds = [args.seed + k for k in range(5)]
         failed = False
         for seed in seeds:
-            rep = basisfinder.scramble_roundtrip(seed)
-            print(f"scramble seed {seed}: {'PASS' if rep.ok else 'FAIL'}")
-            for name, ok in rep.checks:
+            checks = basisfinder.scramble_roundtrip(seed)
+            passed = all(ok for _, ok in checks)
+            print(f"scramble seed {seed}: {'PASS' if passed else 'FAIL'}")
+            for name, ok in checks:
                 print(f"    {'PASS' if ok else 'FAIL'} {name}")
-            failed = failed or not rep.ok
+            failed = failed or not passed
         return 1 if failed else 0
     if not args.indir:
         raise _UsageError("basis requires --selftest or --in DIR")
@@ -168,77 +170,9 @@ def _cmd_basis(args):
     return 0
 
 
-def _verify_checks(fast: bool, seed: int):
-    """Yield (name, ok) pairs for the whole verification suite."""
-    g = generators.build_all()
-    rep = generators.verify_relations(g)
-    yield from rep.checks
-
-    ep = g.eprime
-    yield ("eprime symmetric", la.transpose(ep) == ep)
-    yield ("eprime row norms all 1",
-           all(generators.row_norm(ep, i) == generators.cyclo.ONE for i in range(27)))
-    row0 = [e for e in ep.data[0] if not e.is_zero()]
-    from .cyclo import CycNum
-    counts = {}
-    for e in row0:
-        counts[e] = counts.get(e, 0) + 1
-    expected = {CycNum.rational(2, 5): 2, CycNum.rational(1, 5): 9,
-                CycNum.rational(-1, 5): 8}
-    yield ("eprime top row multiset {2/5 x2, 1/5 x9, -1/5 x8}",
-           len(row0) == 19 and counts == expected)
-
-    from . import gf41
-    table = gf41.lift_table()
-    yield ("mod-41 designated lifts reduce back",
-           all(gf41.reduce_cyc(v) == k for k, v in table.items()))
-
-    form = cubicform.dickson_form()
-    yield ("cubic form has 45 terms", len(form) == 45)
-    yield ("every term passes the eigenvalue test",
-           all(cubicform.eigenvalue_check(t) for t in form))
-    for name, m in g.as_dict().items():
-        ok, flip_safe = cubicform.invariance_report(form, m)
-        yield (f"cubic form invariant under {name}", ok)
-        if name == "eprime":
-            yield ("every single sign flip breaks eprime invariance", not flip_safe)
-    jordan = cubicform.jordan_identity_check(
-        form, {n: m for n, m in g.as_dict().items() if n != "d"})
-    yield from jordan.checks
-
-    if fast:
-        return
-
-    gens5 = list(g.in_order())
-    orbit = orbits.enumerate_orbit(orbits.seed_fixed_vector(), gens5)
-    yield ("orbit of (1,1,1;0^24) has 2304 points", len(orbit) == 2304)
-    p5 = orbits.perm_images(orbit, gens5)
-    chain = orbits.build_stab_chain(p5)
-    yield ("certified order is 17971200", chain.order() == 17_971_200)
-    yield ("degree-2304 action is transitive", orbits.transitivity_check(p5))
-    psub = orbits.perm_images(orbit, [g.f1, g.f2, g.ac, g.eprime])
-    sub_chain = orbits.build_stab_chain(psub)
-    yield ("point stabilizer has order 7800", sub_chain.order() == 7800)
-    yield ("index is 2304", chain.order() // sub_chain.order() == 2304)
-
-    proj = orbits.enumerate_orbit(orbits.seed_proj_1755(), gens5)
-    yield ("projective orbit has 1755 points", len(proj) == 1755)
-    c = orbits.scalar_character(orbits.seed_proj_1755(), la.mat_pow(g.ac, 3))
-    yield ("(ac)^3 scales the projective seed by a power of i",
-           c ** 4 == generators.cyclo.ONE and c ** 2 != generators.cyclo.ONE)
-    yield ("d fixes the projective seed",
-           orbits.scalar_character(orbits.seed_proj_1755(), g.d) == generators.cyclo.ONE)
-    yield ("1755-point stabilizer has order 10240",
-           chain.order() // len(proj) == 10240)
-
-    for k in range(5):
-        rep = basisfinder.scramble_roundtrip(seed + k)
-        yield (f"basis round-trip recovers balanced form (seed {seed + k})", rep.ok)
-
-
 def _cmd_verify(args):
     failed = False
-    for name, ok in _verify_checks(args.fast, args.seed):
+    for name, ok in certificates.rows(args.fast, args.seed):
         print(f"{name:<60s} {'PASS' if ok else 'FAIL'}")
         failed = failed or not ok
     return 1 if failed else 0

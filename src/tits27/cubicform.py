@@ -53,7 +53,7 @@ from .cyclo import CycNum
 from . import exactlinalg as la
 from .exactlinalg import ExactMatrix
 from . import generators
-from .generators import LABELS, LABEL_INDEX, F1_EXP, F2_EXP, CheckReport
+from .generators import LABELS, LABEL_INDEX, F1_EXP, F2_EXP
 
 
 class NotMonomialError(ValueError):
@@ -338,15 +338,17 @@ def evaluate(c: CubicForm, entries) -> CycNum:
     return acc
 
 
-def jordan_identity_check(c: CubicForm, gens) -> CheckReport:
+def jordan_identity_check(c: CubicForm, gens) -> tuple:
     """Certify the fixed vector of the point stabilizer as the Jordan identity.
 
     `gens` maps names to matrices; the expected set is {f1, f2, ac, eprime}.
     Each must fix (1,1,1;0^24) exactly, and the form must evaluate to +1 on
-    it (its support is the single positive term (-3,-2,-1)).
+    it (its support is the single positive term (-3,-2,-1)).  Returns a
+    tuple of `(name, ok)` pairs: one per matrix, in the order of `gens`,
+    then the form value.
     """
     v = identity_vector()
     checks = [(f"{name} fixes (1,1,1;0^24)", la.matvec(m, v) == v)
               for name, m in gens.items()]
     checks.append(("form value on fixed vector is +1", evaluate(c, v) == cyclo.ONE))
-    return CheckReport(tuple(checks))
+    return tuple(checks)

@@ -72,10 +72,6 @@ class CycNum:
         return cls((p, 0, 0, 0, 0, 0, 0, 0), q)
 
     @classmethod
-    def from_fraction(cls, f):
-        return cls.rational(f.numerator, f.denominator)
-
-    @classmethod
     def from_coeffs(cls, coeffs):
         """Build from 8 Fraction (or int) coefficients c0..c7."""
         fracs = [Fraction(c) for c in coeffs]

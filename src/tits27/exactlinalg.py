@@ -96,9 +96,6 @@ class ExactMatrix:
     def __pow__(self, n):
         return mat_pow(self, n)
 
-    def entry(self, i, j):
-        return self.data[i][j]
-
     @property
     def zero(self):
         return _SCALARS[self.ring][0]

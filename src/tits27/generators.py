@@ -228,26 +228,12 @@ def build_all_gf41():
     return tuple(la.reduce_matrix_mod41(m) for m in g.in_order())
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    """A list of named boolean checks with an overall verdict."""
+def verify_relations(g: GeneratorSet) -> tuple:
+    """Check the defining relations and unitarity of a generator set.
 
-    checks: tuple
-
-    @property
-    def ok(self):
-        return all(flag for _, flag in self.checks)
-
-    @property
-    def first_failure(self):
-        for name, flag in self.checks:
-            if not flag:
-                return name
-        return None
-
-
-def verify_relations(g: GeneratorSet) -> CheckReport:
-    """Check the defining relations and unitarity of a generator set."""
+    Returns a tuple of 13 `(name, ok)` pairs: eight relations, then one
+    unitarity check per generator in standard order.
+    """
     ident = ExactMatrix.identity(27, RING_CYC)
     ac_inv = la.mat_inv(g.ac)
     checks = [
@@ -262,7 +248,7 @@ def verify_relations(g: GeneratorSet) -> CheckReport:
     ]
     checks.extend((f"{name} unitary", la.is_unitary(m))
                   for name, m in zip(NAMES, g.in_order()))
-    return CheckReport(tuple(checks))
+    return tuple(checks)
 
 
 def _order_is(m, n):

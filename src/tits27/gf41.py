@@ -101,9 +101,6 @@ OMEGA_INV = pow(OMEGA, -1, P)
 # ordered as z, z^2, z^3, z^4 (37 is the residue class of -4).
 PRIMITIVE_FIFTH_ROOTS = (gf(16), gf(10), gf(37), gf(18))
 
-# The 4th roots of unity {1, i, -1, -i} as residues; 9 plays i.
-FOURTH_ROOTS = (gf(1), gf(9), gf(40), gf(32))
-
 
 def evaluate_at(a: CycNum, w: int) -> Gf41:
     """Evaluate a's coefficient polynomial at the residue w (Horner)."""

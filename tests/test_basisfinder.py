@@ -68,8 +68,7 @@ def test_assemble_basis_counts(reduced):
 
 def test_rebase_identity_is_noop(reduced):
     ident_basis = bf.BasisCandidate(
-        tuple(tuple(gf(1) if i == j else gf(0) for i in range(27)) for j in range(27)),
-        tuple(str(j) for j in range(27)))
+        tuple(tuple(gf(1) if i == j else gf(0) for i in range(27)) for j in range(27)))
     out = bf.rebase(list(reduced), ident_basis)
     assert out == list(reduced)
 
@@ -92,12 +91,6 @@ def test_scalar_balance_idempotent(reduced):
 def test_scalar_balance_rejects_missing_dense(reduced):
     with pytest.raises(bf.PatternViolationError):
         bf.scalar_balance([reduced[0], reduced[1], reduced[2], reduced[3]])
-
-
-def test_roundtrip_five_seeds():
-    for seed in (1, 2, 3, 4, 5):
-        rep = bf.scramble_roundtrip(seed)
-        assert rep.ok, (seed, [n for n, ok in rep.checks if not ok])
 
 
 def test_roundtrip_diagonal_multiset(reduced):

@@ -60,6 +60,19 @@ def test_gens_gf41_round_trip(tmp_path, capsys):
         assert la.load_matrix(tmp_path / f"{name}.mat") == m
 
 
+@pytest.mark.parametrize("argv, size, digest", [
+    (("gens",), 60_634,
+     "7093e0f7981e02cf5657dba66faa854a2921539c4236d3886c2c8077ddad11d4"),
+    (("gens", "--gf41"), 7_704,
+     "50dd9287664e410822d998acc7f8643c5db7a985a1e66d97a123b55da5062afe"),
+])
+def test_gens_golden_bytes(capsys, argv, size, digest):
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert len(out.encode()) == size
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_gens_stdout_deterministic(capsys):
     _, out1 = run(capsys, "gens", "--gf41")
     _, out2 = run(capsys, "gens", "--gf41")
@@ -92,6 +105,14 @@ def test_orbit_perms_golden_bytes(capsys, seed, size, digest):
     assert code == 0
     assert len(out.encode()) == size
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, printed", [
+    (("order",), "17971200\n"),
+    (("order", "--gens", "f1,f2,ac,eprime"), "7800\n"),
+])
+def test_order_prints_certified_order(capsys, argv, printed):
+    assert run(capsys, *argv) == (0, printed)
 
 
 def test_orbit_unknown_gen(capsys):
@@ -195,6 +216,9 @@ def test_basis_selftest_one_seed_block(capsys):
     assert code == 0
     assert out.count("scramble seed") == 5
     assert "FAIL" not in out
+    assert len(out.encode()) == 940
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "6af96bb185cb6d4bb83d7085da67d87e76a68f9a77354f1cd349d1174ad626da")
 
 
 def test_basis_requires_mode(capsys):
@@ -212,6 +236,9 @@ def test_verify_fast(capsys):
     assert code == 0
     assert "FAIL" not in out
     assert "eprime inverts ac" in out
+    assert len(out.encode()) == 1980
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "5eaa89571b96c246f45919f91dc1e138d7d36de5e96033e263581724ea73248a")
 
 
 def test_usage_errors(capsys):

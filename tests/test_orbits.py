@@ -18,6 +18,14 @@ def test_trivial_orbit(gens):
     assert len(o) == 1
 
 
+def test_perm_images_of_unclosed_orbit(gens):
+    # d sends (1,1,1;0^24) to (1,-1,-1;0^24), which is not in the f1-orbit
+    o = ob.enumerate_orbit(ob.seed_fixed_vector(), [gens.f1])
+    assert len(o) == 1
+    with pytest.raises(ob.OrbitNotClosedError):
+        ob.perm_images(o, [gens.d])
+
+
 def test_cap_exceeded(gens5):
     with pytest.raises(ob.CapExceededError):
         ob.enumerate_orbit(ob.seed_fixed_vector(), gens5, cap=100)
