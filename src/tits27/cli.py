@@ -247,7 +247,7 @@ def run(argv) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except basisfinder.CheckFailed as exc:
+    except la.CheckFailed as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
     except (OSError, ValueError, KeyError) as exc:

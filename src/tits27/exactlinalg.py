@@ -3,7 +3,8 @@
 A matrix carries a ring tag ("cyc" or "gf41") and its entries as scalar
 objects from :mod:`tits27.cyclo` / :mod:`tits27.gf41`.  All arithmetic is
 exact; elimination pivots on the first nonzero entry in column order, so
-every result is deterministic.
+every result is deterministic.  Over GF(41) the products and elimination
+convert to int64 residue arrays and run on the kernel in `gf41`.
 
 File formats
     cyc R C     header, then R*C lines, one cyclotomic element per line
@@ -15,9 +16,10 @@ Readers skip blank lines and lines starting with '#'.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numpy as np
 
 from . import cyclo, gf41
+from .gf41 import SingularMatrixError
 
 RING_CYC = "cyc"
 RING_GF41 = "gf41"
@@ -36,12 +38,12 @@ class RingMismatchError(ValueError):
     pass
 
 
-class SingularMatrixError(ValueError):
-    pass
-
-
 class OrderExceedsCapError(ValueError):
     pass
+
+
+class CheckFailed(ValueError):
+    """The input is well formed, but a mathematical check found it wrong."""
 
 
 class ExactMatrix:
@@ -127,24 +129,21 @@ class ExactMatrix:
         return tuple(self.data[i][i] for i in range(min(self.rows, self.cols)))
 
 
-@dataclass(frozen=True)
-class ExactVector:
-    """A nonempty vector of scalars from one ring."""
-
-    ring: str
-    entries: tuple
-
-    def __post_init__(self):
-        if not self.entries:
-            raise DimensionMismatchError("empty vector")
-
-    def __len__(self):
-        return len(self.entries)
-
-
 def _check_ring(a, b):
     if a.ring != b.ring:
         raise RingMismatchError(f"{a.ring} vs {b.ring}")
+
+
+def residues(m: ExactMatrix) -> np.ndarray:
+    """A gf41 matrix as an int64 array of residues."""
+    if m.ring != RING_GF41:
+        raise RingMismatchError(f"expected a gf41 matrix, got {m.ring}")
+    return np.array([[e.value for e in row] for row in m.data], dtype=np.int64)
+
+
+def from_residues(a) -> ExactMatrix:
+    """The gf41 matrix of a 2-D array of integers."""
+    return ExactMatrix(RING_GF41, [[gf41.gf(v) for v in row] for row in a.tolist()])
 
 
 def mat_mul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
@@ -152,6 +151,8 @@ def mat_mul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     _check_ring(a, b)
     if a.cols != b.rows:
         raise DimensionMismatchError(f"{a.rows}x{a.cols} times {b.rows}x{b.cols}")
+    if a.ring == RING_GF41:
+        return from_residues(gf41.matmul(residues(a), residues(b)))
     zero = a.zero
     bdata = b.data
     out = []
@@ -172,6 +173,8 @@ def matvec(m: ExactMatrix, v) -> tuple:
     """Apply m to a sequence of scalars, returning a tuple."""
     if m.cols != len(v):
         raise DimensionMismatchError(f"{m.rows}x{m.cols} applied to length {len(v)}")
+    if m.ring == RING_GF41:
+        return tuple(map(gf41.gf, gf41.matmul(residues(m), [e.value for e in v]).tolist()))
     zero = m.zero
     out = []
     for row in m.data:
@@ -206,6 +209,8 @@ def mat_inv(a: ExactMatrix) -> ExactMatrix:
     """Exact inverse by Gauss-Jordan elimination, first-nonzero pivoting."""
     if not a.is_square():
         raise DimensionMismatchError("inverse of a non-square matrix")
+    if a.ring == RING_GF41:
+        return from_residues(gf41.inverse(residues(a)))
     n = a.rows
     zero, one = _SCALARS[a.ring]
     aug = [list(row) + [one if i == j else zero for j in range(n)]
@@ -263,67 +268,9 @@ def is_unitary(m: ExactMatrix) -> bool:
 # -- elimination over GF(41) ---------------------------------------------------
 
 def rref(m: ExactMatrix):
-    """Reduced row echelon form; returns (rows, pivot column list)."""
-    rows = [list(r) for r in m.data]
-    pivots = []
-    r = 0
-    for col in range(m.cols):
-        pivot = next((i for i in range(r, m.rows) if not rows[i][col].is_zero()), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][col].inverse()
-        rows[r] = [inv * e for e in rows[r]]
-        for i in range(m.rows):
-            if i != r and not rows[i][col].is_zero():
-                f = rows[i][col]
-                rows[i] = [e - f * p for e, p in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == m.rows:
-            break
-    return rows, pivots
-
-
-def rank(m: ExactMatrix) -> int:
-    return len(rref(m)[1])
-
-
-def nullspace_gf(m: ExactMatrix):
-    """Basis of the right nullspace of a GF(41) matrix.
-
-    Deterministic: pivot columns ascend, and each basis vector sets one free
-    variable to 1 in column order.  A full-rank matrix yields the empty list.
-    """
-    if m.ring != RING_GF41:
-        raise RingMismatchError("nullspace_gf expects a gf41 matrix")
-    rows, pivots = rref(m)
-    pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
-    zero, one = _SCALARS[m.ring]
-    basis = []
-    for f in free:
-        v = [zero] * m.cols
-        v[f] = one
-        for r, pc in enumerate(pivots):
-            v[pc] = -rows[r][f]
-        basis.append(ExactVector(m.ring, tuple(v)))
-    return basis
-
-
-def common_nullspace(ms):
-    """Nullspace of the vertically stacked system."""
-    ms = list(ms)
-    if not ms:
-        raise DimensionMismatchError("need at least one matrix")
-    cols = ms[0].cols
-    for m in ms:
-        if m.cols != cols:
-            raise DimensionMismatchError("column counts differ")
-        if m.ring != ms[0].ring:
-            raise RingMismatchError("mixed rings in stacked system")
-    stacked = ExactMatrix(ms[0].ring, [row for m in ms for row in m.data])
-    return nullspace_gf(stacked)
+    """Reduced row echelon form of a gf41 matrix; returns (rows, pivot column list)."""
+    red, pivots = gf41.rref(residues(m))
+    return [[gf41.gf(v) for v in row] for row in red.tolist()], pivots
 
 
 # -- file format ---------------------------------------------------------------

@@ -13,14 +13,39 @@ homomorphism Z[zeta20, 1/5] -> GF(41).  Under it
 
 OMEGA is recomputed by brute force at import time and asserted equal to the
 value forced by 9 * 16^-1, so the constant verifies itself.
+
+Matrices over GF(41) as int64 arrays
+    `matmul`, `rref`, `rank`, `nullspace` and `inverse` reduce their input
+    mod 41.  A product entry sums n terms below 40^2 and an elimination
+    update subtracts one, so each call checks n * 40^2 < 2^63 for n columns
+    (43,200 for n = 27) or raises KernelOverflowError.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from . import cyclo
 from .cyclo import CycNum
 
 P = 41
+_INT64_LIMIT = 2 ** 63
+
+
+class KernelOverflowError(ValueError):
+    """A product of an int64 kernel could leave the int64 range."""
+
+
+class SingularMatrixError(ValueError):
+    pass
+
+
+def check_range(inner, max_b, max_v):
+    """Refuse a product of `inner`-term sums whose partial sums could reach 2^63."""
+    if inner * max_b * max_v >= _INT64_LIMIT:
+        raise KernelOverflowError(
+            f"{inner} * {max_b} * {max_v} reaches 2^63; the int64 kernel "
+            "cannot form this product exactly")
 
 
 class Gf41:
@@ -144,3 +169,64 @@ def lift_table() -> dict:
         gf(35): cyclo.TAU,
         gf(33): cyclo.FIFTH,
     }
+
+
+# -- matrices over GF(41) as int64 residue arrays --------------------------------
+
+def matmul(a, b):
+    """a @ b over GF(41); either operand may be a stack or a vector."""
+    a = np.asarray(a, dtype=np.int64) % P
+    check_range(a.shape[-1], P - 1, P - 1)
+    return a @ (np.asarray(b, dtype=np.int64) % P) % P
+
+
+def rref(a):
+    """Reduced row echelon form of a 2-D array: (array, pivot column list)."""
+    a = np.asarray(a, dtype=np.int64) % P
+    check_range(a.shape[1], P - 1, P - 1)
+    pivots = []
+    r = 0
+    for col in range(a.shape[1]):
+        nonzero = np.flatnonzero(a[r:, col])
+        if not nonzero.size:
+            continue
+        a[[r, r + nonzero[0]]] = a[[r + nonzero[0], r]]
+        a[r] = a[r] * pow(int(a[r, col]), -1, P) % P
+        factors = a[:, col].copy()
+        factors[r] = 0
+        a -= np.outer(factors, a[r])
+        a %= P
+        pivots.append(col)
+        r += 1
+        if r == a.shape[0]:
+            break
+    return a, pivots
+
+
+def rank(a) -> int:
+    return len(rref(a)[1])
+
+
+def nullspace(a):
+    """Right nullspace basis, one vector per row.
+
+    Pivot columns ascend, and each vector sets one free variable to 1 in
+    column order; a matrix of full column rank gives zero rows.
+    """
+    red, pivots = rref(a)
+    free = [c for c in range(red.shape[1]) if c not in pivots]
+    basis = np.zeros((len(free), red.shape[1]), dtype=np.int64)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = -red[:len(pivots)][:, free].T % P
+    return basis
+
+
+def inverse(a):
+    """The inverse of a square matrix, by elimination on [a | 1]."""
+    n = len(a)
+    if np.shape(a) != (n, n):
+        raise ValueError("inverse of a non-square matrix")
+    red, pivots = rref(np.hstack([a, np.eye(n, dtype=np.int64)]))
+    if pivots[:n] != list(range(n)):
+        raise SingularMatrixError("matrix is singular")
+    return red[:, n:]

@@ -85,11 +85,11 @@ class CapExceededError(ValueError):
     pass
 
 
-class OrbitNotClosedError(ValueError):
+class OrbitNotClosedError(la.CheckFailed):
     pass
 
 
-class NotAnEigenvectorError(ValueError):
+class NotAnEigenvectorError(la.CheckFailed):
     pass
 
 

@@ -32,10 +32,11 @@ import numpy as np
 
 from . import cyclo
 from .exactlinalg import ExactMatrix, RING_CYC
+# The range guard and its error are shared with the GF(p) kernel in gf41.
+from .gf41 import KernelOverflowError, check_range  # noqa: F401
 
 #: Integer coordinates of a 27-vector: 8 power-basis coefficients per entry.
 DIM = 27 * 8
-_INT64_LIMIT = 2 ** 63
 
 # ROT[k] right-multiplies an 8-coefficient block a (as a row) to give the
 # block of zeta^k * a; its entries are 0 and +-1.
@@ -43,20 +44,8 @@ _ZETA_POW = np.array([cyclo.CycNum.zeta(k).num for k in range(20)], dtype=np.int
 ROT = _ZETA_POW[(np.arange(20)[:, None] + np.arange(8)) % 20]
 
 
-class KernelOverflowError(ValueError):
-    """A product of the int64 kernel could leave the int64 range."""
-
-
 class ScaleError(ValueError):
     """A value is not integral at the scale the kernel works at."""
-
-
-def check_range(inner, max_b, max_v):
-    """Refuse a product of `inner`-term sums whose partial sums could reach 2^63."""
-    if inner * max_b * max_v >= _INT64_LIMIT:
-        raise KernelOverflowError(
-            f"{inner} * {max_b} * {max_v} reaches 2^63; the int64 kernel "
-            "cannot form this product exactly")
 
 
 def max_abs(a) -> int:

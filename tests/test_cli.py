@@ -1,10 +1,15 @@
 """The command-line surface: formats, exit codes, determinism."""
 
+import contextlib
 import hashlib
+import io
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tits27 import cli, exactlinalg as la, generators
+from tits27 import basisfinder, cli, exactlinalg as la, generators, orbits
 
 
 def run(capsys, *argv):
@@ -239,6 +244,132 @@ def test_verify_fast(capsys):
     assert len(out.encode()) == 1980
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "5eaa89571b96c246f45919f91dc1e138d7d36de5e96033e263581724ea73248a")
+
+
+def test_verify_seed_1_golden_bytes(capsys):
+    # recorded before the GF(41) pipeline moved to residue arrays
+    code, out = run(capsys, "verify", "--seed", "1")
+    assert code == 0
+    assert len(out.encode()) == 2904
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "6a4d5a612b1a64f57fccb8e567130c6cdea9c2120a8702a07139230c1d77a7d4")
+
+
+def test_check_failures_share_one_base():
+    for error in (orbits.OrbitNotClosedError, orbits.NotAnEigenvectorError,
+                  basisfinder.PatternViolationError):
+        assert issubclass(error, la.CheckFailed)
+    assert basisfinder.CheckFailed is la.CheckFailed
+    assert not issubclass(orbits.KernelOverflowError, la.CheckFailed)
+
+
+@pytest.mark.parametrize("error, code, prefix", [
+    (orbits.OrbitNotClosedError, 1, "check failed: "),
+    (orbits.NotAnEigenvectorError, 1, "check failed: "),
+    (orbits.KernelOverflowError, 2, "error: "),
+    (orbits.CapExceededError, 2, "error: "),
+])
+def test_orbit_error_exit_codes(monkeypatch, capsys, error, code, prefix):
+    def fail(*args):
+        raise error("injected")
+
+    monkeypatch.setattr(orbits, "perm_images", fail)
+    assert run_err(capsys, "orbit", "--seed", "fixed", "--gens", "f1", "--perms") == (
+        code, f"{prefix}injected\n")
+
+
+@pytest.mark.parametrize("word, text", [
+    ("a^-1", "gf41 2 2\n1 2\n2 4\n"),      # singular
+    ("a a", "gf41 2 3\n1 2 3\n4 5 6\n"),  # not square
+])
+def test_eval_gf41_arithmetic_errors(tmp_path, capsys, word, text):
+    (tmp_path / "a.mat").write_text(text)
+    code, err = run_err(capsys, "eval", "--word", word, "--bind", f"a={tmp_path / 'a.mat'}")
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+# -- malformed matrix files ------------------------------------------------------
+
+_dims = st.tuples(st.integers(1, 3), st.integers(1, 3))
+_residue_rows = _dims.flatmap(lambda d: st.lists(
+    st.lists(st.integers(0, 40).map(str), min_size=d[1], max_size=d[1]),
+    min_size=d[0], max_size=d[0]))
+_not_an_integer = st.sampled_from(["1.5", "x", "1/2", "1e3", "nan", "--1", "4O", "0x1f", "1,2"])
+
+
+def _gf41_text(rows, header=None):
+    header = header or f"gf41 {len(rows)} {len(rows[0])}"
+    return "\n".join([header] + [" ".join(r) for r in rows]) + "\n"
+
+
+@st.composite
+def _bad_header(draw):
+    word = st.text(alphabet="abx019-./ ", min_size=1, max_size=6)
+    bad_dim = st.sampled_from(["x", "1.5", "-", "2/1", "", "one"])
+    header = draw(st.one_of(
+        st.tuples(word, word, word).map(" ".join),
+        st.tuples(st.sampled_from(["gf41", "cyc"]), bad_dim, st.just("1")).map(" ".join),
+        st.sampled_from(["gf41", "gf41 2", "cyc 1 1 1", "GF41 1 1", "gf 1 1"])))
+    return _gf41_text(draw(_residue_rows), header)
+
+
+@st.composite
+def _ragged_rows(draw):
+    rows = draw(_residue_rows)
+    header = f"gf41 {len(rows)} {len(rows[0])}"
+    i = draw(st.integers(0, len(rows) - 1))
+    kind = draw(st.sampled_from(["long row", "short row", "row count"]))
+    if kind == "long row":
+        rows[i] = rows[i] + ["7"]
+    elif kind == "short row":
+        rows[i] = rows[i][1:]
+    else:
+        header = f"gf41 {len(rows) + 1} {len(rows[0])}"
+    return _gf41_text(rows, header)
+
+
+@st.composite
+def _non_integer_residue(draw):
+    rows = draw(_residue_rows)
+    i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows[0]) - 1))
+    rows[i][j] = draw(_not_an_integer)
+    return _gf41_text(rows)
+
+
+@st.composite
+def _bad_cyc(draw):
+    entries = [[str(draw(st.integers(-3, 3))) for _ in range(8)] for _ in range(2)]
+    k, c = draw(st.integers(0, 1)), draw(st.integers(0, 7))
+    kind = draw(st.sampled_from(["zero denominator", "ragged", "non-rational"]))
+    if kind == "zero denominator":
+        entries[k][c] = f"{draw(st.integers(-5, 5))}/0"
+    elif kind == "ragged":
+        entries[k] = entries[k][:c] if c else entries[k] + ["1"]
+    else:
+        entries[k][c] = draw(_not_an_integer.filter(lambda t: t not in ("1.5", "1/2", "1e3")))
+    return "cyc 1 2\n" + "\n".join(" ".join(e) for e in entries) + "\n"
+
+
+def _cli_on_file(text, argv_for):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.mat")
+        with open(path, "w") as fh:
+            fh.write(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.run(argv_for(path))
+    return code, err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_bad_header(), _ragged_rows(), _non_integer_residue(), _bad_cyc()),
+       st.sampled_from([lambda path: ["reduce41", "--in", path],
+                        lambda path: ["eval", "--word", "a", "--bind", f"a={path}"]]))
+def test_malformed_matrix_files_exit_2(text, argv_for):
+    code, err = _cli_on_file(text, argv_for)
+    assert code == 2, text
+    assert err.startswith("error: ") and "Traceback" not in err, text
 
 
 def test_usage_errors(capsys):

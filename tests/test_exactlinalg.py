@@ -2,9 +2,10 @@
 
 import random
 
+import numpy as np
 import pytest
 
-from tits27 import cyclo, exactlinalg as la, generators
+from tits27 import cyclo, exactlinalg as la, generators, gf41
 from tits27.exactlinalg import (DimensionMismatchError, ExactMatrix, RingMismatchError,
                                 OrderExceedsCapError, SingularMatrixError,
                                 RING_CYC, RING_GF41)
@@ -110,39 +111,33 @@ def test_mat_order(gens):
 
 
 def test_nullspace_trivial_cases():
-    assert len(la.nullspace_gf(ExactMatrix.zeros(2, 2, RING_GF41))) == 2
-    assert la.nullspace_gf(ExactMatrix.identity(3, RING_GF41)) == []
+    assert len(gf41.nullspace(np.zeros((2, 2), dtype=np.int64))) == 2
+    assert gf41.nullspace(np.eye(3, dtype=np.int64)).shape == (0, 3)
     with pytest.raises(RingMismatchError):
-        la.nullspace_gf(ExactMatrix.identity(2, RING_CYC))
+        gf41.nullspace(la.residues(ExactMatrix.identity(2, RING_CYC)))
 
 
 def test_nullspace_properties():
     rng = random.Random(3)
-    zero = gf(0)
     for _ in range(10):
         m = ExactMatrix(RING_GF41, [[gf(rng.randrange(41)) for _ in range(6)]
                                     for _ in range(4)])
-        basis = la.nullspace_gf(m)
+        basis = gf41.nullspace(la.residues(m))
         assert len(basis) == 6 - _rank_oracle(m)
         for v in basis:
-            assert all(e == zero for e in la.matvec(m, v.entries))
+            assert all(e == gf(0) for e in la.matvec(m, tuple(map(gf, v.tolist()))))
 
 
 def test_common_nullspace(gens):
-    gm = la.reduce_matrix_mod41(gens.f1)
-    assert la.common_nullspace([gm, gm]) == la.nullspace_gf(gm)
-    assert la.common_nullspace([ExactMatrix.identity(3, RING_GF41)]) == []
+    # the stacked system of the basis pipeline, on the residue-array kernel
+    gm = la.residues(la.reduce_matrix_mod41(gens.f1))
+    assert np.array_equal(gf41.nullspace(np.vstack([gm, gm])), gf41.nullspace(gm))
+    assert gf41.nullspace(np.eye(3, dtype=np.int64)).shape == (0, 3)
     # stacked (f1+4, f2+4) over GF(41): one-dimensional joint eigenspace
-    f1m = la.reduce_matrix_mod41(gens.f1)
-    f2m = la.reduce_matrix_mod41(gens.f2)
-    four = gf(4)
-    shifted = []
-    for m in (f1m, f2m):
-        data = [list(row) for row in m.data]
-        for i in range(27):
-            data[i][i] = data[i][i] + four
-        shifted.append(ExactMatrix(RING_GF41, data))
-    assert len(la.common_nullspace(shifted)) == 1
+    f1m = la.residues(la.reduce_matrix_mod41(gens.f1))
+    f2m = la.residues(la.reduce_matrix_mod41(gens.f2))
+    shifted = [m + 4 * np.eye(27, dtype=np.int64) for m in (f1m, f2m)]
+    assert len(gf41.nullspace(np.vstack(shifted))) == 1
 
 
 def test_unitarity_of_all_generators(gens):

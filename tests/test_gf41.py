@@ -1,9 +1,10 @@
 """GF(41) arithmetic and the reduction from Q(zeta20)."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tits27 import cyclo, gf41
+from tits27 import cyclo, exactlinalg, gf41, zkernel
 from tits27.gf41 import OMEGA, OMEGA_INV, Gf41, evaluate_at, gf, lift_table, reduce_cyc
 
 small_cyc = st.builds(
@@ -98,3 +99,45 @@ def test_interning_and_hash():
     assert gf(42) == gf(1)
     assert hash(gf(5)) == hash(Gf41(46))
     assert str(gf(40)) == "40"
+
+
+# -- the int64 residue-array kernel ----------------------------------------------
+
+def test_kernel_refuses_overflow():
+    big = 2 ** 31 - 2                   # 3 * big^2 >= 2^63 > big^2
+    with pytest.raises(gf41.KernelOverflowError):
+        gf41.check_range(3, big, big)
+    gf41.check_range(1, big, big)
+    gf41.check_range(27, 40, 40)
+    assert zkernel.KernelOverflowError is gf41.KernelOverflowError
+    assert 27 * 40 ** 2 == 43_200      # the bound at p = 41, far below 2^63
+
+
+def test_kernel_reduces_its_input():
+    a = np.array([[42, -1], [0, 83]])
+    assert gf41.matmul(a, np.eye(2, dtype=np.int64)).tolist() == [[1, 40], [0, 1]]
+    assert gf41.rank(np.array([[41, 82]])) == 0
+
+
+def test_kernel_inverse():
+    rng = np.random.default_rng(7)
+    ident = np.eye(6, dtype=np.int64)
+    for _ in range(5):
+        m = rng.integers(0, 41, size=(6, 6))
+        if gf41.rank(m) < 6:
+            continue
+        assert np.array_equal(gf41.matmul(m, gf41.inverse(m)), ident)
+        assert np.array_equal(gf41.matmul(gf41.inverse(m), m), ident)
+    with pytest.raises(exactlinalg.SingularMatrixError):
+        gf41.inverse(np.zeros((3, 3), dtype=np.int64))
+    with pytest.raises(ValueError):
+        gf41.inverse(np.ones((2, 3), dtype=np.int64))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 6), st.randoms(use_true_random=False))
+def test_kernel_nullspace(rows, cols, rnd):
+    m = np.array([[rnd.randrange(41) for _ in range(cols)] for _ in range(rows)])
+    basis = gf41.nullspace(m)
+    assert basis.shape == (cols - gf41.rank(m), cols)
+    assert not gf41.matmul(m, basis.T).any()
