@@ -18,7 +18,8 @@ Matrices over GF(41) as int64 arrays
     `matmul`, `rref`, `rank`, `nullspace` and `inverse` reduce their input
     mod 41.  A product entry sums n terms below 40^2 and an elimination
     update subtracts one, so each call checks n * 40^2 < 2^63 for n columns
-    (43,200 for n = 27) or raises KernelOverflowError.
+    (43,200 for n = 27) or raises KernelOverflowError.  `reduce_rows`
+    reduces vectors in the Z^216 layout of `zkernel` with one contraction.
 """
 
 from __future__ import annotations
@@ -144,6 +145,21 @@ def reduce_cyc(a: CycNum) -> Gf41:
     ZeroDivisionError otherwise.
     """
     return evaluate_at(a, OMEGA)
+
+
+_OMEGA_POWERS = np.array([pow(OMEGA, k, P) for k in range(8)], dtype=np.int64)
+
+
+def reduce_rows(rows, scale):
+    """reduce_cyc on every entry of n x 8k integer rows: n x k residues.
+
+    A row holds `scale` times the power-basis coefficients of k scalars, 8
+    per scalar (the layout of `zkernel`); one contraction with the powers
+    of OMEGA evaluates every block, and 1/scale is a residue.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    check_range(8, P - 1, int(np.abs(rows).max(initial=0)))
+    return rows.reshape(len(rows), -1, 8) @ _OMEGA_POWERS % P * pow(scale, -1, P) % P
 
 
 def lift_table() -> dict:

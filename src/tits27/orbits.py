@@ -44,14 +44,53 @@ Stabilizer chain
   * base points are chosen as the smallest point moved by the residue that
     creates each level;
   * each level stores the orbit of its base point under all strong
-    generators assigned at its depth or deeper, with explicit transversals;
+    generators assigned at its depth or deeper, and its transversal as two
+    tables filled by one BFS: row r of `u` maps the base point to the r-th
+    point visited, row r of `uinv` is its inverse, and `pos[x]` is the row
+    of point x (-1 off the orbit);
   * every Schreier generator of a level is sifted through the deeper levels,
     and nontrivial residues are appended where they escape.
 
-Since residues always land strictly deeper than the level being processed, a
-single top-down pass closes the chain, and the group order is the product of
-the transversal sizes.  Permutations are composed as integer arrays; all
-arithmetic is exact.
+The group order is the product of the transversal sizes.  All arithmetic is
+on integer arrays and exact.
+
+Known base
+    A sift only has to decide whether a residue is the identity, so it
+    carries the images of a set Q of test points, not whole permutations.  Q
+    is a known base (a set whose pointwise stabilizer is trivial) together
+    with the chain's base points, whose images pick the transversal rows.
+    `perm_images` certifies a known base for a vector orbit: it reduces the
+    orbit vectors mod 41 and takes the first 27 points whose residues are
+    independent.  zeta -> 39 is a ring map Z[zeta20, 1/5] -> GF(41), and
+    reduction cannot raise rank, so those 27 vectors are a basis of
+    Q(zeta20)^27.  Every element of the permutation group is induced by a
+    matrix of the matrix group; if it fixes those 27 points, that matrix
+    fixes a basis, so it is the identity, and so is the permutation.  A
+    projective orbit, or a vector orbit of rank below 27, gets no certified
+    base, and Q is then every point.  Whole permutations are sifted only for
+    the input generators and for each residue that becomes a strong
+    generator.
+
+Levels that do not change
+    Write S(i) for the strong generators at depth i or deeper.  A residue
+    found while level i is processed lies in <S(i)>: it is a Schreier
+    generator u_e^-1 s u_d of level i, all of whose factors lie in <S(i)>,
+    times inverse transversal elements of deeper levels, whose generators
+    lie in S(i) as well.  Adding it at a level j > i therefore leaves <S(k)>
+    and the orbit of every level k <= i as they were, so only levels i+1..j
+    are rebuilt, and level i keeps the transversal and generators that its
+    Schreier generators were formed from.  Residues land strictly deeper
+    than the level being processed, so one top-down pass closes the chain.
+
+Batches
+    The Schreier generators of a level, in (point, generator) order, are
+    sifted in batches against the chain as it stands.  The chain changes
+    only when a residue is added, so every row before the first one with a
+    nontrivial residue sifts to the identity exactly as it would one at a
+    time.  That row is then formed in full, sifted and added, and the rows
+    after it are sifted again against the new chain.  The base and the
+    strong generators, in their order, are therefore those of sifting one
+    Schreier generator at a time.
 
 The degree-2304 orbit and order 17,971,200 with a transitive action and a
 point stabilizer of order 7,800 are recorded here as the certificate that
@@ -62,11 +101,12 @@ properties with 2F4(2)' is classical and not re-proved.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import cyclo
+from . import gf41
 from . import exactlinalg as la
 from .exactlinalg import ExactMatrix
 # KernelOverflowError and ScaleError are re-exported: callers of the orbit
@@ -214,10 +254,15 @@ class Orbit:
 
 @dataclass(frozen=True)
 class PermSet:
-    """Permutations of 0..degree-1, one per generator."""
+    """Permutations of 0..degree-1, one per generator.
+
+    `certified_base`, set only by `perm_images`, lists points that only the
+    identity of the generated group fixes pointwise; None means every point.
+    """
 
     degree: int
     perms: tuple
+    certified_base: tuple = field(default=None, init=False, compare=False)
 
     def __post_init__(self):
         full = set(range(self.degree))
@@ -259,7 +304,22 @@ def perm_images(orbit: Orbit, gens) -> PermSet:
             perms.append(tuple(orbit.index[key] for key in _row_keys(images)))
         except KeyError:
             raise OrbitNotClosedError("image of an orbit point is missing") from None
-    return PermSet(len(orbit), tuple(perms))
+    pset = PermSet(len(orbit), tuple(perms))
+    object.__setattr__(pset, "certified_base", _independent_points(orbit))
+    return pset
+
+
+def _independent_points(orbit: Orbit):
+    """The first 27 orbit points with independent vectors mod 41, else None.
+
+    A prefix's pivots are the first pivots of the whole orbit, so the first
+    64 points are tried alone (33 suffice for the 2304-point orbit).
+    """
+    for k in ((64, len(orbit)) if orbit.mode == VECTOR else ()):
+        _, pivots = gf41.rref(gf41.reduce_rows(orbit.coords[:k], SCALE).T)
+        if len(pivots) == 27:
+            return tuple(pivots)
+    return None
 
 
 def scalar_character(seed: CanonicalPoint, m: ExactMatrix):
@@ -277,51 +337,91 @@ def scalar_character(seed: CanonicalPoint, m: ExactMatrix):
 
 def transitivity_check(p: PermSet) -> bool:
     """Whether the generated group has a single orbit on 0..degree-1."""
-    seen = bytearray(p.degree)
-    seen[0] = 1
-    frontier = [0]
-    count = 1
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for perm in p.perms:
-                y = perm[x]
-                if not seen[y]:
-                    seen[y] = 1
-                    count += 1
-                    nxt.append(y)
-        frontier = nxt
-    return count == p.degree
+    pos, _ = _bfs(np.array(p.perms, dtype=np.intp).reshape(len(p.perms), p.degree), 0)
+    return bool((pos >= 0).all())
+
+
+def _bfs(gens, beta):
+    """BFS from beta under the rows of `gens`, each point then each generator:
+    every point's visit number (-1 if unreached) and, per layer after the
+    first, the visit numbers of its points and parents and the generators.
+    """
+    ng, degree = gens.shape
+    pos = np.full(degree, -1, dtype=np.intp)
+    pos[beta] = 0
+    frontier, steps = np.array([beta]), []
+    while frontier.size:
+        img = gens[:, frontier].T.ravel()
+        fresh = np.flatnonzero(pos[img] < 0)
+        hits = fresh[np.sort(np.unique(img[fresh], return_index=True)[1])]
+        steps.append((pos.max() + 1 + np.arange(hits.size), pos[frontier[hits // ng]], hits % ng))
+        frontier = img[hits]
+        pos[frontier] = steps[-1][0]
+    return pos, steps
+
+
+class _Level:
+    """A base point, its strong generators and its transversal tables."""
+
+    def __init__(self, beta):
+        self.beta, self.gens = beta, []
+
+    def build(self, gens):
+        """Rebuild the transversal under `gens` by one BFS, filled layer by layer."""
+        g = np.array(gens)
+        self.pos, steps = _bfs(g, self.beta)
+        self.points = np.argsort(self.pos)[np.count_nonzero(self.pos < 0):]
+        ginv = np.argsort(g, axis=1).astype(g.dtype)
+        self.u, self.uinv = np.empty((2, len(self.points), g.shape[1]), dtype=g.dtype)
+        self.u[0] = self.uinv[0] = np.arange(g.shape[1])
+        for new, parent, label in steps:
+            for k in range(len(g)):
+                rows, up = new[label == k], parent[label == k]
+                self.u[rows] = np.take(g[k], self.u[up])                   # s_k after u
+                self.uinv[rows] = np.take(self.uinv[up], ginv[k], axis=1)  # u^-1 after s_k^-1
+
+
+def _gather(table, rows, a):
+    """table[rows[k], a[k, c]] for every k and c."""
+    return np.take(table, rows[:, None] * table.shape[1] + a)
+
+
+def _sift(levels, a, cols, start):
+    """Sift rows of images of the points x (at columns cols[x]) through
+    levels[start:]: the residues, and where each row left (len(levels): not).
+
+    A row that has left is sifted on by row 0, the identity, and stays put.
+    """
+    stop = np.full(len(a), len(levels))
+    for j in range(start, len(levels)):
+        r = levels[j].pos[a[:, cols[levels[j].beta]]]
+        stop[(r < 0) & (stop == len(levels))] = j
+        a = _gather(levels[j].uinv, np.where(stop < len(levels), 0, r), a)
+    return a, stop
 
 
 class StabChain:
     """A base, strong generating set and transversals; order is certified."""
 
-    def __init__(self, base, levels, degree):
-        self.base = tuple(base)
-        self.degree = degree
-        self._levels = levels  # list of (beta, gens: [np arrays], transversal dict)
-        self.transversal_sizes = tuple(len(t) for _, _, t in levels)
-        self.strong_gens = tuple(tuple(int(x) for x in g)
-                                 for _, gens, _ in levels for g in gens)
+    def __init__(self, levels, degree):
+        self.degree, self._levels = degree, levels
+        self.base = tuple(lv.beta for lv in levels)
+        self.transversal_sizes = tuple(len(lv.points) for lv in levels)
+        self.level_orbits = tuple(frozenset(lv.points.tolist()) for lv in levels)
+        self.strong_gens = tuple(tuple(g.tolist()) for lv in levels for g in lv.gens)
 
     def order(self) -> int:
-        return math.prod(self.transversal_sizes) if self._levels else 1
+        return math.prod(self.transversal_sizes)
 
     def contains(self, perm) -> bool:
-        """Membership test by sifting through the chain."""
-        h = np.asarray(perm, dtype=np.int32)
-        id_ = np.arange(self.degree, dtype=np.int32)
-        for beta, _, trans in self._levels:
-            if np.array_equal(h, id_):
-                return True
-            u = trans.get(int(h[beta]))
-            if u is None:
-                return False
-            uinv = np.empty_like(u)
-            uinv[u] = id_
-            h = uinv[h]
-        return bool(np.array_equal(h, id_))
+        """Membership by sifting; False for anything but a permutation of 0..degree-1."""
+        ident = np.arange(self.degree)
+        try:
+            h = np.array(PermSet(self.degree, (tuple(perm),)).perms, dtype=np.intp)
+        except (TypeError, ValueError):
+            return False
+        h, stop = _sift(self._levels, h, ident, 0)
+        return bool(stop[0] == len(self._levels) and np.array_equal(h[0], ident))
 
 
 def stab_chain_order(pset: PermSet) -> int:
@@ -329,96 +429,52 @@ def stab_chain_order(pset: PermSet) -> int:
     return build_stab_chain(pset).order()
 
 
+def _schreier(lv, gens, d, s, cols):
+    """Images of the points `cols` under u_e^-1 s u_d, e = s(d), one row per (d, s)."""
+    a = _gather(gens, s, _gather(lv.u, lv.pos[d], cols[None]))
+    return _gather(lv.uinv, lv.pos[gens[s, d]], a)
+
+
 def build_stab_chain(pset: PermSet) -> StabChain:
-    """Deterministic Schreier-Sims on the given permutations."""
+    """Deterministic Schreier-Sims, sifting only the images of the test points."""
     degree = pset.degree
-    id_ = np.arange(degree, dtype=np.int32)
-    gens0 = []
+    ident = np.arange(degree, dtype=np.int16 if degree <= 2 ** 15 else np.int32)
+    levels = []
+    test = list(range(degree) if pset.certified_base is None else pset.certified_base)
+    col = np.empty(degree, dtype=np.intp)  # col[x]: the column of x in `test`
+
+    def add(h, lowest):
+        """Sift h from level `lowest`, and add a nontrivial residue where it exits."""
+        (h,), (j,) = _sift(levels, h[None], ident, lowest)
+        if j == len(levels):
+            moved = np.flatnonzero(h != ident)
+            if not moved.size:
+                return
+            levels.append(_Level(int(moved[0])))
+            if moved[0] not in test:
+                test.append(int(moved[0]))
+        levels[j].gens.append(h)
+        for k in range(lowest, j + 1):
+            levels[k].build([g for lv in levels[k:] for g in lv.gens])
+
     for p in pset.perms:
-        a = np.array(p, dtype=np.int32)
-        if not np.array_equal(a, id_):
-            gens0.append(a)
-
-    base = []
-    S = []  # gens assigned at each level
-    T = []  # transversal dict at each level: point -> array u with u[beta] = point
-
-    def gens_at(i):
-        out = []
-        for j in range(i, len(S)):
-            out.extend(S[j])
-        return out
-
-    def rebuild_transversal(i):
-        beta = base[i]
-        trans = {beta: id_}
-        frontier = [beta]
-        gens = gens_at(i)
-        while frontier:
-            nxt = []
-            for d in frontier:
-                u = trans[d]
-                for s in gens:
-                    e = int(s[d])
-                    if e not in trans:
-                        trans[e] = s[u]  # x -> s[u[x]] maps beta to e
-                        nxt.append(e)
-            frontier = nxt
-        T[i] = trans
-
-    def sift(g, start):
-        """Reduce g through levels >= start; returns (residue or None, level)."""
-        h = g
-        for j in range(start, len(base)):
-            if np.array_equal(h, id_):
-                return None, j
-            u = T[j].get(int(h[base[j]]))
-            if u is None:
-                return h, j
-            uinv = np.empty_like(u)
-            uinv[u] = id_
-            h = uinv[h]
-        if np.array_equal(h, id_):
-            return None, len(base)
-        return h, len(base)
-
-    def add_generator(g, level):
-        if level == len(base):
-            moved = int(np.nonzero(g != id_)[0][0])
-            base.append(moved)
-            S.append([])
-            T.append({})
-        S[level].append(g)
-        for i in range(level + 1):
-            rebuild_transversal(i)
-
-    for g in gens0:
-        h, j = sift(g, 0)
-        if h is not None:
-            add_generator(h, j)
-
-    i = 0
-    while i < len(base):
-        # Schreier generators of level i; residues land strictly deeper, so
-        # the snapshots below are final for this level.
-        orbit_pts = sorted(T[i])
-        gens = gens_at(i)
-        trans = T[i]
-        for d in orbit_pts:
-            u = trans[d]
-            for s in gens:
-                su = s[u]
-                e = int(su[base[i]])
-                v = trans[e]
-                vinv = np.empty_like(v)
-                vinv[v] = id_
-                sg = vinv[su]
-                if np.array_equal(sg, id_):
-                    continue
-                h, j = sift(sg, i + 1)
-                if h is not None:
-                    add_generator(h, j)
-        i += 1
-
-    levels = [(base[i], S[i], T[i]) for i in range(len(base))]
-    return StabChain(base, levels, degree)
+        add(np.array(p, dtype=ident.dtype), 0)
+    for i, lv in enumerate(levels):  # runs on over the levels that `add` appends
+        # The Schreier generators of level i in (point, generator) order, under
+        # the generators and transversal as they stand now: every residue exits
+        # deeper, so `add` changes neither.
+        gens = np.array([g for deeper in levels[i:] for g in deeper.gens])
+        d = np.repeat(np.sort(lv.points), len(gens))
+        s = np.tile(np.arange(len(gens)), len(lv.points))
+        row = 0
+        while row < len(d):
+            pts = np.array(test, dtype=ident.dtype)
+            col[pts] = np.arange(len(pts))
+            end = min(len(d), row + max(1, 2 ** 20 // len(pts)))  # bounds temporaries
+            a, stop = _sift(levels, _schreier(lv, gens, d[row:end], s[row:end], pts), col, i + 1)
+            escaped = np.flatnonzero((stop < len(levels)) | (a != pts).any(axis=1))
+            row = row + int(escaped[0]) if escaped.size else end
+            if escaped.size:
+                add(_schreier(lv, gens, d[row:row + 1], s[row:row + 1], ident)[0], i + 1)
+                row += 1
+    return StabChain(levels, degree)

@@ -41,6 +41,15 @@ def chain_all(perms_all):
 
 
 @pytest.fixture(scope="session")
-def chain_psl(orbit2304, gens):
-    sub = [gens.f1, gens.f2, gens.ac, gens.eprime]
-    return orbits.build_stab_chain(orbits.perm_images(orbit2304, sub))
+def perms_psl(orbit2304, gens):
+    return orbits.perm_images(orbit2304, [gens.f1, gens.f2, gens.ac, gens.eprime])
+
+
+@pytest.fixture(scope="session")
+def chain_psl(perms_psl):
+    return orbits.build_stab_chain(perms_psl)
+
+
+@pytest.fixture(scope="session")
+def chain1755(orbit1755, gens5):
+    return orbits.build_stab_chain(orbits.perm_images(orbit1755, gens5))

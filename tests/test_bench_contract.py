@@ -52,3 +52,17 @@ def test_gf41_generators_hold_scalar_objects():
     eprime41 = generators.build_all_gf41()[4]
     assert eprime41.ring == exactlinalg.RING_GF41
     assert isinstance(eprime41.data[0][0], gf41.Gf41)
+
+
+def test_chain_kind_reads_the_permutation_sets(layers, perms_all, perms_psl):
+    # the wrapper of build_stab_chain names its span from the first argument
+    tracer = layers.Tracer()
+    assert layers._chain_kind(tracer, (perms_all,)) == "group"
+    assert layers._chain_kind(tracer, (perms_psl,)) == "subgroup"
+
+
+def test_strong_generator_count_is_reported(layers, chain_all):
+    tracer = layers.Tracer()
+    tracer._note("orbits.build_stab_chain.group", chain_all)
+    assert len(chain_all.strong_gens) == 11
+    assert tracer.facts["orbits.stab_chain.strong_gens"] == 11

@@ -1,10 +1,13 @@
 """Orbit enumeration, permutation images and the stabilizer chain."""
 
+import hashlib
 import math
+import random
 
+import numpy as np
 import pytest
 
-from tits27 import cyclo, exactlinalg as la, orbits as ob
+from tits27 import cyclo, exactlinalg as la, gf41, orbits as ob
 
 
 def test_fixed_seed_is_fixed_by_psl_generators(gens):
@@ -142,9 +145,8 @@ def test_projective_keys_ignore_mu20_scalars(orbit1755, k):
     assert ob.perm_images(orbit1755, [scalar]).perms[0] == tuple(range(1755))
 
 
-def test_1755_order_and_stabilizer(orbit1755, gens5):
-    p = ob.perm_images(orbit1755, gens5)
-    chain = ob.build_stab_chain(p)
+def test_1755_order_and_stabilizer(orbit1755, chain1755):
+    chain = chain1755
     assert chain.order() == 17_971_200
     assert chain.order() // len(orbit1755) == 10240
     assert 10240 == 2 ** 9 * 5 * 4
@@ -185,3 +187,131 @@ def test_conjugate_seed_orbit_is_not_1755(gens5):
     # points without closing, so its orbit cannot have 1755 of them
     with pytest.raises(ob.CapExceededError):
         ob.enumerate_orbit(ob.seed_proj_conjugate(), gens5, cap=3000)
+
+
+# -- the stabilizer chain on a certified base ---------------------------------
+
+# Base, transversal sizes, number of strong generators and the sha256 of
+# repr(strong_gens), recorded with the chain that composed whole permutations.
+PINNED_CHAINS = {
+    "G": ((3, 1, 0, 6), (2304, 325, 6, 4), 11,
+          "53e3fa2681487ca3a3e2a3a1d6637ced0e8cbe2e28c5218da53a9a47217cf7e7"),
+    "H": ((3, 1, 6), (78, 25, 4), 7,
+          "71fef99cfa834655b26364864bde9c10f873023321155c17b69bb7a35e32a9ac"),
+    "1755": ((2, 0, 1), (1755, 640, 16), 9,
+             "336683e85fb57c76b86960b0cc9c24236c31f48e5d642c1927d77b06f520f5c2"),
+}
+
+
+def _pinned(chain):
+    return (chain.base, chain.transversal_sizes, len(chain.strong_gens),
+            hashlib.sha256(repr(chain.strong_gens).encode()).hexdigest())
+
+
+def _random_words(pset, count, seed):
+    rng = random.Random(seed)
+    gens = [np.array(p) for p in pset.perms]
+    words = []
+    for _ in range(count):
+        h = np.arange(pset.degree)
+        for _ in range(rng.randrange(1, 30)):
+            h = rng.choice(gens)[h]
+        words.append(tuple(h.tolist()))
+    return words
+
+
+@pytest.mark.parametrize("which", ["G", "H"])
+def test_known_base_chain_equals_whole_permutation_chain(request, which):
+    pset = request.getfixturevalue("perms_all" if which == "G" else "perms_psl")
+    chain = request.getfixturevalue("chain_all" if which == "G" else "chain_psl")
+    plain = ob.build_stab_chain(ob.PermSet(pset.degree, pset.perms))
+    assert len(pset.certified_base) == 27
+    assert plain.base == chain.base
+    assert plain.strong_gens == chain.strong_gens
+    assert plain.transversal_sizes == chain.transversal_sizes
+    assert plain.level_orbits == chain.level_orbits
+    assert _pinned(chain) == PINNED_CHAINS[which]
+
+    n = pset.degree
+    swapped = list(range(n))
+    swapped[0], swapped[1] = 1, 0
+    words = _random_words(pset, 50, seed=which)
+    for perm in list(chain.strong_gens) + [tuple(range(n)), tuple(swapped)] + words:
+        assert chain.contains(perm) == plain.contains(perm)
+    assert all(chain.contains(w) for w in words)
+    assert not chain.contains(tuple(swapped))
+
+
+def test_certified_base_is_independent_mod_41(orbit2304, perms_all, perms_psl):
+    # an independent proof of rank 27, through the scalar reduction
+    base = perms_all.certified_base
+    assert len(set(base)) == 27 and max(base) < 33
+    residues = [[gf41.reduce_cyc(e).value for e in orbit2304.point(i)] for i in base]
+    assert gf41.rank(np.array(residues)) == 27
+    assert perms_psl.certified_base == base
+
+
+def test_reduce_rows_matches_reduce_cyc(orbit2304):
+    red = gf41.reduce_rows(orbit2304.coords, ob.SCALE)
+    assert red.shape == (2304, 27)
+    for i in range(0, len(orbit2304), 97):
+        assert red[i].tolist() == [gf41.reduce_cyc(e).value for e in orbit2304.point(i)]
+
+
+def test_certified_base_is_not_compared(perms_all):
+    plain = ob.PermSet(perms_all.degree, perms_all.perms)
+    assert plain.certified_base is None
+    assert plain == perms_all
+
+
+def test_projective_orbit_gets_every_point(orbit1755, gens5, chain1755):
+    assert ob.perm_images(orbit1755, gens5[:1]).certified_base is None
+    assert _pinned(chain1755) == PINNED_CHAINS["1755"]
+
+
+def test_low_rank_orbit_gets_every_point(gens):
+    # e0 spans a 3-coordinate, 6-point orbit under the monomial generators
+    e0 = ob.CanonicalPoint.make((cyclo.ONE,) + (cyclo.ZERO,) * 26, ob.VECTOR)
+    sub = [gens.f1, gens.f2, gens.d, gens.ac]
+    orbit = ob.enumerate_orbit(e0, sub)
+    assert len(orbit) == 6
+    assert gf41.rank(gf41.reduce_rows(orbit.coords, ob.SCALE)) == 3
+    pset = ob.perm_images(orbit, sub)
+    assert pset.certified_base is None
+    chain = ob.build_stab_chain(pset)
+    # recorded with the chain that composed whole permutations
+    assert chain.base == (1, 0)
+    assert chain.transversal_sizes == (6, 2)
+    assert chain.strong_gens == ((0, 2, 1, 4, 3, 5), (1, 3, 4, 0, 5, 2), (5, 1, 2, 4, 3, 0))
+
+
+def test_contains_rejects_non_permutations():
+    chain = ob.build_stab_chain(ob.PermSet(4, ((1, 2, 3, 0), (1, 0, 2, 3))))
+    for bad in [(1, 0), (1, 2, 3, 0, 4), (0, 0, 1, 2), (0, 1, 2, 4), (-1, 0, 1, 2),
+                (0, 1, 2, 3.5), "abcd", 5, None, [[0, 1], [2, 3]], [[0], [1], [2], [3]]]:
+        assert chain.contains(bad) is False, bad
+    assert chain.contains((1, 2, 3, 0)) is True
+    assert chain.contains(np.array([1, 0, 3, 2])) is True
+    a5 = ob.build_stab_chain(ob.PermSet(5, ((1, 2, 3, 4, 0), (1, 2, 0, 3, 4))))
+    assert a5.contains((1, 0, 3, 2, 4)) is True
+    assert a5.contains((1, 0, 2, 3, 4)) is False     # odd
+
+
+def test_sympy_order_of_the_point_stabilizer(perms_psl, chain_psl):
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    group = combinatorics.PermutationGroup(
+        [combinatorics.Permutation(list(p)) for p in perms_psl.perms])
+    assert group.order() == chain_psl.order() == 7800
+
+
+def test_sympy_random_elements_are_members(perms_all, chain_all, chain_psl, orbit2304, gens):
+    # sympy's order of G takes seconds; its product-replacement elements do not
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    sympy_random = pytest.importorskip("sympy.core.random")
+    sympy_random.seed(27)
+    group = combinatorics.PermutationGroup(
+        [combinatorics.Permutation(list(p)) for p in perms_all.perms])
+    elements = [group.random_pr().array_form for _ in range(50)]
+    assert len(set(map(tuple, elements))) == 50
+    assert all(chain_all.contains(e) for e in elements)
+    assert not chain_psl.contains(ob.perm_images(orbit2304, [gens.d]).perms[0])
