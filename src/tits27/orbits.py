@@ -354,9 +354,10 @@ def _bfs(gens, beta):
         img = gens[:, frontier].T.ravel()
         fresh = np.flatnonzero(pos[img] < 0)
         hits = fresh[np.sort(np.unique(img[fresh], return_index=True)[1])]
-        steps.append((pos.max() + 1 + np.arange(hits.size), pos[frontier[hits // ng]], hits % ng))
+        new = pos.max() + 1 + np.arange(hits.size)
+        steps.append((new, pos[frontier[hits // ng]], hits % ng))
         frontier = img[hits]
-        pos[frontier] = steps[-1][0]
+        pos[frontier] = new
     return pos, steps
 
 
@@ -377,8 +378,9 @@ class _Level:
         for new, parent, label in steps:
             for k in range(len(g)):
                 rows, up = new[label == k], parent[label == k]
-                self.u[rows] = np.take(g[k], self.u[up])                   # s_k after u
-                self.uinv[rows] = np.take(self.uinv[up], ginv[k], axis=1)  # u^-1 after s_k^-1
+                # u_e is s_k after u_d, and its inverse is u_d^-1 after s_k^-1
+                self.u[rows] = np.take(g[k], self.u[up])
+                self.uinv[rows] = np.take(self.uinv[up], ginv[k], axis=1)
 
 
 def _gather(table, rows, a):
@@ -471,7 +473,8 @@ def build_stab_chain(pset: PermSet) -> StabChain:
             pts = np.array(test, dtype=ident.dtype)
             col[pts] = np.arange(len(pts))
             end = min(len(d), row + max(1, 2 ** 20 // len(pts)))  # bounds temporaries
-            a, stop = _sift(levels, _schreier(lv, gens, d[row:end], s[row:end], pts), col, i + 1)
+            a = _schreier(lv, gens, d[row:end], s[row:end], pts)
+            a, stop = _sift(levels, a, col, i + 1)
             escaped = np.flatnonzero((stop < len(levels)) | (a != pts).any(axis=1))
             row = row + int(escaped[0]) if escaped.size else end
             if escaped.size:
