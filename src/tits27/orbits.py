@@ -59,17 +59,18 @@ Known base
     carries the images of a set Q of test points, not whole permutations.  Q
     is a known base (a set whose pointwise stabilizer is trivial) together
     with the chain's base points, whose images pick the transversal rows.
-    `perm_images` certifies a known base for a vector orbit: it reduces the
-    orbit vectors mod 41 and takes the first 27 points whose residues are
-    independent.  zeta -> 39 is a ring map Z[zeta20, 1/5] -> GF(41), and
-    reduction cannot raise rank, so those 27 vectors are a basis of
-    Q(zeta20)^27.  Every element of the permutation group is induced by a
-    matrix of the matrix group; if it fixes those 27 points, that matrix
-    fixes a basis, so it is the identity, and so is the permutation.  A
-    projective orbit, or a vector orbit of rank below 27, gets no certified
-    base, and Q is then every point.  Whole permutations are sifted only for
-    the input generators and for each residue that becomes a strong
-    generator.
+    `perm_images` certifies a known base for a vector orbit: it reduces its
+    first 64 vectors mod 41 and, if they have rank 27, takes the 27 pivot
+    points (the first 33 points suffice for the 2304-point orbit).
+    zeta -> 39 is a ring map Z[zeta20, 1/5] -> GF(41), and reduction cannot
+    raise rank, so those 27 vectors are a basis of Q(zeta20)^27.  Every
+    element of the permutation group is induced by a matrix of the matrix
+    group; if it fixes those 27 points, that matrix fixes a basis, so it is
+    the identity, and so is the permutation.  A projective orbit, or a
+    vector orbit whose first 64 points have rank below 27 mod 41, gets no
+    certified base, and Q is then every point: the chain is the same, only
+    slower to build.  Whole permutations are sifted only for the input
+    generators and for each residue that becomes a strong generator.
 
 Levels that do not change
     Write S(i) for the strong generators at depth i or deeper.  A residue
@@ -105,8 +106,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import cyclo
-from . import gf41
+from . import cyclo, gf41
 from . import exactlinalg as la
 from .exactlinalg import ExactMatrix
 # KernelOverflowError and ScaleError are re-exported: callers of the orbit
@@ -296,7 +296,9 @@ def enumerate_orbit(seed: CanonicalPoint, gens, cap: int = 10000) -> Orbit:
 
 
 def perm_images(orbit: Orbit, gens) -> PermSet:
-    """The permutations induced on the orbit by each generator."""
+    """The permutations induced on the orbit by each generator, with the
+    certified base of a vector orbit whose first 64 points have rank 27 mod 41.
+    """
     perms = []
     for g in gens:
         images = _canonical(IntegerAction(g)(orbit.coords), orbit.mode)
@@ -305,21 +307,11 @@ def perm_images(orbit: Orbit, gens) -> PermSet:
         except KeyError:
             raise OrbitNotClosedError("image of an orbit point is missing") from None
     pset = PermSet(len(orbit), tuple(perms))
-    object.__setattr__(pset, "certified_base", _independent_points(orbit))
-    return pset
-
-
-def _independent_points(orbit: Orbit):
-    """The first 27 orbit points with independent vectors mod 41, else None.
-
-    A prefix's pivots are the first pivots of the whole orbit, so the first
-    64 points are tried alone (33 suffice for the 2304-point orbit).
-    """
-    for k in ((64, len(orbit)) if orbit.mode == VECTOR else ()):
-        _, pivots = gf41.rref(gf41.reduce_rows(orbit.coords[:k], SCALE).T)
+    if orbit.mode == VECTOR:  # 33 points suffice for the 2304-point orbit
+        _, pivots = gf41.rref(gf41.reduce_rows(orbit.coords[:64], SCALE).T)
         if len(pivots) == 27:
-            return tuple(pivots)
-    return None
+            object.__setattr__(pset, "certified_base", tuple(pivots))
+    return pset
 
 
 def scalar_character(seed: CanonicalPoint, m: ExactMatrix):
@@ -343,11 +335,9 @@ def transitivity_check(p: PermSet) -> bool:
 
 def _bfs(gens, beta):
     """BFS from beta under the rows of `gens`, each point then each generator:
-    every point's visit number (-1 if unreached) and, per layer after the
-    first, the visit numbers of its points and parents and the generators.
-    """
-    ng, degree = gens.shape
-    pos = np.full(degree, -1, dtype=np.intp)
+    every point's visit number (-1: unreached) and, per layer after the first,
+    the visit numbers of its points and of their parents, and the generators."""
+    pos = np.full(gens.shape[1], -1, dtype=np.intp)
     pos[beta] = 0
     frontier, steps = np.array([beta]), []
     while frontier.size:
@@ -355,7 +345,7 @@ def _bfs(gens, beta):
         fresh = np.flatnonzero(pos[img] < 0)
         hits = fresh[np.sort(np.unique(img[fresh], return_index=True)[1])]
         new = pos.max() + 1 + np.arange(hits.size)
-        steps.append((new, pos[frontier[hits // ng]], hits % ng))
+        steps.append((new, pos[frontier[hits // len(gens)]], hits % len(gens)))
         frontier = img[hits]
         pos[frontier] = new
     return pos, steps
@@ -371,14 +361,13 @@ class _Level:
         """Rebuild the transversal under `gens` by one BFS, filled layer by layer."""
         g = np.array(gens)
         self.pos, steps = _bfs(g, self.beta)
-        self.points = np.argsort(self.pos)[np.count_nonzero(self.pos < 0):]
+        self.points = np.flatnonzero(self.pos >= 0)
         ginv = np.argsort(g, axis=1).astype(g.dtype)
         self.u, self.uinv = np.empty((2, len(self.points), g.shape[1]), dtype=g.dtype)
         self.u[0] = self.uinv[0] = np.arange(g.shape[1])
-        for new, parent, label in steps:
+        for new, parent, label in steps:  # u_e = s_k u_d and u_e^-1 = u_d^-1 s_k^-1
             for k in range(len(g)):
                 rows, up = new[label == k], parent[label == k]
-                # u_e is s_k after u_d, and its inverse is u_d^-1 after s_k^-1
                 self.u[rows] = np.take(g[k], self.u[up])
                 self.uinv[rows] = np.take(self.uinv[up], ginv[k], axis=1)
 
@@ -389,11 +378,9 @@ def _gather(table, rows, a):
 
 
 def _sift(levels, a, cols, start):
-    """Sift rows of images of the points x (at columns cols[x]) through
-    levels[start:]: the residues, and where each row left (len(levels): not).
-
-    A row that has left is sifted on by row 0, the identity, and stays put.
-    """
+    """Sift rows of images of the points x (column cols[x]) through levels[start:]:
+    the residues, and the level where each row left (len(levels): none).  A row
+    that has left is sifted on by row 0, the identity, so it stays put."""
     stop = np.full(len(a), len(levels))
     for j in range(start, len(levels)):
         r = levels[j].pos[a[:, cols[levels[j].beta]]]
@@ -409,7 +396,6 @@ class StabChain:
         self.degree, self._levels = degree, levels
         self.base = tuple(lv.beta for lv in levels)
         self.transversal_sizes = tuple(len(lv.points) for lv in levels)
-        self.level_orbits = tuple(frozenset(lv.points.tolist()) for lv in levels)
         self.strong_gens = tuple(tuple(g.tolist()) for lv in levels for g in lv.gens)
 
     def order(self) -> int:
@@ -417,13 +403,12 @@ class StabChain:
 
     def contains(self, perm) -> bool:
         """Membership by sifting; False for anything but a permutation of 0..degree-1."""
-        ident = np.arange(self.degree)
         try:
             h = np.array(PermSet(self.degree, (tuple(perm),)).perms, dtype=np.intp)
         except (TypeError, ValueError):
             return False
-        h, stop = _sift(self._levels, h, ident, 0)
-        return bool(stop[0] == len(self._levels) and np.array_equal(h[0], ident))
+        (h,), (j,) = _sift(self._levels, h, np.arange(self.degree), 0)
+        return bool(j == len(self._levels) and (h == np.arange(self.degree)).all())
 
 
 def stab_chain_order(pset: PermSet) -> int:
@@ -439,11 +424,11 @@ def _schreier(lv, gens, d, s, cols):
 
 def build_stab_chain(pset: PermSet) -> StabChain:
     """Deterministic Schreier-Sims, sifting only the images of the test points."""
-    degree = pset.degree
-    ident = np.arange(degree, dtype=np.int16 if degree <= 2 ** 15 else np.int32)
+    ident = np.arange(pset.degree, dtype=np.int16 if pset.degree <= 2 ** 15 else np.int32)
     levels = []
-    test = list(range(degree) if pset.certified_base is None else pset.certified_base)
-    col = np.empty(degree, dtype=np.intp)  # col[x]: the column of x in `test`
+    # the test points, an ordered set, and col[x]: the column of x among them
+    test = dict.fromkeys(pset.certified_base or range(pset.degree))
+    col = np.empty(pset.degree, dtype=np.intp)
 
     def add(h, lowest):
         """Sift h from level `lowest`, and add a nontrivial residue where it exits."""
@@ -453,31 +438,27 @@ def build_stab_chain(pset: PermSet) -> StabChain:
             if not moved.size:
                 return
             levels.append(_Level(int(moved[0])))
-            if moved[0] not in test:
-                test.append(int(moved[0]))
+            test[int(moved[0])] = None
         levels[j].gens.append(h)
         for k in range(lowest, j + 1):
             levels[k].build([g for lv in levels[k:] for g in lv.gens])
 
     for p in pset.perms:
         add(np.array(p, dtype=ident.dtype), 0)
-    for i, lv in enumerate(levels):  # runs on over the levels that `add` appends
-        # The Schreier generators of level i in (point, generator) order, under
-        # the generators and transversal as they stand now: every residue exits
-        # deeper, so `add` changes neither.
+    for i, lv in enumerate(levels):  # also walks the levels that `add` appends
+        # every residue exits below level i, so its generators and transversal stay
         gens = np.array([g for deeper in levels[i:] for g in deeper.gens])
-        d = np.repeat(np.sort(lv.points), len(gens))
+        d = np.repeat(lv.points, len(gens))
         s = np.tile(np.arange(len(gens)), len(lv.points))
         row = 0
         while row < len(d):
-            pts = np.array(test, dtype=ident.dtype)
+            pts = np.array(list(test), dtype=ident.dtype)
             col[pts] = np.arange(len(pts))
             end = min(len(d), row + max(1, 2 ** 20 // len(pts)))  # bounds temporaries
             a = _schreier(lv, gens, d[row:end], s[row:end], pts)
             a, stop = _sift(levels, a, col, i + 1)
             escaped = np.flatnonzero((stop < len(levels)) | (a != pts).any(axis=1))
-            row = row + int(escaped[0]) if escaped.size else end
-            if escaped.size:
-                add(_schreier(lv, gens, d[row:row + 1], s[row:row + 1], ident)[0], i + 1)
-                row += 1
-    return StabChain(levels, degree)
+            row = row + int(escaped[0]) + 1 if escaped.size else end
+            if escaped.size:  # the first row with a nontrivial residue, in full
+                add(_schreier(lv, gens, d[row - 1:row], s[row - 1:row], ident)[0], i + 1)
+    return StabChain(levels, pset.degree)

@@ -208,6 +208,10 @@ def _pinned(chain):
             hashlib.sha256(repr(chain.strong_gens).encode()).hexdigest())
 
 
+def _level_orbits(chain):
+    return [frozenset(lv.points.tolist()) for lv in chain._levels]
+
+
 def _random_words(pset, count, seed):
     rng = random.Random(seed)
     gens = [np.array(p) for p in pset.perms]
@@ -229,7 +233,7 @@ def test_known_base_chain_equals_whole_permutation_chain(request, which):
     assert plain.base == chain.base
     assert plain.strong_gens == chain.strong_gens
     assert plain.transversal_sizes == chain.transversal_sizes
-    assert plain.level_orbits == chain.level_orbits
+    assert _level_orbits(plain) == _level_orbits(chain)
     assert _pinned(chain) == PINNED_CHAINS[which]
 
     n = pset.degree
