@@ -34,8 +34,11 @@ Numbering
     BFS visits point i and then the generators in order, and numbers each
     new image when it is first met, so the numbering is deterministic for a
     fixed seed and generator order.  A point's key is the bytes of its row.
-    The matrix action on a closed orbit converts to permutations of the
-    point indices by one batched product and one key lookup per point.
+    The BFS looks up the key of the image of every point under every
+    generator, so it records the permutations of the point indices as it
+    goes; `perm_images` reads them for the generators that built the orbit
+    and applies any other matrix to the whole orbit, one key lookup per
+    point.
 
 Stabilizer chain
     A deterministic Schreier-Sims computation certifies the exact order of
@@ -235,13 +238,16 @@ class Orbit:
     """An indexed orbit, closed under the generators that built it.
 
     `coords[i]` is point i as SCALE times its 216 power-basis coefficients;
-    `index` maps the bytes of a row to its point number.
+    `index` maps the bytes of a row to its point number; `images[k, i]` is
+    the number of the image of point i under `gens[k]`.
     """
 
     coords: np.ndarray
     index: dict
     base: CanonicalPoint
     mode: str
+    gens: tuple
+    images: np.ndarray
 
     def __len__(self):
         return len(self.coords)
@@ -272,11 +278,16 @@ class PermSet:
 
 
 def enumerate_orbit(seed: CanonicalPoint, gens, cap: int = 10000) -> Orbit:
-    """BFS closure of the seed under the generator matrices."""
+    """BFS closure of the seed under the generator matrices, with the
+    number of the image of every point under every generator."""
+    if cap < 1:
+        raise CapExceededError(f"orbit exceeds cap {cap}")
+    gens = tuple(gens)
     actions = [IntegerAction(g) for g in gens]
     frontier = _canonical(_encode(seed.entries), seed.mode)
     levels = [frontier]
     index = {frontier.tobytes(): 0}
+    targets = []  # in (point, generator) order: frontier points are numbered in turn
     while actions and len(frontier):
         images = np.stack([_canonical(act(frontier), seed.mode) for act in actions])
         keys = [_row_keys(w) for w in images]
@@ -284,23 +295,33 @@ def enumerate_orbit(seed: CanonicalPoint, gens, cap: int = 10000) -> Orbit:
         for i in range(len(frontier)):
             for gi, gkeys in enumerate(keys):
                 key = gkeys[i]
-                if key not in index:
+                j = index.get(key)
+                if j is None:
                     if len(index) >= cap:
                         raise CapExceededError(f"orbit exceeds cap {cap}")
-                    index[key] = len(index)
+                    j = index[key] = len(index)
                     new.append((gi, i))
+                targets.append(j)
         picks = np.array(new, dtype=np.intp).reshape(-1, 2)
         frontier = images[picks[:, 0], picks[:, 1]]
         levels.append(frontier)
-    return Orbit(np.concatenate(levels), index, seed, seed.mode)
+    return Orbit(np.concatenate(levels), index, seed, seed.mode, gens,
+                 np.array(targets, dtype=np.intp).reshape(len(index), len(gens)).T)
 
 
 def perm_images(orbit: Orbit, gens) -> PermSet:
     """The permutations induced on the orbit by each generator, with the
     certified base of a vector orbit whose first 64 points have rank 27 mod 41.
+
+    A generator that is one of the matrices that built the orbit (the same
+    object) takes the permutation the BFS recorded; any other is applied.
     """
     perms = []
     for g in gens:
+        k = next((k for k, h in enumerate(orbit.gens) if h is g), None)
+        if k is not None:
+            perms.append(tuple(orbit.images[k].tolist()))
+            continue
         images = _canonical(IntegerAction(g)(orbit.coords), orbit.mode)
         try:
             perms.append(tuple(orbit.index[key] for key in _row_keys(images)))

@@ -4,9 +4,17 @@ Q(zeta20)^27 is Q^216 as a vector space: entry j of a 27-vector is the
 coefficient block 8j..8j+7 in the power basis 1, zeta, ..., zeta^7.
 Multiplication by an element of Q(zeta20) is an 8x8 rational matrix on a
 block, so a 27x27 matrix m is a 216x216 rational matrix.  IntegerAction
-stores it once as the integer matrix B = D * (that matrix), where D is the
-lcm of the denominators of m, and applies it to n x 216 int64 rows, one
-vector v per row, giving the rows of D * (m v).
+scales m by D, the lcm of its denominators, and applies D * m to n x 216
+int64 rows, one vector v per row, giving the rows of D * (m v).
+
+It never forms the 216x216 matrix.  Write D * m = sum_k zeta^k M_k with
+M_k the 27x27 integer matrix of the coefficients of zeta^k (k < 8).  With
+V the n x 27 x 8 blocks of the rows and ROT[k] the 8x8 matrix of
+multiplication by zeta^k on a block, the image is sum_k M_k (V ROT[k]):
+one 27x27 product per power k that occurs (eprime uses k = 0, 4, 6).  On
+n x 27 rows of rational integers, coefficient k of the image is M_k v.  A
+block-monomial matrix (one nonzero entry per row, like f1, f2, d and ac)
+is applied as a gather of blocks and 27 8x8 products instead.
 
 There are two ways to apply it:
 
@@ -19,9 +27,15 @@ There are two ways to apply it:
 
 Exactness guards
     The kernel never rounds and has no other arithmetic path.  Before each
-    product it checks 216 * max|B| * max|V| < 2^63, which bounds every
-    int64 partial sum, and raises KernelOverflowError otherwise; the same
-    bound is checked when B is built.
+    application it checks 216 * max|B| * max|V| < 2^63 and raises
+    KernelOverflowError otherwise.  For a block-monomial matrix B is its
+    8x8 blocks, whose int64 partial sums have at most 8 terms.  Otherwise
+    max|B| is the sum over k of max|M_k|: an entry of V ROT[k] sums at most
+    8 terms of size max|V|, an entry of M_k (V ROT[k]) at most 27 of size
+    max|M_k| * 8 * max|V|, and the image adds those over k, so every
+    partial sum stays below 216 * max|B| * max|V|.  When the matrix is
+    compiled, 216 * 8 * c < 2^63 is checked, with c the largest coefficient
+    of D * m; both kinds of max|B| are at most 8 * c.
 """
 
 from __future__ import annotations
@@ -58,8 +72,8 @@ class IntegerAction:
 
     A block-monomial matrix (one nonzero entry per row, like f1, f2, d and
     ac) is applied as a gather of 8-coefficient blocks and 27 8x8 products;
-    any other matrix as one dense 216x216 product.  Both are int64 with the
-    same guards.
+    any other matrix as one 27x27 product per power of zeta.  Both are
+    int64 with the same guards.
     """
 
     def __init__(self, m: ExactMatrix):
@@ -68,19 +82,21 @@ class IntegerAction:
         self.den = math.lcm(*(e.den for row in m.data for e in row))
         coeffs = [[[n * (self.den // e.den) for n in e.num] for e in row]
                   for row in m.data]
-        # A block entry sums at most 8 coefficients times +-1, so this also
-        # keeps every entry of B below 2^63.
+        # A block entry sums at most 8 coefficients times +-1, and the slice
+        # maxima sum to at most 8 coefficients, so this keeps both below 2^63.
         check_range(DIM, 8 * max(abs(c) for row in coeffs for e in row for c in e), 1)
-        # blocks[i, j] right-multiplies block j of a row into block i.
-        blocks = np.tensordot(np.array(coeffs, dtype=np.int64), ROT[:8], axes=(2, 0))
-        self.max_b = max_abs(blocks)
-        nonzero = blocks.any(axis=(2, 3))
+        coeffs = np.array(coeffs, dtype=np.int64)
+        nonzero = coeffs.any(axis=2)
         if (nonzero.sum(axis=1) == 1).all():
             self.src = nonzero.argmax(axis=1)
-            self.blocks = blocks[np.arange(27), self.src]
+            # blocks[i] right-multiplies block src[i] of a row into block i
+            self.blocks = np.tensordot(coeffs[np.arange(27), self.src], ROT[:8], axes=(1, 0))
+            self.max_b = max_abs(self.blocks)
         else:
             self.src = None
-            self.dense = blocks.transpose(1, 2, 0, 3).reshape(DIM, DIM)
+            self.powers = np.flatnonzero(coeffs.any(axis=(0, 1)))
+            self.slices = coeffs[:, :, self.powers].transpose(2, 0, 1)
+            self.max_b = sum(max_abs(mk) for mk in self.slices)
 
     def raw(self, rows):
         """The rows of D * (m v), with no division.
@@ -90,9 +106,14 @@ class IntegerAction:
         """
         check_range(DIM, self.max_b, max_abs(rows))
         scalar = rows.shape[1] == 27
-        if self.src is None:
-            return rows @ (self.dense[0::8] if scalar else self.dense)
-        if scalar:
+        if self.src is None:  # sum over k of M_k (V ROT[k]); on rational v, slot k is M_k v
+            out = np.zeros((len(rows), 27, 8), dtype=np.int64)
+            for k, mk in zip(self.powers, self.slices):
+                if scalar:
+                    out[:, :, k] = rows @ mk.T
+                else:
+                    out += np.matmul(mk, rows.reshape(-1, 27, 8) @ ROT[k])
+        elif scalar:
             out = rows[:, self.src, None] * self.blocks[:, 0]
         else:
             # one 8x8 product per target block, batched over the 27 blocks

@@ -120,6 +120,16 @@ def test_order_prints_certified_order(capsys, argv, printed):
     assert run(capsys, *argv) == (0, printed)
 
 
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_orbit_cap_below_one_is_exceeded(capsys, cap):
+    # every orbit has at least its seed, so no cap below 1 can hold it
+    code = cli.run(["orbit", "--seed", "fixed", "--gens", "f1", "--cap", cap])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: orbit exceeds cap {cap}\n"
+
+
 def test_orbit_unknown_gen(capsys):
     code, _ = run(capsys, "orbit", "--seed", "fixed", "--gens", "bogus")
     assert code == 2

@@ -245,19 +245,36 @@ def test_dense_matrices_on_the_full_form(matrices, dickson):
         assert ok == (name != "zeta3.eprime"), name
 
 
+def _raw_calls_before_overflow(monkeypatch, m):
+    """The kernel calls invariance_report makes before KernelOverflowError."""
+    calls = []
+    raw = zkernel.IntegerAction.raw
+    monkeypatch.setattr(zkernel.IntegerAction, "raw",
+                        lambda self, rows: calls.append(1) or raw(self, rows))
+    with pytest.raises(zkernel.KernelOverflowError):
+        cf.invariance_report(CubicForm([triple(-3, -2, -1, +1)]), m)
+    return len(calls)
+
+
 @pytest.mark.parametrize("exponent", [60, 50])
 def test_invariance_refuses_int64_overflow(monkeypatch, exponent):
     # 2^60 fails the bound when the matrix is compiled, before any product
     # is formed; 2^50 passes it and fails before the second slot's product
     big = la.scale_matrix(la.ExactMatrix.identity(27, la.RING_CYC),
                           cyclo.CycNum.from_int(2 ** exponent))
-    calls = []
-    raw = zkernel.IntegerAction.raw
-    monkeypatch.setattr(zkernel.IntegerAction, "raw",
-                        lambda self, rows: calls.append(1) or raw(self, rows))
-    with pytest.raises(zkernel.KernelOverflowError):
-        cf.invariance_report(CubicForm([triple(-3, -2, -1, +1)]), big)
-    assert len(calls) == (0 if exponent == 60 else 2)
+    assert _raw_calls_before_overflow(monkeypatch, big) == (0 if exponent == 60 else 2)
+
+
+@pytest.mark.parametrize("exponent", [52, 30])
+def test_invariance_refuses_int64_overflow_of_zeta_power_products(monkeypatch, gens,
+                                                                  exponent):
+    # the identity reaches only the block-monomial gather; eprime reaches the
+    # products by powers of zeta.  5 * eprime has coefficients up to 2, so
+    # 2^52 eprime fails the bound when compiled (216 * 8 * 2 * 2^52 >= 2^63),
+    # before any product; 2^30 eprime passes it and the first slot's product,
+    # and fails before the second
+    big = la.scale_matrix(gens.eprime, cyclo.CycNum.from_int(2 ** exponent))
+    assert _raw_calls_before_overflow(monkeypatch, big) == (0 if exponent == 52 else 2)
 
 
 def test_kernel_errors_are_shared_with_orbits():

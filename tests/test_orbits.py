@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from tits27 import cyclo, exactlinalg as la, gf41, orbits as ob
+from tits27 import cyclo, exactlinalg as la, gf41, orbits as ob, zkernel
 
 
 def test_fixed_seed_is_fixed_by_psl_generators(gens):
@@ -67,6 +67,27 @@ def test_kernel_refuses_int64_overflow(exponent):
                           cyclo.CycNum.from_int(2 ** exponent))
     with pytest.raises(ob.KernelOverflowError):
         ob.enumerate_orbit(ob.seed_fixed_vector(), [big])
+
+
+@pytest.mark.parametrize("which, subset", [
+    ("orbit2304", ("f1", "f2", "d", "ac", "eprime")),
+    ("orbit2304", ("f1", "f2", "ac", "eprime")),
+    ("orbit1755", ("f1", "f2", "d", "ac", "eprime")),
+])
+def test_recorded_images_equal_applied_images(request, monkeypatch, gens, which, subset):
+    # equal copies are not the matrices that built the orbit, so they are
+    # applied to every point; the originals read the permutations the BFS recorded
+    orbit = request.getfixturevalue(which)
+    chosen = [getattr(gens, name) for name in subset]
+    applied = ob.perm_images(orbit, [la.ExactMatrix(m.ring, m.data) for m in chosen])
+
+    def no_product(self, rows):
+        raise AssertionError("the recorded permutations need no product")
+
+    monkeypatch.setattr(zkernel.IntegerAction, "raw", no_product)
+    recorded = ob.perm_images(orbit, chosen)
+    assert recorded.perms == applied.perms
+    assert recorded.certified_base == applied.certified_base
 
 
 def test_perm_images_are_bijections(orbit2304, gens5, perms_all):
