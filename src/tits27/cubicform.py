@@ -314,11 +314,6 @@ def invariance_report(c: CubicForm, m: ExactMatrix):
     return invariant, _flip_safe(c, m)
 
 
-def verify_invariance(c: CubicForm, m: ExactMatrix) -> bool:
-    """True iff the transformed tensor equals the original exactly."""
-    return invariance_report(c, m)[0]
-
-
 def identity_vector():
     """(1, 1, 1; 0^24) in storage order."""
     return (cyclo.ONE,) * 3 + (cyclo.ZERO,) * 24

@@ -36,9 +36,6 @@ _ZERO8 = (0, 0, 0, 0, 0, 0, 0, 0)
 _ZETA8 = (-1, 0, 1, 0, -1, 0, 1, 0)
 _ZETA9 = (0, -1, 0, 1, 0, -1, 0, 1)
 
-# Phi20 coefficients, constant term first (used by the inverse).
-_PHI20 = (1, 0, -1, 0, 1, 0, -1, 0, 1)
-
 
 class CycNum:
     """One element of Q(zeta20) in canonical reduced form."""
@@ -144,33 +141,33 @@ class CycNum:
         return self * other.inverse()
 
     def inverse(self):
-        """The exact multiplicative inverse, via extended gcd against Phi20."""
+        """The exact multiplicative inverse, by the field norm.
+
+        The automorphisms of Q(zeta20) are zeta -> zeta^k for the eight k
+        prime to 20.  The norm N(x), the product of the images of x under
+        all eight, is fixed by every automorphism, which only permutes its
+        factors, so it lies in the fixed field Q; and for x != 0 it is
+        nonzero, as each automorphism is injective and a field has no zero
+        divisors.  So x^-1 is the product of the seven images other than x
+        itself, divided by the rational N(x).
+        """
         if self.is_zero():
             raise ZeroDivisionError("0 has no inverse in Q(zeta20)")
-        r0 = [Fraction(c) for c in _PHI20]
-        r1 = [Fraction(n, self.den) for n in self.num]
-        while r1 and r1[-1] == 0:
-            r1.pop()
-        t0, t1 = [], [Fraction(1)]
-        while r1:
-            q, r = _poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            t0, t1 = t1, _poly_sub(t0, _poly_mul(q, t1))
-        # r0 is a nonzero constant (Phi20 is irreducible), t0 its cofactor.
-        c = r0[0]
-        inv = [t / c for t in t0]
-        inv += [Fraction(0)] * (8 - len(inv))
-        return CycNum.from_coeffs(inv[:8])
+        others = self._galois(3)
+        for k in _GALOIS_K[1:]:
+            others = others * self._galois(k)
+        norm = self * others
+        return CycNum(tuple(n * norm.den for n in others.num), others.den * norm.num[0])
 
     def conj(self):
         """Complex conjugation, the field automorphism zeta -> zeta^19."""
-        acc = [0] * 8
-        for k, n in enumerate(self.num):
-            if n:
-                img = _CONJ_BASIS[k]
-                for j in range(8):
-                    acc[j] += n * img[j]
-        return CycNum(tuple(acc), self.den)
+        return self._galois(19)
+
+    def _galois(self, k):
+        """The image under the automorphism zeta -> zeta^k."""
+        table = _GALOIS[k]
+        return CycNum(tuple(sum(n * img[j] for n, img in zip(self.num, table) if n)
+                            for j in range(8)), self.den)
 
     # -- predicates and views ----------------------------------------------
 
@@ -222,50 +219,6 @@ class CycNum:
         return self.to_text()
 
 
-# -- polynomial helpers over Fraction (for the inverse) ----------------------
-
-def _poly_divmod(a, b):
-    a = list(a)
-    q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
-    inv_lead = 1 / b[-1]
-    for k in range(len(a) - len(b), -1, -1):
-        coef = a[k + len(b) - 1] * inv_lead
-        q[k] = coef
-        if coef:
-            for j, bj in enumerate(b):
-                a[k + j] -= coef * bj
-    while a and a[-1] == 0:
-        a.pop()
-    while q and q[-1] == 0:
-        q.pop()
-    return q, a
-
-
-def _poly_mul(a, b):
-    if not a or not b:
-        return []
-    c = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                c[i + j] += ai * bj
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    c = [Fraction(0)] * n
-    for i, ai in enumerate(a):
-        c[i] += ai
-    for i, bi in enumerate(b):
-        c[i] -= bi
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
 # -- constants ----------------------------------------------------------------
 
 ZERO = CycNum()
@@ -278,4 +231,7 @@ Z = CycNum.zeta(4)
 SIGMA = -Z - Z ** 4
 TAU = -(Z ** 2) - Z ** 3
 
-_CONJ_BASIS = tuple(CycNum.zeta((20 - k) % 20).num for k in range(8))
+#: The k other than 1 that are prime to 20, and for each the images of
+#: zeta^0..zeta^7 under zeta -> zeta^k in the power basis.
+_GALOIS_K = (3, 7, 9, 11, 13, 17, 19)
+_GALOIS = {k: tuple(CycNum.zeta(k * j).num for j in range(8)) for k in _GALOIS_K}

@@ -38,10 +38,6 @@ class RingMismatchError(ValueError):
     pass
 
 
-class OrderExceedsCapError(ValueError):
-    pass
-
-
 class CheckFailed(ValueError):
     """The input is well formed, but a mathematical check found it wrong."""
 
@@ -197,14 +193,6 @@ def transpose(m: ExactMatrix) -> ExactMatrix:
                                 for j in range(m.cols)])
 
 
-def conj_transpose(m: ExactMatrix) -> ExactMatrix:
-    """Conjugate transpose; only the cyclotomic ring carries a conjugation."""
-    if m.ring != RING_CYC:
-        raise RingMismatchError("conjugation is not defined over gf41; use transpose")
-    return ExactMatrix(m.ring, [[m.data[i][j].conj() for i in range(m.rows)]
-                                for j in range(m.cols)])
-
-
 def mat_inv(a: ExactMatrix) -> ExactMatrix:
     """Exact inverse by Gauss-Jordan elimination, first-nonzero pivoting."""
     if not a.is_square():
@@ -244,25 +232,6 @@ def mat_pow(m: ExactMatrix, n: int) -> ExactMatrix:
         base = mat_mul(base, base) if n > 1 else base
         n >>= 1
     return result
-
-
-def mat_order(m: ExactMatrix, cap: int = 60) -> int:
-    """Least n <= cap with m^n = 1, by repeated multiplication."""
-    if not m.is_square():
-        raise DimensionMismatchError("order of a non-square matrix")
-    if cap < 1:
-        raise ValueError("cap must be at least 1")
-    ident = ExactMatrix.identity(m.rows, m.ring)
-    acc = m
-    for n in range(1, cap + 1):
-        if acc == ident:
-            return n
-        acc = mat_mul(acc, m)
-    raise OrderExceedsCapError(f"order exceeds cap {cap}")
-
-
-def is_unitary(m: ExactMatrix) -> bool:
-    return m.is_square() and mat_mul(conj_transpose(m), m) == ExactMatrix.identity(m.rows, m.ring)
 
 
 # -- elimination over GF(41) ---------------------------------------------------

@@ -20,9 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from . import cyclo
 from .cyclo import CycNum
 from . import exactlinalg as la
+from . import zkernel
 from .exactlinalg import ExactMatrix, RING_CYC
 
 #: Coordinate labels in storage order; index 0..26.
@@ -233,29 +236,69 @@ def verify_relations(g: GeneratorSet) -> tuple:
 
     Returns a tuple of 13 `(name, ok)` pairs: eight relations, then one
     unitarity check per generator in standard order.
+
+    Every row is decided on the int64 kernel of `zkernel`, which has no
+    other arithmetic path.  A word w, rightmost factor first, is applied to
+    the 27 unit vectors, giving the rows of D * (w e_j) with D the product
+    of the factors' denominators; two words are equal iff the rows of each
+    times the other's D agree.  `check_range` guards every application and
+    both multiplications, so an unsafe generator set raises
+    KernelOverflowError and gets no verdict; the `zkernel` docstring gives
+    the argument.  For square matrices X ac = 1 makes X the inverse of ac,
+    so "eprime inverts ac" is decided as eprime ac eprime ac = 1, and "f1
+    conjugated by ac is f2" as f1 ac = ac f2, the same relation for an
+    invertible ac (a singular ac fails both rows about ac before it).  ac
+    has order 12 iff (ac)^12 = 1 and no smaller power is 1.  Unitarity is
+    m* m = 1, with D m* read off the conjugated images of m.
     """
-    ident = ExactMatrix.identity(27, RING_CYC)
-    ac_inv = la.mat_inv(g.ac)
+    acts = dict(zip(NAMES, map(zkernel.IntegerAction, g.in_order())))
+
+    def images(word):
+        """(rows, D) after each factor of `word`, applied right to left."""
+        rows, den = np.eye(27, dtype=np.int64), 1
+        for name in reversed(word.split()):
+            rows, den = acts[name].raw(rows), den * acts[name].den
+            yield rows, den
+
+    def image(word):
+        *_, last = images(word)
+        return last
+
+    def is_one(word):
+        return _same(image(word), _ONE)
+
+    def has_order(name, n):
+        ones = [_same(x, _ONE) for x in images(f"{name} " * n)]
+        return ones[-1] and not any(ones[:-1])
+
     checks = [
-        ("f1^5 = 1", g.f1 ** 5 == ident),
-        ("f2^5 = 1", g.f2 ** 5 == ident),
-        ("f1 f2 = f2 f1", g.f1 * g.f2 == g.f2 * g.f1),
-        ("d^2 = 1", g.d * g.d == ident),
-        ("(ac)^12 = 1 and no smaller power", _order_is(g.ac, 12)),
-        ("eprime^2 = 1", g.eprime * g.eprime == ident),
-        ("eprime inverts ac", g.eprime * g.ac * g.eprime == ac_inv),
-        ("f1 conjugated by ac is f2", ac_inv * g.f1 * g.ac == g.f2),
+        ("f1^5 = 1", is_one("f1 " * 5)),
+        ("f2^5 = 1", is_one("f2 " * 5)),
+        ("f1 f2 = f2 f1", _same(image("f1 f2"), image("f2 f1"))),
+        ("d^2 = 1", is_one("d d")),
+        ("(ac)^12 = 1 and no smaller power", has_order("ac", 12)),
+        ("eprime^2 = 1", is_one("eprime eprime")),
+        ("eprime inverts ac", is_one("eprime ac eprime ac")),
+        ("f1 conjugated by ac is f2", _same(image("f1 ac"), image("ac f2"))),
     ]
-    checks.extend((f"{name} unitary", la.is_unitary(m))
-                  for name, m in zip(NAMES, g.in_order()))
+    for name in NAMES:
+        rows, den = image(name)
+        adjoint = zkernel.IntegerAction.from_coeffs(zkernel.conj(rows).reshape(27, 27, 8), den)
+        checks.append((f"{name} unitary", _same((adjoint.raw(rows), den * den), _ONE)))
     return tuple(checks)
 
 
-def _order_is(m, n):
-    try:
-        return la.mat_order(m, cap=60) == n
-    except la.OrderExceedsCapError:
-        return False
+# The identity as an image: the unit vectors in the 216-column layout.
+_ONE = (np.kron(np.eye(27, dtype=np.int64), np.eye(1, 8, dtype=np.int64)), 1)
+
+
+def _same(a, b):
+    """Whether the images (rows, D) and (rows', D') agree: D' rows = D rows'."""
+    (rows_a, den_a), (rows_b, den_b) = a, b
+    # each D must itself be an int64, even against a zero image
+    zkernel.check_range(1, den_b, max(1, zkernel.max_abs(rows_a)))
+    zkernel.check_range(1, den_a, max(1, zkernel.max_abs(rows_b)))
+    return np.array_equal(den_b * rows_a, den_a * rows_b)
 
 
 def row_norm(m: ExactMatrix, i: int) -> CycNum:

@@ -432,11 +432,6 @@ class StabChain:
         return bool(j == len(self._levels) and (h == np.arange(self.degree)).all())
 
 
-def stab_chain_order(pset: PermSet) -> int:
-    """The exact order of the group generated by the permutations."""
-    return build_stab_chain(pset).order()
-
-
 def _schreier(lv, gens, d, s, cols):
     """Images of the points `cols` under u_e^-1 s u_d, e = s(d), one row per (d, s)."""
     a = _gather(gens, s, _gather(lv.u, lv.pos[d], cols[None]))

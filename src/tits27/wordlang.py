@@ -36,7 +36,9 @@ class WordSyntaxError(ValueError):
 
 
 class UnboundNameError(KeyError):
-    pass
+    def __str__(self):
+        # KeyError's own str is the repr of the key
+        return f"no matrix is bound to the generator {self.args[0]!r}"
 
 
 @dataclass(frozen=True)

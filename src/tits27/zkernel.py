@@ -25,6 +25,22 @@ There are two ways to apply it:
     denominator to the caller, which can apply k matrices in a row and
     compare against D^k once; the cubic-form check works this way.
 
+Relations and unitarity
+    `generators.verify_relations` applies both sides of each relation to
+    the 27 unit vectors with `raw`, on 27-column rows first and on 216-column
+    rows after.  Applying matrices with denominators D_1, ..., D_k gives the
+    rows of D_1 ... D_k * (w e_j) exactly, and no division is made: two sides
+    with denominator products D and D' are equal iff D' times the rows of one
+    equals D times the rows of the other, and `check_range` guards those two
+    products like every application.  The conjugate transpose m* needs no
+    other arithmetic.  Row j of `raw` on the unit vectors holds the blocks of
+    column j of D * m, so conjugating every block gives the coefficients of
+    row j of D * m*, ready for `IntegerAction.from_coeffs`.  Conjugation is
+    the automorphism zeta -> zeta^19, Q-linear on the power basis, so on a
+    block it is the fixed matrix CONJ whose row j holds the coefficients of
+    zeta^-j, all 0 or +-1: the conjugate of an integer block is an integer
+    block, computed without rounding.
+
 Exactness guards
     The kernel never rounds and has no other arithmetic path.  Before each
     application it checks 216 * max|B| * max|V| < 2^63 and raises
@@ -56,6 +72,9 @@ DIM = 27 * 8
 # block of zeta^k * a; its entries are 0 and +-1.
 _ZETA_POW = np.array([cyclo.CycNum.zeta(k).num for k in range(20)], dtype=np.int64)
 ROT = _ZETA_POW[(np.arange(20)[:, None] + np.arange(8)) % 20]
+# CONJ right-multiplies a block into the block of its complex conjugate: row j
+# is zeta^-j, the image of zeta^j under the automorphism zeta -> zeta^19.
+CONJ = _ZETA_POW[-np.arange(8) % 20]
 
 
 class ScaleError(ValueError):
@@ -65,6 +84,12 @@ class ScaleError(ValueError):
 def max_abs(a) -> int:
     # no |a| temporary: the cubic-form tensors are 1.3 MB each
     return max(int(a.max()), -int(a.min()))
+
+
+def conj(rows):
+    """The entrywise complex conjugates of n x 216 rows."""
+    check_range(8, 1, max_abs(rows))  # CONJ has entries 0 and +-1
+    return (rows.reshape(-1, 27, 8) @ CONJ).reshape(rows.shape)
 
 
 class IntegerAction:
@@ -79,13 +104,23 @@ class IntegerAction:
     def __init__(self, m: ExactMatrix):
         if m.ring != RING_CYC or m.rows != 27 or m.cols != 27:
             raise ValueError("the integer kernel needs a 27x27 cyclotomic matrix")
-        self.den = math.lcm(*(e.den for row in m.data for e in row))
-        coeffs = [[[n * (self.den // e.den) for n in e.num] for e in row]
-                  for row in m.data]
+        den = math.lcm(*(e.den for row in m.data for e in row))
+        coeffs = [[[n * (den // e.den) for n in e.num] for e in row] for row in m.data]
         # A block entry sums at most 8 coefficients times +-1, and the slice
         # maxima sum to at most 8 coefficients, so this keeps both below 2^63.
         check_range(DIM, 8 * max(abs(c) for row in coeffs for e in row for c in e), 1)
-        coeffs = np.array(coeffs, dtype=np.int64)
+        self._compile(np.array(coeffs, dtype=np.int64), den)
+
+    @classmethod
+    def from_coeffs(cls, coeffs, den):
+        """The matrix whose entry (i, j) is coeffs[i, j] / den, coeffs a 27 x 27 x 8 int64 array."""
+        check_range(DIM, 8 * max_abs(coeffs), 1)  # as in __init__
+        act = cls.__new__(cls)
+        act._compile(coeffs, den)
+        return act
+
+    def _compile(self, coeffs, den):
+        self.den = den
         nonzero = coeffs.any(axis=2)
         if (nonzero.sum(axis=1) == 1).all():
             self.src = nonzero.argmax(axis=1)

@@ -159,6 +159,12 @@ def test_eval_deeply_nested_word(capsys):
     assert "Traceback" not in err
 
 
+def test_eval_unbound_name(capsys):
+    code, err = run_err(capsys, "eval", "--word", "a")
+    assert code == 2
+    assert err == "error: no matrix is bound to the generator 'a'\n"
+
+
 def test_eval_bad_binding(capsys):
     code, _ = run(capsys, "eval", "--word", "a", "--bind", "nonsense")
     assert code == 2

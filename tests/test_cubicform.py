@@ -72,7 +72,7 @@ def test_flipped_seed_detected_by_invariance(gens, monomials):
     bad = list(cf.SEEDS[:3]) + [triple(1, 10, 24, -1)]
     form = close_terms(bad, monomials)
     assert len(form) == 45
-    assert not cf.verify_invariance(form, gens.eprime)
+    assert not cf.invariance_report(form, gens.eprime)[0]
 
 
 def test_sign_conflict_from_negative_loop():
@@ -114,7 +114,7 @@ def test_tensor_counts(dickson):
 
 def test_invariance_under_all_generators(gens, dickson):
     for m in gens.in_order():
-        assert cf.verify_invariance(dickson, m)
+        assert cf.invariance_report(dickson, m)[0]
 
 
 def test_flip_breaks_eprime_invariance(gens, dickson):
@@ -122,9 +122,9 @@ def test_flip_breaks_eprime_invariance(gens, dickson):
     assert ok
     assert flip_safe == []
     flipped = dickson.with_flipped((-3, 1, 4))
-    assert not cf.verify_invariance(flipped, gens.eprime)
+    assert not cf.invariance_report(flipped, gens.eprime)[0]
     # the diagonal generators cannot see signs at all
-    assert cf.verify_invariance(flipped, gens.f1)
+    assert cf.invariance_report(flipped, gens.f1)[0]
 
 
 def test_signed_triple_validation():

@@ -5,10 +5,9 @@ import random
 import numpy as np
 import pytest
 
-from tits27 import cyclo, exactlinalg as la, generators, gf41
+from tits27 import cyclo, exactlinalg as la, generators, gf41, zkernel
 from tits27.exactlinalg import (DimensionMismatchError, ExactMatrix, RingMismatchError,
-                                OrderExceedsCapError, SingularMatrixError,
-                                RING_CYC, RING_GF41)
+                                SingularMatrixError, RING_CYC, RING_GF41)
 from tits27.gf41 import gf
 
 
@@ -50,7 +49,8 @@ def test_block_constant_products():
     assert la.mat_mul(bc.L, bc.K) == ident
     assert la.mat_mul(bc.J, bc.J) == ident
     assert la.mat_mul(ident, bc.J) == bc.J
-    assert la.mat_order(bc.K) == 4
+    # K has order 4: K^4 = 1 and K^2 != 1
+    assert la.mat_pow(bc.K, 4) == ident and la.mat_pow(bc.K, 2) != ident
 
 
 def test_mul_shape_and_ring_checks():
@@ -94,20 +94,21 @@ def test_singular_matrix():
 
 
 def test_conj_transpose(gens):
-    ident = ExactMatrix.identity(27, RING_CYC)
-    assert la.mat_mul(la.conj_transpose(gens.f1), gens.f1) == ident
-    assert la.conj_transpose(gens.eprime) == gens.eprime
-    assert la.mat_mul(la.conj_transpose(gens.d), gens.d) == ident
-    with pytest.raises(RingMismatchError):
-        la.conj_transpose(ExactMatrix.identity(2, RING_GF41))
+    # f1 and d are unitary and eprime is Hermitian, decided on the kernel
+    rows = dict(generators.verify_relations(gens))
+    assert rows["f1 unitary"] and rows["d unitary"]
+    image = zkernel.IntegerAction(gens.eprime).raw(np.eye(27, dtype=np.int64))
+    # image[j, k] holds 5 eprime[k, j]; its conjugate is 5 eprime*[j, k]
+    blocks = image.reshape(27, 27, 8)
+    assert (zkernel.conj(image).reshape(27, 27, 8) == blocks.transpose(1, 0, 2)).all()
 
 
 def test_mat_order(gens):
-    assert la.mat_order(gens.ac) == 12
-    assert la.mat_order(gens.d) == 2
-    assert la.mat_order(gens.f1) == 5
-    with pytest.raises(OrderExceedsCapError):
-        la.mat_order(gens.ac, cap=5)
+    # order n: m^n = 1 and m^(n/p) != 1 for each prime p dividing n
+    ident = ExactMatrix.identity(27, RING_CYC)
+    for m, n, proper in ((gens.ac, 12, (6, 4)), (gens.d, 2, (1,)), (gens.f1, 5, (1,))):
+        assert la.mat_pow(m, n) == ident
+        assert all(la.mat_pow(m, k) != ident for k in proper)
 
 
 def test_nullspace_trivial_cases():
@@ -141,8 +142,8 @@ def test_common_nullspace(gens):
 
 
 def test_unitarity_of_all_generators(gens):
-    for m in gens.in_order():
-        assert la.is_unitary(m)
+    rows = dict(generators.verify_relations(gens))
+    assert all(rows[f"{name} unitary"] for name in generators.NAMES)
 
 
 def test_monomial_structure(gens):

@@ -2,7 +2,9 @@
 
 from collections import Counter
 
-from tits27 import cyclo, exactlinalg as la, generators
+import pytest
+
+from tits27 import cyclo, exactlinalg as la, generators, zkernel
 from tits27.cyclo import CycNum
 from tits27.exactlinalg import ExactMatrix, RING_CYC
 
@@ -25,7 +27,9 @@ def test_f1_fifth_power(gens):
 def test_d_ac_structure(gens):
     ident = ExactMatrix.identity(27, RING_CYC)
     assert gens.d * gens.d == ident
-    assert la.mat_order(gens.ac) == 12
+    # ac has order 12: (ac)^12 = 1, (ac)^6 != 1 and (ac)^4 != 1
+    assert la.mat_pow(gens.ac, 12) == ident
+    assert la.mat_pow(gens.ac, 6) != ident and la.mat_pow(gens.ac, 4) != ident
     # 3-cycle on the corner: (ac)^3 restricted there is the identity
     ac3 = la.mat_pow(gens.ac, 3)
     for i in range(3):
@@ -91,6 +95,128 @@ def test_verify_relations_detects_swap(gens):
     rows = generators.verify_relations(swapped)
     assert not all(ok for _, ok in rows)
     assert "f1 conjugated by ac is f2" in _failures(rows)
+
+
+def _conj_transpose(m):
+    """Entrywise conjugate of the transpose, one CycNum at a time."""
+    return ExactMatrix(RING_CYC, [[m.data[i][j].conj() for i in range(m.rows)]
+                                  for j in range(m.cols)])
+
+
+def reference_relations(g):
+    """The 13 verdicts of verify_relations, computed per scalar."""
+    ident = ExactMatrix.identity(27, RING_CYC)
+    mul = la.mat_mul
+    ac_inv = la.mat_inv(g.ac)
+    ac_powers = [la.mat_pow(g.ac, k) for k in range(1, 13)]
+    rows = [
+        ("f1^5 = 1", la.mat_pow(g.f1, 5) == ident),
+        ("f2^5 = 1", la.mat_pow(g.f2, 5) == ident),
+        ("f1 f2 = f2 f1", mul(g.f1, g.f2) == mul(g.f2, g.f1)),
+        ("d^2 = 1", la.mat_pow(g.d, 2) == ident),
+        ("(ac)^12 = 1 and no smaller power",
+         ac_powers[-1] == ident and ident not in ac_powers[:-1]),
+        ("eprime^2 = 1", la.mat_pow(g.eprime, 2) == ident),
+        ("eprime inverts ac", mul(mul(g.eprime, g.ac), g.eprime) == ac_inv),
+        ("f1 conjugated by ac is f2", mul(mul(ac_inv, g.f1), g.ac) == g.f2),
+    ]
+    rows += [(f"{name} unitary", mul(_conj_transpose(m), m) == ident)
+             for name, m in zip(generators.NAMES, g.in_order())]
+    return tuple(rows)
+
+
+def _double_first_entry(m):
+    data = [list(row) for row in m.data]
+    i, j = next((i, j) for i, row in enumerate(data) for j, e in enumerate(row) if e)
+    data[i][j] = data[i][j] + data[i][j]
+    return ExactMatrix(RING_CYC, data)
+
+
+def _perturbed(g):
+    """Generator sets on which, between them, every row fails at least once."""
+    f1, f2, d, ac, ep = g.in_order()
+    gs = generators.GeneratorSet
+    sets = {"f1<->f2": gs(f2, f1, d, ac, ep),
+            "eprime=1": gs(f1, f2, d, ac, ExactMatrix.identity(27, RING_CYC)),
+            "ac=ac^2": gs(f1, f2, d, la.mat_mul(ac, ac), ep),
+            "f2=ac": gs(f1, ac, d, ac, ep)}
+    for k, name in enumerate(generators.NAMES):
+        mats = list(g.in_order())
+        mats[k] = _double_first_entry(mats[k])
+        sets[f"{name} doubled"] = gs(*mats)
+    return sets
+
+
+PERTURBED = ("f1<->f2", "eprime=1", "ac=ac^2", "f2=ac",
+             *(f"{name} doubled" for name in generators.NAMES))
+
+
+@pytest.fixture(scope="module")
+def perturbed(gens):
+    return _perturbed(gens)
+
+
+def test_verify_relations_matches_reference(gens):
+    assert generators.verify_relations(gens) == reference_relations(gens)
+
+
+@pytest.mark.parametrize("name", PERTURBED)
+def test_verify_relations_matches_reference_on_perturbed_sets(perturbed, name):
+    assert generators.verify_relations(perturbed[name]) == reference_relations(perturbed[name])
+
+
+def test_perturbed_sets_fail_every_row(gens, perturbed):
+    assert tuple(perturbed) == PERTURBED
+    failed = {row for g in perturbed.values()
+              for row, ok in generators.verify_relations(g) if not ok}
+    assert failed == {row for row, _ in generators.verify_relations(gens)}
+
+
+def _raw_calls(monkeypatch):
+    calls = []
+    raw = zkernel.IntegerAction.raw
+
+    def counted(self, rows):
+        calls.append(rows.shape)
+        return raw(self, rows)
+
+    monkeypatch.setattr(zkernel.IntegerAction, "raw", counted)
+    return calls
+
+
+def test_verify_relations_refuses_unsafe_sets_before_any_product(gens, monkeypatch):
+    calls = _raw_calls(monkeypatch)
+    # 216 * 8 * 2^53 reaches 2^63, so compiling the actions refuses it
+    huge = la.scale_matrix(gens.f1, CycNum.from_int(2 ** 53))
+    with pytest.raises(zkernel.KernelOverflowError):
+        generators.verify_relations(
+            generators.GeneratorSet(huge, gens.f2, gens.d, gens.ac, gens.eprime))
+    assert calls == []
+
+
+def test_verify_relations_refuses_an_unsafe_power(gens, monkeypatch):
+    # 2^20 f1 compiles, and f1 and f1^2 are applied, but the third
+    # application of f1^5 would reach 216 * 2^20 * 2^40 > 2^63
+    calls = _raw_calls(monkeypatch)
+    big = la.scale_matrix(gens.f1, CycNum.from_int(2 ** 20))
+    with pytest.raises(zkernel.KernelOverflowError):
+        generators.verify_relations(
+            generators.GeneratorSet(big, gens.f2, gens.d, gens.ac, gens.eprime))
+    assert calls == [(27, 27), (27, zkernel.DIM), (27, zkernel.DIM)]
+
+
+def test_verify_relations_makes_no_scalar_products(gens, monkeypatch):
+    calls = []
+    mul = CycNum.__mul__
+
+    def counted(a, b):
+        calls.append(None)
+        return mul(a, b)
+
+    monkeypatch.setattr(CycNum, "__mul__", counted)
+    rows = generators.verify_relations(generators.build_all())
+    assert all(ok for _, ok in rows)
+    assert calls == []
 
 
 def test_monomials_normalize_the_diagonal_group(gens):

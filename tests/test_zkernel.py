@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tits27 import cyclo, exactlinalg as la
+from tits27 import zkernel
 from tits27.zkernel import DIM, ROT, IntegerAction, KernelOverflowError, ScaleError
 
 
@@ -93,3 +94,29 @@ def test_dense_kernel_refuses_large_rows(gens):
     act.raw(np.full((1, DIM), limit, dtype=np.int64))
     with pytest.raises(KernelOverflowError):
         act.raw(np.full((1, DIM), limit + 1, dtype=np.int64))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.integers(-50, 50), min_size=DIM, max_size=DIM))
+def test_conj_matches_the_scalar_conjugation(coeffs):
+    row = np.array([coeffs], dtype=np.int64)
+    blocks = [cyclo.CycNum(coeffs[8 * j:8 * j + 8]) for j in range(27)]
+    expected = [c * e.den for e in blocks for c in e.conj().num]
+    assert zkernel.conj(row).tolist() == [expected]
+
+
+def test_conj_refuses_large_rows():
+    limit = (2 ** 63 - 1) // 8
+    zkernel.conj(np.full((1, DIM), limit, dtype=np.int64))
+    with pytest.raises(KernelOverflowError):
+        zkernel.conj(np.full((1, DIM), limit + 1, dtype=np.int64))
+
+
+def test_from_coeffs_matches_the_matrix_it_encodes(products):
+    m = products["eprime.ac.f1"]
+    act = IntegerAction(m)
+    image = act.raw(np.eye(27, dtype=np.int64))
+    # row j of the image holds the blocks of column j of D m
+    again = IntegerAction.from_coeffs(image.reshape(27, 27, 8).transpose(1, 0, 2), act.den)
+    rows = _rows(random.Random(1), 6, DIM)
+    assert (again.raw(rows) == act.raw(rows)).all()
