@@ -28,7 +28,9 @@ from __future__ import annotations
 
 import cmath
 from fractions import Fraction
+from functools import reduce
 from math import gcd
+from operator import mul
 
 _ZERO8 = (0, 0, 0, 0, 0, 0, 0, 0)
 
@@ -153,9 +155,7 @@ class CycNum:
         """
         if self.is_zero():
             raise ZeroDivisionError("0 has no inverse in Q(zeta20)")
-        others = self._galois(3)
-        for k in _GALOIS_K[1:]:
-            others = others * self._galois(k)
+        others = reduce(mul, map(self._galois, _GALOIS_K))
         norm = self * others
         return CycNum(tuple(n * norm.den for n in others.num), others.den * norm.num[0])
 
@@ -165,9 +165,12 @@ class CycNum:
 
     def _galois(self, k):
         """The image under the automorphism zeta -> zeta^k."""
-        table = _GALOIS[k]
-        return CycNum(tuple(sum(n * img[j] for n, img in zip(self.num, table) if n)
-                            for j in range(8)), self.den)
+        acc = [0] * 8
+        for n, img in zip(self.num, _GALOIS[k]):
+            if n:
+                for j in range(8):
+                    acc[j] += n * img[j]
+        return CycNum(tuple(acc), self.den)
 
     # -- predicates and views ----------------------------------------------
 

@@ -214,7 +214,7 @@ def test_verify_relations_makes_no_scalar_products(gens, monkeypatch):
         return mul(a, b)
 
     monkeypatch.setattr(CycNum, "__mul__", counted)
-    rows = generators.verify_relations(generators.build_all())
+    rows = generators.verify_relations(gens)  # gens is build_all(), made before the patch
     assert all(ok for _, ok in rows)
     assert calls == []
 
