@@ -32,8 +32,7 @@ def rows(fast: bool = False, seed: int = 12345):
 
     ep = g.eprime
     yield ("eprime symmetric", la.transpose(ep) == ep)
-    yield ("eprime row norms all 1",
-           all(generators.row_norm(ep, i) == cyclo.ONE for i in range(27)))
+    yield ("eprime row norms all 1", generators.row_norms_are_one(ep))
     row0 = [e for e in ep.data[0] if not e.is_zero()]
     q = cyclo.CycNum.rational
     yield ("eprime top row multiset {2/5 x2, 1/5 x9, -1/5 x8}",

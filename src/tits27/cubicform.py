@@ -11,7 +11,7 @@ Every term must satisfy the diagonal eigenvalue condition: the z-exponents
 of f1 (and of f2) on its three coordinates sum to 0 mod 5, otherwise the
 diagonal subgroup could not fix the monomial.
 
-Invariance under a matrix m is checked exactly on the int64 kernel of
+Invariance under a matrix m is checked exactly on the integer kernel of
 `zkernel`.  With T the symmetric coefficient tensor, C(x) = T(x, x, x)/6,
 so C(m x) = T'(x, x, x)/6 with
 
@@ -19,16 +19,16 @@ so C(m x) = T'(x, x, x)/6 with
 
 and T' is symmetric again; C(m x) = C(x) iff T' = T.  T is a 27 x 27 x 27
 array of +-1 and 0, all in coefficient slot 0 of the power basis.  With D
-the lcm of the denominators of m, the kernel action of D m^T is applied to
-one slot at a time, with that slot moved next to the coefficient axis.  The
-first step is one (729 x 27) by (27 x 216) integer product, because T lives
-in the 27 coefficient-0 columns; the other two run on one 27 x 27 slab of
-the first step's result at a time, a (27 x 216) by (216 x 216) product
-each, so no second 1.3 MB array is needed (a monomial matrix uses the
-block gather instead of the dense product).  The three steps give D^3 T'
-exactly, so m preserves C iff the result is D^3 T: 125 T for eprime, whose
-denominators are 5.  The kernel refuses, with KernelOverflowError, any
-product whose sums could leave the int64 range.
+the lcm of the denominators of m, the kernel action of D m^T, read off the
+compiled action of m by transposing its blocks, is applied to one slot at
+a time, with that slot moved next to the coefficient axis.  The first step
+applies it to the 27 integer coefficients of each 27 x 27 slab of T; the
+other two run on one 27 x 27 slab of the first step's result at a time, a
+(27 x 216) by (216 x 216) product each, so that only the first step's
+result is large.  The three steps give D^3 T' exactly, so m preserves C
+iff the result is D^3 T: 125 T for eprime, whose denominators are 5.  The
+kernel refuses, with KernelOverflowError, any product it could not form
+exactly.
 
 A term t = {i, j, k} is flip-safe under m when (m x)_i (m x)_j (m x)_k =
 x_i x_j x_k.  The polynomial ring Q(zeta20)[x] is a unique factorization
@@ -283,7 +283,7 @@ def _flip_safe(c: CubicForm, m: ExactMatrix) -> list:
 
 
 def invariance_report(c: CubicForm, m: ExactMatrix):
-    """Transform the form's tensor by m exactly on the int64 kernel.
+    """Transform the form's tensor by m exactly on the integer kernel.
 
     Returns (invariant, flip_safe) where `invariant` says C(m x) = C(x) and
     `flip_safe` lists, in form order, the terms t whose monomial m fixes:
@@ -292,14 +292,16 @@ def invariance_report(c: CubicForm, m: ExactMatrix):
     flipped form is invariant iff t is flip-safe (expected empty for a
     faithful dense generator).
     """
-    act = zkernel.IntegerAction(la.transpose(m))
+    act = zkernel.IntegerAction.of(m).transposed()
     # the image is compared with D^3 T, so D^3 must be an int64 too
     d3 = act.den ** 3
     zkernel.check_range(1, d3, 1)
     t = _tensor_array(c)
-    # slot k first, on the 27 integer coefficients of T:
+    # slot k first, on the integer coefficients of one slab of T at a time:
     # first[i, j, a] = D * sum_k m_ka T_ijk
-    first = act.raw(t.reshape(27 * 27, 27)).reshape(27, 27, 27, 8)
+    first = np.empty((27, 27, 27, 8), dtype=np.int64)
+    for i in range(27):
+        first[i] = act.raw(t[i]).reshape(27, 27, 8)
 
     def slab_kept(a):
         # slots i and j of one 27 x 27 slab, so that only `first` is large:

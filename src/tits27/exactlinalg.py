@@ -45,7 +45,7 @@ class CheckFailed(ValueError):
 class ExactMatrix:
     """A rows x cols matrix with entries in one exact scalar ring."""
 
-    __slots__ = ("ring", "rows", "cols", "data")
+    __slots__ = ("ring", "rows", "cols", "data", "action")
 
     def __init__(self, ring, data):
         if ring not in _SCALARS:
@@ -60,6 +60,7 @@ class ExactMatrix:
         self.rows = len(data)
         self.cols = cols
         self.data = data
+        self.action = None  # the compiled zkernel.IntegerAction, set on first use
 
     # -- constructors ------------------------------------------------------
 

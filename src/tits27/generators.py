@@ -237,8 +237,8 @@ def verify_relations(g: GeneratorSet) -> tuple:
     Returns a tuple of 13 `(name, ok)` pairs: eight relations, then one
     unitarity check per generator in standard order.
 
-    Every row is decided on the int64 kernel of `zkernel`, which has no
-    other arithmetic path.  A word w, rightmost factor first, is applied to
+    Every row is decided on the exact integer kernel of `zkernel`, which
+    has no other arithmetic path.  A word w, rightmost factor first, is applied to
     the 27 unit vectors, giving the rows of D * (w e_j) with D the product
     of the factors' denominators; two words are equal iff the rows of each
     times the other's D agree.  `check_range` guards every application and
@@ -251,7 +251,7 @@ def verify_relations(g: GeneratorSet) -> tuple:
     has order 12 iff (ac)^12 = 1 and no smaller power is 1.  Unitarity is
     m* m = 1, with D m* read off the conjugated images of m.
     """
-    acts = dict(zip(NAMES, map(zkernel.IntegerAction, g.in_order())))
+    acts = dict(zip(NAMES, map(zkernel.IntegerAction.of, g.in_order())))
 
     def images(word):
         """(rows, D) after each factor of `word`, applied right to left."""
@@ -301,10 +301,17 @@ def _same(a, b):
     return np.array_equal(den_b * rows_a, den_a * rows_b)
 
 
-def row_norm(m: ExactMatrix, i: int) -> CycNum:
-    """Sum of entry * conj(entry) across row i."""
-    acc = cyclo.ZERO
-    for e in m.data[i]:
-        if not e.is_zero():
-            acc = acc + e * e.conj()
-    return acc
+def row_norms_are_one(m: ExactMatrix) -> bool:
+    """Whether every row of m has norm sum_j m_ij conj(m_ij) = 1.
+
+    The norms are the diagonal of m m*, decided on the kernel from the
+    images of the unit vectors that the unitarity rows of `verify_relations`
+    build: row j of those images is column j of D m, so conjugating every
+    block and transposing the blocks gives the columns of D m*, and row i
+    of the image of D m on them is D^2 m m* e_i, whose block i must be D^2.
+    """
+    act = zkernel.IntegerAction.of(m)
+    rows = act.raw(np.eye(27, dtype=np.int64))
+    star = zkernel.conj(rows).reshape(27, 27, 8).transpose(1, 0, 2).reshape(27, zkernel.DIM)
+    diag = act.raw(star).reshape(27, 27, 8)[np.arange(27), np.arange(27)]
+    return _same((diag, act.den ** 2), (np.tile(np.eye(1, 8, dtype=np.int64), (27, 1)), 1))

@@ -30,22 +30,22 @@ from . import cyclo
 from .cyclo import CycNum
 
 P = 41
-_INT64_LIMIT = 2 ** 63
 
 
 class KernelOverflowError(ValueError):
-    """A product of an int64 kernel could leave the int64 range."""
+    """A product of an integer kernel could leave the range it is exact in."""
 
 
 class SingularMatrixError(ValueError):
     pass
 
 
-def check_range(inner, max_b, max_v):
-    """Refuse a product of `inner`-term sums whose partial sums could reach 2^63."""
-    if inner * max_b * max_v >= _INT64_LIMIT:
+def check_range(inner, max_b, max_v, bits=63):
+    """Refuse a product of `inner`-term sums whose partial sums could reach
+    2^bits: 2^63 for int64 arithmetic, 2^53 for float64 (see `zkernel`)."""
+    if inner * max_b * max_v >= 2 ** bits:
         raise KernelOverflowError(
-            f"{inner} * {max_b} * {max_v} reaches 2^63; the int64 kernel "
+            f"{inner} * {max_b} * {max_v} reaches 2^{bits}; the kernel "
             "cannot form this product exactly")
 
 

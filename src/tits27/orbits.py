@@ -6,16 +6,21 @@ Points and generators
     the point (see `zkernel` for the Z^216 coordinates); every point of the
     2304-point vector orbit and of the 1755-point projective orbit is
     integral at that scale (the largest stored value is 25).  Each generator
-    is turned once into a `zkernel.IntegerAction`, and breadth-first search
-    applies it to a whole BFS level with one exact product.
+    is compiled once into its `zkernel.IntegerAction`, kept on the matrix,
+    and breadth-first search applies it to a whole BFS level as one exact
+    float64 product of the level's rows with its 216x216 integer matrix.
 
 Exactness guards
     All products run through `zkernel`, which never rounds, has no other
-    arithmetic path and raises KernelOverflowError before any product that
-    could leave the int64 range.  Every image must divide exactly by the
-    generator's denominator lcm, so it is again integral at scale 25, or
-    the kernel raises ScaleError; a seed that is not integral at scale 25
-    raises ScaleError too.
+    arithmetic path and raises KernelOverflowError before any product whose
+    partial sums could reach 2^53, so each float64 product equals the
+    integer one and is cast back to int64 before any key or verdict is
+    formed.  Every image must divide exactly by the generator's denominator
+    lcm (skipped when it is 1), so it is again integral at scale 25, or the
+    kernel raises ScaleError; a seed that is not integral at scale 25 raises
+    ScaleError too.  Rotating a projective point by zeta^k sums at most 8
+    terms of +-1 times an entry, so it is exact under the same bound and is
+    formed the same way, one product per rotation that occurs in a level.
 
 Projective points
     A 1-space is stored as the rotation zeta^k v (0 <= k < 20) of any
@@ -123,6 +128,8 @@ PROJECTIVE = "projective"
 #: Stored orbit rows are SCALE times the power-basis coefficients.
 SCALE = 25
 
+_ROTS = ROT.transpose(1, 2, 0).reshape(8, 8 * 20)  # a block's 20 rotations, side by side
+
 
 class CapExceededError(ValueError):
     pass
@@ -212,19 +219,22 @@ def _canonical(rows, mode):
     if mode != PROJECTIVE:
         raise ValueError(f"unknown mode {mode!r}")
     n = len(rows)
-    blocks = rows.reshape(n, 27, 8)
-    nonzero = blocks.any(axis=2)
+    nonzero = rows != 0
     if not nonzero.any(axis=1).all():
         raise ValueError("projective point must be nonzero")
-    check_range(8, 1, max_abs(rows))
-    first = blocks[np.arange(n), nonzero.argmax(axis=1)]
-    cands = first @ ROT  # (20, n, 8): the first block of each rotation
-    alive = np.ones((20, n), dtype=bool)
+    check_range(8, 1, max_abs(rows), bits=53)  # exact in float64: ROT is 0 and +-1
+    blocks = rows.reshape(n, 27, 8).astype(np.float64)
+    first = blocks[np.arange(n), nonzero.argmax(axis=1) // 8]
+    cands = (first @ _ROTS).reshape(n, 8, 20)  # [i, c, r]: coefficient c of rotation r
+    alive = np.ones((n, 20), dtype=bool)
     for c in range(8):
-        col = np.where(alive, cands[:, :, c], np.iinfo(np.int64).max)
-        alive &= col == col.min(axis=0)
-    k = alive.argmax(axis=0)
-    return np.matmul(blocks, ROT[k]).reshape(n, DIM)
+        col = np.where(alive, cands[:, c], np.inf)
+        alive &= col == col.min(axis=1, keepdims=True)
+    k = alive.argmax(axis=1)
+    for r in np.unique(k):  # one product per rotation that occurs
+        pick = np.flatnonzero(k == r)
+        blocks[pick] = (blocks[pick].reshape(-1, 8) @ ROT[r]).reshape(-1, 27, 8)
+    return blocks.reshape(n, DIM).astype(np.int64)
 
 
 def _row_keys(rows) -> list:
@@ -283,13 +293,15 @@ def enumerate_orbit(seed: CanonicalPoint, gens, cap: int = 10000) -> Orbit:
     if cap < 1:
         raise CapExceededError(f"orbit exceeds cap {cap}")
     gens = tuple(gens)
-    actions = [IntegerAction(g) for g in gens]
+    actions = [IntegerAction.of(g) for g in gens]
     frontier = _canonical(_encode(seed.entries), seed.mode)
     levels = [frontier]
     index = {frontier.tobytes(): 0}
     targets = []  # in (point, generator) order: frontier points are numbered in turn
     while actions and len(frontier):
-        images = np.stack([_canonical(act(frontier), seed.mode) for act in actions])
+        images = np.empty((len(actions), *frontier.shape), dtype=np.int64)
+        for k, act in enumerate(actions):
+            images[k] = _canonical(act(frontier), seed.mode)
         keys = [_row_keys(w) for w in images]
         new = []
         for i in range(len(frontier)):
@@ -322,7 +334,7 @@ def perm_images(orbit: Orbit, gens) -> PermSet:
         if k is not None:
             perms.append(tuple(orbit.images[k].tolist()))
             continue
-        images = _canonical(IntegerAction(g)(orbit.coords), orbit.mode)
+        images = _canonical(IntegerAction.of(g)(orbit.coords), orbit.mode)
         try:
             perms.append(tuple(orbit.index[key] for key in _row_keys(images)))
         except KeyError:

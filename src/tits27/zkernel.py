@@ -1,20 +1,17 @@
-"""An exact int64 kernel for 27x27 matrices over Q(zeta20) acting on Z^216.
+"""An exact kernel for 27x27 matrices over Q(zeta20) acting on Z^216.
 
 Q(zeta20)^27 is Q^216 as a vector space: entry j of a 27-vector is the
 coefficient block 8j..8j+7 in the power basis 1, zeta, ..., zeta^7.
-Multiplication by an element of Q(zeta20) is an 8x8 rational matrix on a
-block, so a 27x27 matrix m is a 216x216 rational matrix.  IntegerAction
-scales m by D, the lcm of its denominators, and applies D * m to n x 216
-int64 rows, one vector v per row, giving the rows of D * (m v).
-
-It never forms the 216x216 matrix.  Write D * m = sum_k zeta^k M_k with
-M_k the 27x27 integer matrix of the coefficients of zeta^k (k < 8).  With
-V the n x 27 x 8 blocks of the rows and ROT[k] the 8x8 matrix of
-multiplication by zeta^k on a block, the image is sum_k M_k (V ROT[k]):
-one 27x27 product per power k that occurs (eprime uses k = 0, 4, 6).  On
-n x 27 rows of rational integers, coefficient k of the image is M_k v.  A
-block-monomial matrix (one nonzero entry per row, like f1, f2, d and ac)
-is applied as a gather of blocks and 27 8x8 products instead.
+Multiplication by c in Q(zeta20) right-multiplies a block by the 8x8
+rational matrix sum_k c_k ROT[k], ROT[k] the matrix of multiplication by
+zeta^k, so a 27x27 matrix m is a 216x216 rational matrix.  IntegerAction
+scales m by D, the lcm of its denominators, and compiles D * m once into
+the 216x216 integer matrix B whose block (j, i) right-multiplies block j
+of a row into block i.  It applies B to n x 216 int64 rows, one vector v
+per row, as the single product rows @ B, giving the rows of D * (m v).
+On n x 27 rows of rational integers (coefficient 0 of each block only) it
+uses the 27 rows B[0::8].  The action of m^T is B with its 8x8 blocks
+transposed as blocks, so it needs no second compile.
 
 There are two ways to apply it:
 
@@ -39,19 +36,34 @@ Relations and unitarity
     the automorphism zeta -> zeta^19, Q-linear on the power basis, so on a
     block it is the fixed matrix CONJ whose row j holds the coefficients of
     zeta^-j, all 0 or +-1: the conjugate of an integer block is an integer
-    block, computed without rounding.
+    block, computed without rounding.  The same images, conjugated and
+    transposed as blocks, are the columns of D * m*, and `raw` on them
+    gives D^2 * m m*, whose diagonal holds the row norms of m
+    (`generators.row_norms_are_one`).
 
 Exactness guards
-    The kernel never rounds and has no other arithmetic path.  Before each
-    application it checks 216 * max|B| * max|V| < 2^63 and raises
-    KernelOverflowError otherwise.  For a block-monomial matrix B is its
-    8x8 blocks, whose int64 partial sums have at most 8 terms.  Otherwise
-    max|B| is the sum over k of max|M_k|: an entry of V ROT[k] sums at most
-    8 terms of size max|V|, an entry of M_k (V ROT[k]) at most 27 of size
-    max|M_k| * 8 * max|V|, and the image adds those over k, so every
-    partial sum stays below 216 * max|B| * max|V|.  When the matrix is
-    compiled, 216 * 8 * c < 2^63 is checked, with c the largest coefficient
-    of D * m; both kinds of max|B| are at most 8 * c.
+    The kernel never rounds and has no other arithmetic path.  The product
+    is formed in float64 by BLAS, and it is exact: every integer of
+    magnitude at most 2^53 is a float64.  Before each application `raw`
+    checks 216 * max|B| * max|V| < 2^53 and raises KernelOverflowError
+    otherwise.  Then every entry of B and of the rows, and every product of
+    one entry of each, is such an integer.  An entry of the result is a sum
+    of at most 216 of those products; in any summation order, and with or
+    without fused multiply-add, each partial sum is an integer bounded by
+    the sum of the absolute values of its terms, below 2^53, so no
+    operation rounds.  The result is cast back to int64, and every verdict
+    is taken on those integers.  When the matrix is compiled, 216 * 8 * c
+    < 2^53 is checked, with c the largest coefficient of D * m, while the
+    coefficients are still Python integers: an entry of B sums 8
+    coefficients times 0 or +-1, so B is formed exactly in float64 and
+    max|B| <= 8c.  D < 2^53 is checked too, so ``act(rows)`` can divide in
+    float64, and skips the division when D = 1: for |p| < 2^53 and
+    1 < D < 2^53, p / D rounded to a float64 is an integer iff D divides p,
+    since it is then exact, and otherwise it lies within 2^(e-53) < 1/D of
+    p / D, with 2^e <= |p / D| < 2^53 / D, while every integer is at least
+    1/D away.  A kernel of this kind, exact floating-point products under
+    a bound on their sums, is the approach of Dumas, Gautier and Pernet,
+    "Finite field linear algebra subroutines" (ISSAC 2002).
 """
 
 from __future__ import annotations
@@ -93,45 +105,47 @@ def conj(rows):
 
 
 class IntegerAction:
-    """A 27x27 cyclotomic matrix as an exact integer map on n x 216 rows.
-
-    A block-monomial matrix (one nonzero entry per row, like f1, f2, d and
-    ac) is applied as a gather of 8-coefficient blocks and 27 8x8 products;
-    any other matrix as one 27x27 product per power of zeta.  Both are
-    int64 with the same guards.
-    """
+    """A 27x27 cyclotomic matrix as an exact integer map on n x 216 rows:
+    D times its 216x216 rational matrix, applied as one float64 product."""
 
     def __init__(self, m: ExactMatrix):
         if m.ring != RING_CYC or m.rows != 27 or m.cols != 27:
             raise ValueError("the integer kernel needs a 27x27 cyclotomic matrix")
-        den = math.lcm(*(e.den for row in m.data for e in row))
-        coeffs = [[[n * (den // e.den) for n in e.num] for e in row] for row in m.data]
-        # A block entry sums at most 8 coefficients times +-1, and the slice
-        # maxima sum to at most 8 coefficients, so this keeps both below 2^63.
-        check_range(DIM, 8 * max(abs(c) for row in coeffs for e in row for c in e), 1)
-        self._compile(np.array(coeffs, dtype=np.int64), den)
+        entries = [e for row in m.data for e in row]
+        den = math.lcm(*(e.den for e in entries))
+        scale = np.array([den // e.den for e in entries], dtype=object)[:, None]
+        coeffs = np.array([e.num for e in entries], dtype=object) * scale  # exact ints
+        self._compile(coeffs.reshape(27, 27, 8), den)
+
+    @classmethod
+    def of(cls, m: ExactMatrix):
+        """The action of m, compiled on first use and kept on the matrix,
+        which is never changed in place."""
+        if m.action is None:
+            m.action = cls(m)
+        return m.action
 
     @classmethod
     def from_coeffs(cls, coeffs, den):
         """The matrix whose entry (i, j) is coeffs[i, j] / den, coeffs a 27 x 27 x 8 int64 array."""
-        check_range(DIM, 8 * max_abs(coeffs), 1)  # as in __init__
         act = cls.__new__(cls)
         act._compile(coeffs, den)
         return act
 
     def _compile(self, coeffs, den):
-        self.den = den
-        nonzero = coeffs.any(axis=2)
-        if (nonzero.sum(axis=1) == 1).all():
-            self.src = nonzero.argmax(axis=1)
-            # blocks[i] right-multiplies block src[i] of a row into block i
-            self.blocks = np.tensordot(coeffs[np.arange(27), self.src], ROT[:8], axes=(1, 0))
-            self.max_b = max_abs(self.blocks)
-        else:
-            self.src = None
-            self.powers = np.flatnonzero(coeffs.any(axis=(0, 1)))
-            self.slices = coeffs[:, :, self.powers].transpose(2, 0, 1)
-            self.max_b = sum(max_abs(mk) for mk in self.slices)
+        """Check the bounds of the module docstring, then form B in float64:
+        block (j, i) is sum_k coeffs[i, j, k] ROT[k], its sums of 8 terms exact."""
+        check_range(DIM, 8 * max_abs(coeffs), 1, bits=53)
+        check_range(1, den, 1, bits=53)
+        dense = np.einsum("ijk,krc->jric", coeffs.astype(np.float64), ROT[:8]).reshape(DIM, DIM)
+        self.den, self.max_b, self.dense = den, max_abs(dense), dense
+
+    def transposed(self):
+        """The action of m^T: every block moved to its mirror position."""
+        act = IntegerAction.__new__(IntegerAction)
+        act.den, act.max_b = self.den, self.max_b
+        act.dense = self.dense.reshape(27, 8, 27, 8).transpose(2, 1, 0, 3).reshape(DIM, DIM)
+        return act
 
     def raw(self, rows):
         """The rows of D * (m v), with no division.
@@ -139,26 +153,16 @@ class IntegerAction:
         `rows` is n x 216, or n x 27 for vectors whose entries are rational
         integers (coefficient 0 of each block only); the result is n x 216.
         """
-        check_range(DIM, self.max_b, max_abs(rows))
-        scalar = rows.shape[1] == 27
-        if self.src is None:  # sum over k of M_k (V ROT[k]); on rational v, slot k is M_k v
-            out = np.zeros((len(rows), 27, 8), dtype=np.int64)
-            for k, mk in zip(self.powers, self.slices):
-                if scalar:
-                    out[:, :, k] = rows @ mk.T
-                else:
-                    out += np.matmul(mk, rows.reshape(-1, 27, 8) @ ROT[k])
-        elif scalar:
-            out = rows[:, self.src, None] * self.blocks[:, 0]
-        else:
-            # one 8x8 product per target block, batched over the 27 blocks
-            gathered = rows.reshape(-1, 27, 8)[:, self.src].transpose(1, 0, 2)
-            out = np.matmul(gathered, self.blocks).transpose(1, 0, 2)
-        return out.reshape(-1, DIM)
+        check_range(DIM, self.max_b, max_abs(rows), bits=53)
+        dense = self.dense if rows.shape[1] == DIM else self.dense[0::8]
+        return (rows.astype(np.float64) @ dense).astype(np.int64)
 
     def __call__(self, rows):
         """The rows of m v; the division by D must be exact."""
-        quot, rem = np.divmod(self.raw(rows), self.den)
-        if rem.any():
+        out = self.raw(rows)
+        if self.den == 1:
+            return out
+        quot = out / self.den  # exact when D divides, never integral otherwise
+        if (quot != np.trunc(quot)).any():
             raise ScaleError("an image is not integral at the scale of its preimage")
-        return quot
+        return quot.astype(np.int64)

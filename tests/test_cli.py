@@ -391,3 +391,47 @@ def test_malformed_matrix_files_exit_2(text, argv_for):
 def test_usage_errors(capsys):
     assert cli.run(["nonsense"]) == 2
     assert cli.run([]) == 2
+
+
+# -- words through eval --------------------------------------------------------
+
+_BOUND = {
+    "a": "gf41 2 2\n1 2\n3 4\n",         # invertible mod 41
+    "b": "gf41 2 2\n1 2\n2 4\n",         # singular
+    "f1": "cyc 2 2\n0 0 0 0 0 0 0 0\n1 0 0 0 0 0 0 0\n"
+          "0 1 0 0 0 0 0 0\n0 0 0 0 0 0 0 0\n",   # [[0, 1], [zeta, 0]], of finite order
+}
+
+_words = st.recursive(
+    st.sampled_from(["a", "a", "b", "f1", "f1", "ab", "af1", "x"]),
+    lambda w: st.one_of(
+        st.tuples(w, w).map(" ".join),
+        st.tuples(w, w).map("".join),
+        w.map(lambda s: f"({s})"),
+        st.tuples(w, st.integers(-13, 13)).map(lambda p: f"{p[0]}^{p[1]}"),
+        st.tuples(w, w).map(lambda p: f"{p[0]}^({p[1]})")),
+    max_leaves=6)
+
+
+@pytest.fixture(scope="module")
+def bound_files(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("bound")
+    for name, text in _BOUND.items():
+        (tmp / f"{name}.mat").write_text(text)
+    return {name: tmp / f"{name}.mat" for name in _BOUND}
+
+
+@settings(max_examples=200, deadline=None)
+@given(word=st.one_of(_words, st.text(alphabet="abf12x ()^-09", max_size=16)),
+       names=st.one_of(st.just(set(_BOUND)), st.sets(st.sampled_from(sorted(_BOUND)))))
+def test_eval_words_on_bound_files_never_trace_back(bound_files, word, names):
+    argv = [f"--word={word}"] + [f"--bind={n}={bound_files[n]}" for n in sorted(names)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(["eval", *argv])
+    assert code in (0, 1, 2), word
+    assert "Traceback" not in err.getvalue(), word
+    if code == 0:
+        assert la.parse_matrix(out.getvalue()).rows == 2 and not err.getvalue()
+    else:
+        assert err.getvalue().startswith(("error: ", "check failed: ")), word

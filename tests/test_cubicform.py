@@ -250,31 +250,39 @@ def _raw_calls_before_overflow(monkeypatch, m):
     calls = []
     raw = zkernel.IntegerAction.raw
     monkeypatch.setattr(zkernel.IntegerAction, "raw",
-                        lambda self, rows: calls.append(1) or raw(self, rows))
+                        lambda self, rows: calls.append(rows.shape) or raw(self, rows))
     with pytest.raises(zkernel.KernelOverflowError):
         cf.invariance_report(CubicForm([triple(-3, -2, -1, +1)]), m)
-    return len(calls)
+    return calls
 
 
-@pytest.mark.parametrize("exponent", [60, 50])
+# the first slot is applied to the 27 slabs of T, then the second slot's first
+# product is refused
+_FIRST_SLOT_THEN_REFUSED = [(27, 27)] * 27 + [(27, zkernel.DIM)]
+
+
+@pytest.mark.parametrize("exponent", [60, 43, 42])
 def test_invariance_refuses_int64_overflow(monkeypatch, exponent):
-    # 2^60 fails the bound when the matrix is compiled, before any product
-    # is formed; 2^50 passes it and fails before the second slot's product
+    # 2^60 and 2^43 fail the bound when the matrix is compiled (216 * 8 *
+    # 2^43 >= 2^53), before any product is formed; 2^42 passes it and the
+    # first slot's products, and fails before the second (216 * 2^42 * 2^42)
     big = la.scale_matrix(la.ExactMatrix.identity(27, la.RING_CYC),
                           cyclo.CycNum.from_int(2 ** exponent))
-    assert _raw_calls_before_overflow(monkeypatch, big) == (0 if exponent == 60 else 2)
+    expected = [] if exponent > 42 else _FIRST_SLOT_THEN_REFUSED
+    assert _raw_calls_before_overflow(monkeypatch, big) == expected
 
 
-@pytest.mark.parametrize("exponent", [52, 30])
+@pytest.mark.parametrize("exponent", [52, 42, 41, 30])
 def test_invariance_refuses_int64_overflow_of_zeta_power_products(monkeypatch, gens,
                                                                   exponent):
-    # the identity reaches only the block-monomial gather; eprime reaches the
-    # products by powers of zeta.  5 * eprime has coefficients up to 2, so
-    # 2^52 eprime fails the bound when compiled (216 * 8 * 2 * 2^52 >= 2^63),
-    # before any product; 2^30 eprime passes it and the first slot's product,
-    # and fails before the second
+    # unlike the identity, eprime has a denominator and every power of zeta
+    # up to 6.  5 * eprime has coefficients up to 2, so 2^52 and 2^42 eprime
+    # fail the bound when compiled (216 * 8 * 2 * 2^42 >= 2^53), before any
+    # product; 2^41 and 2^30 eprime pass it and the first slot's products,
+    # and fail before the second
     big = la.scale_matrix(gens.eprime, cyclo.CycNum.from_int(2 ** exponent))
-    assert _raw_calls_before_overflow(monkeypatch, big) == (0 if exponent == 52 else 2)
+    expected = [] if exponent > 41 else _FIRST_SLOT_THEN_REFUSED
+    assert _raw_calls_before_overflow(monkeypatch, big) == expected
 
 
 def test_kernel_errors_are_shared_with_orbits():

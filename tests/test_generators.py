@@ -54,9 +54,46 @@ def test_eprime_involution_and_symmetry(gens):
     assert la.transpose(gens.eprime) == gens.eprime
 
 
+def row_norm(m, i):
+    """Sum of entry * conj(entry) across row i, in CycNum arithmetic."""
+    acc = cyclo.ZERO
+    for e in m.data[i]:
+        acc = acc + e * e.conj()
+    return acc
+
+
 def test_eprime_row_norms(gens):
     for i in range(27):
-        assert generators.row_norm(gens.eprime, i) == cyclo.ONE
+        assert row_norm(gens.eprime, i) == cyclo.ONE
+    assert generators.row_norms_are_one(gens.eprime)
+
+
+def _eprime_with_doubled_entry(gens, i, j):
+    data = [list(row) for row in gens.eprime.data]
+    data[i][j] = data[i][j] + data[i][j]
+    return ExactMatrix(RING_CYC, data)
+
+
+@pytest.mark.parametrize("i, j", [(0, 0), (3, 4), (20, 22)])
+def test_row_norms_fail_with_one_entry_doubled(gens, i, j):
+    m = _eprime_with_doubled_entry(gens, i, j)
+    assert not m.data[i][j].is_zero()
+    assert [k for k in range(27) if row_norm(m, k) != cyclo.ONE] == [i]
+    assert not generators.row_norms_are_one(m)
+
+
+@pytest.mark.parametrize("name", generators.NAMES)
+def test_row_norms_of_every_generator(gens, name):
+    assert generators.row_norms_are_one(getattr(gens, name))
+
+
+def test_row_norms_make_no_scalar_products(gens, monkeypatch):
+    fresh = ExactMatrix(RING_CYC, gens.eprime.data)  # compiled inside the count
+    calls = []
+    mul = CycNum.__mul__
+    monkeypatch.setattr(CycNum, "__mul__", lambda a, b: calls.append(None) or mul(a, b))
+    assert generators.row_norms_are_one(fresh)
+    assert calls == []
 
 
 def test_eprime_entry_classes(gens):
@@ -186,8 +223,8 @@ def _raw_calls(monkeypatch):
 
 def test_verify_relations_refuses_unsafe_sets_before_any_product(gens, monkeypatch):
     calls = _raw_calls(monkeypatch)
-    # 216 * 8 * 2^53 reaches 2^63, so compiling the actions refuses it
-    huge = la.scale_matrix(gens.f1, CycNum.from_int(2 ** 53))
+    # 216 * 8 * 2^43 reaches 2^53, so compiling the actions refuses it
+    huge = la.scale_matrix(gens.f1, CycNum.from_int(2 ** 43))
     with pytest.raises(zkernel.KernelOverflowError):
         generators.verify_relations(
             generators.GeneratorSet(huge, gens.f2, gens.d, gens.ac, gens.eprime))
@@ -195,10 +232,10 @@ def test_verify_relations_refuses_unsafe_sets_before_any_product(gens, monkeypat
 
 
 def test_verify_relations_refuses_an_unsafe_power(gens, monkeypatch):
-    # 2^20 f1 compiles, and f1 and f1^2 are applied, but the third
-    # application of f1^5 would reach 216 * 2^20 * 2^40 > 2^63
+    # 2^16 f1 compiles, and f1 and f1^2 are applied, but the third
+    # application of f1^5 would reach 216 * 2^16 * 2^32 > 2^53
     calls = _raw_calls(monkeypatch)
-    big = la.scale_matrix(gens.f1, CycNum.from_int(2 ** 20))
+    big = la.scale_matrix(gens.f1, CycNum.from_int(2 ** 16))
     with pytest.raises(zkernel.KernelOverflowError):
         generators.verify_relations(
             generators.GeneratorSet(big, gens.f2, gens.d, gens.ac, gens.eprime))

@@ -58,15 +58,21 @@ def test_kernel_rejects_non_integral_image(gens, gens5):
         ob.enumerate_orbit(ob.seed_fixed_vector(), [seventh] + gens5[1:])
 
 
-@pytest.mark.parametrize("exponent", [60, 50])
-def test_kernel_refuses_int64_overflow(exponent):
-    # 2^60 fails the bound when the generator is compiled, before any
-    # product; 2^50 passes it for the seed and fails it one level later,
-    # where the next product would wrap
+@pytest.mark.parametrize("exponent", [60, 50, 22])
+def test_kernel_refuses_int64_overflow(monkeypatch, exponent):
+    # 2^60 and 2^50 fail the bound when the generator is compiled (216 * 8 *
+    # 2^50 >= 2^53), before any product; 2^22 passes it for the seed, whose
+    # stored entries are 25, and fails it one level later, where the next
+    # product would reach 216 * 2^22 * 25 * 2^22 > 2^53
+    calls = []
+    raw = zkernel.IntegerAction.raw
+    monkeypatch.setattr(zkernel.IntegerAction, "raw",
+                        lambda self, rows: calls.append(1) or raw(self, rows))
     big = la.scale_matrix(la.ExactMatrix.identity(27, la.RING_CYC),
                           cyclo.CycNum.from_int(2 ** exponent))
     with pytest.raises(ob.KernelOverflowError):
         ob.enumerate_orbit(ob.seed_fixed_vector(), [big])
+    assert len(calls) == (0 if exponent > 22 else 2)
 
 
 @pytest.mark.parametrize("which, subset", [

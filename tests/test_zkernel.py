@@ -1,4 +1,4 @@
-"""The int64 kernel against the dense 216x216 integer matrix it replaces."""
+"""The exact kernel against the dense 216x216 integer matrix in Python integers."""
 
 import math
 import random
@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tits27 import cyclo, exactlinalg as la
+from tits27 import certificates, cyclo, exactlinalg as la, generators
 from tits27 import zkernel
 from tits27.zkernel import DIM, ROT, IntegerAction, KernelOverflowError, ScaleError
 
@@ -87,13 +87,52 @@ def test_dense_division_is_exact_or_refused(gens):
 
 
 def test_dense_kernel_refuses_large_rows(gens):
-    # 5 * eprime has slice maxima 2, 1 and 1 (powers 0, 4, 6), so rows up to
-    # max|v| pass while 216 * 4 * max|v| < 2^63
+    # 5 * eprime has coefficients 0, +-1 and +-2, and so does its 216x216
+    # matrix B, so rows up to max|v| pass while 216 * 2 * max|v| < 2^53;
+    # at the limit the float64 product still equals the integer one
     act = IntegerAction(gens.eprime)
-    limit = (2 ** 63 - 1) // (DIM * 4)
-    act.raw(np.full((1, DIM), limit, dtype=np.int64))
+    assert act.max_b == 2
+    limit = (2 ** 53 - 1) // (DIM * 2)
+    rows = np.full((2, DIM), limit, dtype=np.int64)
+    rows[1, ::3] *= -1
+    assert (act.raw(rows) == reference_dense(gens.eprime, rows)).all()
     with pytest.raises(KernelOverflowError):
         act.raw(np.full((1, DIM), limit + 1, dtype=np.int64))
+    with pytest.raises(KernelOverflowError):
+        act.raw(np.full((1, 27), -limit - 1, dtype=np.int64))
+
+
+def _rows_under_the_guard(rnd, act, n, width):
+    """Mixed-sign rows with max|v| the largest value the guard accepts for act,
+    one of them signed like a column of B so that its image is as large as it gets."""
+    top = (2 ** 53 - 1) // (DIM * act.max_b)
+    rows = np.array([[rnd.choice((-1, 1)) * rnd.randint(top // 2, top) for _ in range(width)]
+                     for _ in range(n)], dtype=np.int64)
+    rows[0, 0] = top
+    col = act.dense[0::8] if width == 27 else act.dense
+    rows[1] = top * np.sign(col[:, rnd.randrange(DIM)]).astype(np.int64)
+    return rows
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_kernel_is_exact_just_under_the_guard(seed):
+    rnd = random.Random(seed)
+    m = _random_matrix(rnd)
+    act = IntegerAction(m)
+    for width in (DIM, 27):
+        rows = _rows_under_the_guard(rnd, act, 4, width)
+        expected = reference_dense(m, rows)
+        assert (act.raw(rows) == expected).all()
+        # the division by D is exact, or refused exactly when it is not
+        if (expected % act.den == 0).all():
+            assert (act(rows) == expected // act.den).all()
+        else:
+            with pytest.raises(ScaleError):
+                act(rows)
+        # D m (D w) = D (D m w) divides by D; truncation keeps max|v|
+        multiples = np.sign(rows) * (np.abs(rows) // act.den * act.den)
+        assert (act(multiples) == reference_dense(m, multiples) // act.den).all()
 
 
 @settings(max_examples=20, deadline=None)
@@ -120,3 +159,32 @@ def test_from_coeffs_matches_the_matrix_it_encodes(products):
     again = IntegerAction.from_coeffs(image.reshape(27, 27, 8).transpose(1, 0, 2), act.den)
     rows = _rows(random.Random(1), 6, DIM)
     assert (again.raw(rows) == act.raw(rows)).all()
+
+
+@pytest.mark.parametrize("name", ["eprime", "ac.eprime", "eprime.ac.f1"])
+def test_transposed_action_is_the_action_of_the_transpose(products, name):
+    m = products[name]
+    act = IntegerAction(m).transposed()
+    rows = _rows(random.Random(name), 6, DIM)
+    assert act.den == IntegerAction(m).den
+    assert (act.raw(rows) == reference_dense(la.transpose(m), rows)).all()
+
+
+def test_action_is_compiled_once_and_kept_on_the_matrix(gens):
+    m = la.ExactMatrix(la.RING_CYC, gens.eprime.data)
+    assert m.action is None
+    act = IntegerAction.of(m)
+    assert IntegerAction.of(m) is act and m.action is act
+
+
+def test_each_generator_is_compiled_once_per_certificate_run(monkeypatch):
+    # fresh generators, so that no action compiled by an earlier test is reused
+    fresh = generators.build_all.__wrapped__()
+    monkeypatch.setattr(generators, "build_all", lambda: fresh)
+    compiled = []
+    init = IntegerAction.__init__
+    monkeypatch.setattr(IntegerAction, "__init__",
+                        lambda self, m: compiled.append(m) or init(self, m))
+    assert all(ok for _, ok in certificates.rows(seed=3))
+    assert len(compiled) <= 5
+    assert {id(m) for m in compiled} <= {id(m) for m in fresh.in_order()}
