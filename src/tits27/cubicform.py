@@ -12,32 +12,58 @@ of f1 (and of f2) on its three coordinates sum to 0 mod 5, otherwise the
 diagonal subgroup could not fix the monomial.
 
 Invariance under a matrix m is checked exactly on the integer kernel of
-`zkernel`.  With T the symmetric coefficient tensor, C(x) = T(x, x, x)/6,
-so C(m x) = T'(x, x, x)/6 with
+`zkernel`, read from the compiled action of m: the 216 x 216 matrix B of
+D m, D the lcm of the denominators of m, whose 8 x 8 block (j, i) is the
+matrix of multiplication by D m_ij.  A block is zero iff its entry is.
+
+The term map.  When row i of m has a single nonzero entry, in column
+sigma(i), (m x)_i = m_i,sigma(i) x_sigma(i), so a term t = {a, b, c} whose
+three rows are single goes to the monomial x_sigma(a) x_sigma(b) x_sigma(c)
+times the product of the three entries.  Multiplication in Q(zeta20) is
+commutative and row 0 of a block holds D times its entry, so row 0 of the
+product of the three blocks holds the coefficients of D^3 times that
+product.  m is block-monomial when every row and every column of B has
+exactly one nonzero block: then sigma is a permutation, the images sigma(t)
+of distinct terms are distinct squarefree monomials, and
+
+    C(m x) = sum_t sign_t (m_a,sigma(a) m_b,sigma(b) m_c,sigma(c)) x^sigma(t)
+
+has exactly one term per term of C.  So C(m x) = C(x) iff every sigma(t) is
+a term u of C and the block product is sign_t sign_u D^3 e_0: sigma is then
+injective from the 45 terms into the 45 terms, so onto them.  The column
+condition is needed: a singular m whose rows are single but share a column
+can send two terms onto one monomial, whose coefficient is their sum.  The
+block entries are integers below 2^53 (see `zkernel`), and each of the two
+int64 products of 8-term sums is refused by `check_range` unless 8 times
+the largest entries of its two factors stays below 2^63: for 2^k times the
+identity that admits k <= 19 (8 * 2^k * 2^2k < 2^63) and refuses k >= 20.
+
+The dense path.  Other matrices are checked on the whole tensor.  With T
+the symmetric coefficient tensor, C(x) = T(x, x, x)/6, so C(m x) =
+T'(x, x, x)/6 with
 
     T'_abc = sum_ijk T_ijk m_ia m_jb m_kc,
 
 and T' is symmetric again; C(m x) = C(x) iff T' = T.  T is a 27 x 27 x 27
-array of +-1 and 0, all in coefficient slot 0 of the power basis.  With D
-the lcm of the denominators of m, the kernel action of D m^T, read off the
-compiled action of m by transposing its blocks, is applied to one slot at
-a time, with that slot moved next to the coefficient axis.  The first step
-applies it to the 27 integer coefficients of each 27 x 27 slab of T; the
-other two run on one 27 x 27 slab of the first step's result at a time, a
-(27 x 216) by (216 x 216) product each, so that only the first step's
-result is large.  The three steps give D^3 T' exactly, so m preserves C
-iff the result is D^3 T: 125 T for eprime, whose denominators are 5.  The
-kernel refuses, with KernelOverflowError, any product it could not form
-exactly.
+array of +-1 and 0, all in coefficient slot 0 of the power basis.  The
+kernel action of D m^T, read off B by transposing its blocks, is applied to
+one slot at a time, with that slot moved next to the coefficient axis.  The
+first step applies it to the 27 integer coefficients of each 27 x 27 slab
+of T; the other two run on one 27 x 27 slab of the first step's result at
+a time, a (27 x 216) by (216 x 216) product each, so that only the first
+step's result is large.  The three steps give D^3 T' exactly, so m
+preserves C iff the result is D^3 T: 125 T for eprime, whose denominators
+are 5.  The kernel refuses, with KernelOverflowError, any product it could
+not form exactly.
 
 A term t = {i, j, k} is flip-safe under m when (m x)_i (m x)_j (m x)_k =
 x_i x_j x_k.  The polynomial ring Q(zeta20)[x] is a unique factorization
 domain, x_i, x_j, x_k are pairwise non-associate primes, and each (m x)_r
 is zero or of degree 1.  So the identity holds iff each of the three
 linear forms is a scalar multiple of a different one of x_i, x_j, x_k and
-the scalars multiply to 1; that is, iff rows i, j and k of m each have
-exactly one nonzero entry, the columns of those entries are exactly
-{i, j, k}, and the three entries multiply to 1.  No expansion is needed.
+the scalars multiply to 1: iff the three rows of t are single, sigma(t) =
+t, and the block product is D^3 e_0.  This is read from the term map for
+every matrix, block-monomial or not; no expansion is needed.
 """
 
 from __future__ import annotations
@@ -50,7 +76,6 @@ import numpy as np
 from . import cyclo
 from . import zkernel
 from .cyclo import CycNum
-from . import exactlinalg as la
 from .exactlinalg import ExactMatrix
 from . import generators
 from .generators import LABELS, LABEL_INDEX, F1_EXP, F2_EXP
@@ -261,37 +286,8 @@ def _tensor_array(c: CubicForm) -> np.ndarray:
     return t
 
 
-def _flip_safe(c: CubicForm, m: ExactMatrix) -> list:
-    """The terms t = {i, j, k} of c with (m x)_i (m x)_j (m x)_k = x_i x_j x_k.
-
-    By the factorization argument in the module docstring: rows i, j and k
-    of m have one nonzero entry each, in columns {i, j, k}, with product 1.
-    """
-    single = {}
-    for i, row in enumerate(m.data):
-        nz = [(j, e) for j, e in enumerate(row) if not e.is_zero()]
-        if len(nz) == 1:
-            single[i] = nz[0]
-    out = []
-    for term in c:
-        idx = [LABEL_INDEX[lab] for lab in term.coords]
-        picks = [single.get(i) for i in idx]
-        if (None not in picks and {j for j, _ in picks} == set(idx)
-                and picks[0][1] * picks[1][1] * picks[2][1] == cyclo.ONE):
-            out.append(term)
-    return out
-
-
-def invariance_report(c: CubicForm, m: ExactMatrix):
-    """Transform the form's tensor by m exactly on the integer kernel.
-
-    Returns (invariant, flip_safe) where `invariant` says C(m x) = C(x) and
-    `flip_safe` lists, in form order, the terms t whose monomial m fixes:
-    (m x)_i (m x)_j (m x)_k = x_i x_j x_k for t = {i, j, k}.  Flipping t
-    changes C by -2 sign_t x_i x_j x_k, so for an invariant form the
-    flipped form is invariant iff t is flip-safe (expected empty for a
-    faithful dense generator).
-    """
+def _dense_invariant(c: CubicForm, m: ExactMatrix) -> bool:
+    """C(m x) = C(x) by the three-step tensor transform of the module docstring."""
     act = zkernel.IntegerAction.of(m).transposed()
     # the image is compared with D^3 T, so D^3 must be an int64 too
     d3 = act.den ** 3
@@ -312,8 +308,46 @@ def invariance_report(c: CubicForm, m: ExactMatrix):
         # rows[b, e] = D^3 T'_bea
         return np.array_equal(rows[..., 0], d3 * t[:, :, a]) and not rows[..., 1:].any()
 
-    invariant = all(slab_kept(a) for a in range(27))
-    return invariant, _flip_safe(c, m)
+    return all(slab_kept(a) for a in range(27))
+
+
+def invariance_report(c: CubicForm, m: ExactMatrix):
+    """Decide C(m x) = C(x) exactly on the integer kernel.
+
+    Returns (invariant, flip_safe) where `invariant` says C(m x) = C(x) and
+    `flip_safe` lists, in form order, the terms t whose monomial m fixes:
+    (m x)_i (m x)_j (m x)_k = x_i x_j x_k for t = {i, j, k}.  Flipping t
+    changes C by -2 sign_t x_i x_j x_k, so for an invariant form the
+    flipped form is invariant iff t is flip-safe (expected empty for a
+    faithful dense generator).  A block-monomial m is decided by its term
+    map, any other by `_dense_invariant` (see the module docstring).
+    """
+    act = zkernel.IntegerAction.of(m)
+    d3 = act.den ** 3
+    zkernel.check_range(1, d3, 1)
+    blocks = act.dense.reshape(27, 8, 27, 8)  # blocks[j, :, i] is D m_ij
+    nonzero = blocks[:, 0].any(axis=2)  # row 0 of a block holds D times its entry
+    single = nonzero.sum(axis=0) == 1
+    sigma = nonzero.argmax(axis=0)
+    idx = np.array([[LABEL_INDEX[lab] for lab in t.sorted_coords] for t in c],
+                   dtype=np.intp).reshape(-1, 3)
+    mapped = single[idx].all(axis=1)
+    # the block of the single entry of each row, for the terms whose rows are single
+    three = blocks[sigma, :, np.arange(27)].astype(np.int64)[idx[mapped]]
+    scal = three[:, 0, 0]
+    for k in (1, 2):
+        zkernel.check_range(8, zkernel.max_abs(three[:, k]), zkernel.max_abs(scal))
+        scal = np.einsum("tr,trc->tc", scal, three[:, k])
+    e0 = np.eye(8, dtype=np.int64)[0]
+    fixed = np.zeros(len(idx), dtype=bool)
+    fixed[mapped] = ((np.sort(sigma[idx[mapped]], axis=1) == idx[mapped]).all(axis=1)
+                     & (scal == d3 * e0).all(axis=1))
+    flip_safe = [t for t, ok in zip(c, fixed) if ok]
+    if not (single.all() and (nonzero.sum(axis=1) == 1).all()):
+        return _dense_invariant(c, m), flip_safe
+    signs = np.array([t.sign * (c.sign_of(LABELS[i] for i in img) or 0)
+                      for t, img in zip(c, sigma[idx])], dtype=np.int64)
+    return np.array_equal(scal, np.outer(d3 * signs, e0)), flip_safe
 
 
 def identity_vector():
@@ -342,10 +376,16 @@ def jordan_identity_check(c: CubicForm, gens) -> tuple:
     Each must fix (1,1,1;0^24) exactly, and the form must evaluate to +1 on
     it (its support is the single positive term (-3,-2,-1)).  Returns a
     tuple of `(name, ok)` pairs: one per matrix, in the order of `gens`,
-    then the form value.
+    then the form value.  Each matrix row is one kernel application to the
+    vector as a 27-column row, compared with D times its 216-column layout.
     """
+    row = np.array([[1, 1, 1] + [0] * 24], dtype=np.int64)
+    wide = np.zeros((1, zkernel.DIM), dtype=np.int64)
+    wide[:, 0::8] = row
+    checks = []
+    for name, m in gens.items():
+        act = zkernel.IntegerAction.of(m)
+        checks.append((f"{name} fixes (1,1,1;0^24)", np.array_equal(act.raw(row), act.den * wide)))
     v = identity_vector()
-    checks = [(f"{name} fixes (1,1,1;0^24)", la.matvec(m, v) == v)
-              for name, m in gens.items()]
     checks.append(("form value on fixed vector is +1", evaluate(c, v) == cyclo.ONE))
     return tuple(checks)

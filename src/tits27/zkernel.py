@@ -95,7 +95,7 @@ class ScaleError(ValueError):
 
 def max_abs(a) -> int:
     # no |a| temporary: the cubic-form tensors are 1.3 MB each
-    return max(int(a.max()), -int(a.min()))
+    return max(int(a.max(initial=0)), -int(a.min(initial=0)))
 
 
 def conj(rows):

@@ -173,16 +173,23 @@ def _term_poly(m, idx_triple):
     return {k: v for k, v in out.items() if not v.is_zero()}
 
 
-def reference_report(c, m):
-    """(invariant, flip_safe) by expanding C(m x) in CycNum arithmetic."""
+def reference_report(c, m, polys=None):
+    """(invariant, flip_safe) by expanding C(m x) in CycNum arithmetic.
+
+    `polys`, when given, is a dict of the term polynomials of m already
+    expanded, keyed by sorted index triple; new ones are added to it.
+    """
     sign_one = {1: cyclo.ONE, -1: cyclo.MINUS_ONE}
     target = {tuple(sorted(cf.LABEL_INDEX[l] for l in t.coords)): sign_one[t.sign]
               for t in c}
+    polys = {} if polys is None else polys
     total = {}
     flip_safe = []
     for t in c:
         key = tuple(sorted(cf.LABEL_INDEX[l] for l in t.coords))
-        poly = _term_poly(m, key)
+        if key not in polys:
+            polys[key] = _term_poly(m, key)
+        poly = polys[key]
         if poly == {key: cyclo.ONE}:
             flip_safe.append(t)
         for k, v in poly.items():
@@ -223,6 +230,9 @@ def _sub_form(form):
 
 def test_kernel_matches_reference_expansion(matrices, dickson):
     sizes = {}
+    # the flipped form has the same terms, so each term polynomial is
+    # expanded once per matrix and shared by both forms
+    polys = {name: {} for name in matrices}
     for form in (dickson, dickson.with_flipped((-3, 1, 4))):
         for name, m in matrices.items():
             # one full-form dense case pins the orientation m vs m^T on a
@@ -230,7 +240,7 @@ def test_kernel_matches_reference_expansion(matrices, dickson):
             full = name not in DENSE or (name == "ac.eprime" and form is dickson)
             sub = form if full else _sub_form(form)
             got = cf.invariance_report(sub, m)
-            assert got == reference_report(sub, m), name
+            assert got == reference_report(sub, m, polys[name]), name
             if form is dickson and full:
                 sizes[name] = len(got[1])
     assert sizes == {"f1": 45, "f2": 45, "d": 5, "ac": 1, "ac.eprime": 0,
@@ -245,12 +255,97 @@ def test_dense_matrices_on_the_full_form(matrices, dickson):
         assert ok == (name != "zeta3.eprime"), name
 
 
-def _raw_calls_before_overflow(monkeypatch, m):
-    """The kernel calls invariance_report makes before KernelOverflowError."""
+MONOMIAL = ("f1", "f2", "d", "ac", "identity", "zeta3")
+
+
+def _count_raw(monkeypatch):
+    """The shapes of the rows passed to IntegerAction.raw from now on."""
     calls = []
     raw = zkernel.IntegerAction.raw
     monkeypatch.setattr(zkernel.IntegerAction, "raw",
                         lambda self, rows: calls.append(rows.shape) or raw(self, rows))
+    return calls
+
+
+def test_term_map_agrees_with_the_dense_path(monkeypatch, matrices, dickson):
+    flipped = dickson.with_flipped((-3, 1, 4))
+    calls = _count_raw(monkeypatch)
+    for name in MONOMIAL:
+        m = matrices[name]
+        for form in (dickson, flipped):
+            got = cf.invariance_report(form, m)
+            assert calls == [], name  # decided by the term map
+            assert got[0] == cf._dense_invariant(form, m), name
+            assert got == reference_report(form, m), name
+            calls.clear()
+    # the dense matrices take the dense path: 27 first-slot products and 54 more
+    cf.invariance_report(dickson, matrices["eprime"])
+    assert len(calls) == 81
+
+
+def _with_entry(m, i, j, value):
+    rows = [list(row) for row in m.data]
+    rows[i][j] = value
+    return la.ExactMatrix(la.RING_CYC, rows)
+
+
+def _permutation(images):
+    """The matrix with (m x)_i = x_images[i]."""
+    return la.ExactMatrix(la.RING_CYC, [
+        [cyclo.ONE if j == images[i] else cyclo.ZERO for j in range(27)]
+        for i in range(27)])
+
+
+def test_term_map_negative_cases(gens, dickson):
+    # f1 with the entry of label 1 multiplied by zeta: every term through
+    # label 1 picks up a factor zeta
+    i = cf.LABEL_INDEX[1]
+    twisted = _with_entry(gens.f1, i, i, gens.f1.data[i][i] * cyclo.CycNum.zeta(1))
+    got = cf.invariance_report(dickson, twisted)
+    assert got == reference_report(dickson, twisted)
+    assert not got[0] and len(got[1]) == 45 - sum(1 in t.coords for t in dickson)
+
+    # swapping labels 1 and 2 moves (1, 9, 17) onto (2, 9, 17), not a term
+    a, b = cf.LABEL_INDEX[1], cf.LABEL_INDEX[2]
+    images = list(range(27))
+    images[a], images[b] = b, a
+    swap = _permutation(images)
+    assert dickson.sign_of((2, 9, 17)) is None
+    got = cf.invariance_report(dickson, swap)
+    assert got == reference_report(dickson, swap)
+    assert not got[0]
+
+    # rows a and b both read column b: a singular matrix whose rows are
+    # single but not block-monomial.  With c, e the labels 9, 17 it sends
+    # x_b x_c x_e and x_a x_c x_e both onto x_b x_c x_e, so C(m x) =
+    # 2 x_b x_c x_e, although each image is a term with the right sign
+    images[a], images[b] = b, b
+    collide = _permutation(images)
+    form = CubicForm([triple(2, 9, 17, +1), triple(1, 9, 17, +1)])
+    got = cf.invariance_report(form, collide)
+    assert got == reference_report(form, collide) == (False, [triple(2, 9, 17, +1)])
+
+
+def test_cubic_checks_make_no_scalar_products(gens, dickson, monkeypatch):
+    # compiled inside the count
+    fresh = {n: la.ExactMatrix(la.RING_CYC, m.data) for n, m in gens.as_dict().items()}
+    calls = []
+    mul = cyclo.CycNum.__mul__
+    monkeypatch.setattr(cyclo.CycNum, "__mul__", lambda a, b: calls.append(None) or mul(a, b))
+    assert all(cf.invariance_report(dickson, m)[0] for m in fresh.values())
+    assert calls == []
+    # every product the Jordan check makes is the form value's
+    rows = cf.jordan_identity_check(dickson, {n: m for n, m in fresh.items() if n != "d"})
+    assert len(rows) == 5 and all(ok for _, ok in rows)
+    made = len(calls)
+    calls.clear()
+    cf.evaluate(dickson, cf.identity_vector())
+    assert made == len(calls)
+
+
+def _raw_calls_before_overflow(monkeypatch, m):
+    """The kernel calls invariance_report makes before KernelOverflowError."""
+    calls = _count_raw(monkeypatch)
     with pytest.raises(zkernel.KernelOverflowError):
         cf.invariance_report(CubicForm([triple(-3, -2, -1, +1)]), m)
     return calls
@@ -264,12 +359,31 @@ _FIRST_SLOT_THEN_REFUSED = [(27, 27)] * 27 + [(27, zkernel.DIM)]
 @pytest.mark.parametrize("exponent", [60, 43, 42])
 def test_invariance_refuses_int64_overflow(monkeypatch, exponent):
     # 2^60 and 2^43 fail the bound when the matrix is compiled (216 * 8 *
-    # 2^43 >= 2^53), before any product is formed; 2^42 passes it and the
-    # first slot's products, and fails before the second (216 * 2^42 * 2^42)
+    # 2^43 >= 2^53); 2^42 passes it, but the identity is block-monomial, so
+    # the term map refuses its first block product (8 * 2^42 * 2^42 >= 2^63).
+    # No dense product is formed in any case
     big = la.scale_matrix(la.ExactMatrix.identity(27, la.RING_CYC),
                           cyclo.CycNum.from_int(2 ** exponent))
-    expected = [] if exponent > 42 else _FIRST_SLOT_THEN_REFUSED
-    assert _raw_calls_before_overflow(monkeypatch, big) == expected
+    assert _raw_calls_before_overflow(monkeypatch, big) == []
+
+
+def test_term_map_guard_boundary(monkeypatch):
+    """2^19 times the identity is the largest such matrix decided, 2^20 the
+    smallest refused.
+
+    D = 1 and each block is 2^k I_8.  The first block product multiplies
+    row 0 of one block, 2^k e_0, by another: 8 * 2^k * 2^k < 2^63 for
+    k <= 29.  The second multiplies the result, 2^2k e_0, by the third
+    block: 8 * 2^2k * 2^k < 2^63 iff 3k + 3 < 63, so k <= 19 passes and
+    k = 20 reaches 2^63 exactly.  For k = 19 the block product is 2^57 e_0,
+    not D^3 e_0, so the form is not invariant and no term is flip-safe.
+    """
+    form = CubicForm([triple(-3, -2, -1, +1)])
+    identity = la.ExactMatrix.identity(27, la.RING_CYC)
+    decided = la.scale_matrix(identity, cyclo.CycNum.from_int(2 ** 19))
+    assert cf.invariance_report(form, decided) == (False, [])
+    refused = la.scale_matrix(identity, cyclo.CycNum.from_int(2 ** 20))
+    assert _raw_calls_before_overflow(monkeypatch, refused) == []
 
 
 @pytest.mark.parametrize("exponent", [52, 42, 41, 30])
