@@ -1,11 +1,21 @@
 """The 45-term invariant cubic form on the 27 coordinates.
 
 A term is an unordered triple of distinct coordinate labels with a sign; the
-form is C(x) = sum sign * x_u x_v x_w.  The monomial generators permute the
-coordinates with unit scalars, so they act on signed triples directly, and
-the full form is the closure of four seed triples under that action:
+form is C(x) = sum sign * x_u x_v x_w.  The monomial generators d and ac
+permute the coordinates with unit scalars, so they map signed triples to
+signed triples, and the full form is the closure of four seed triples under
+their term maps (below):
 
     + (-3,-2,-1)    - (-3,1,4)    - (1,9,17)    + (1,10,24)
+
+A consistent closure is invariant: every term t goes to a term sigma(t) of
+the closure with the sign C(m x) gives it, and sigma is injective on the
+finite set of terms.  The closure pulls terms back (t -> sigma(t) under
+x -> m x) where one could push them forward under the columns of m; both
+give the same form.  <d, ac> is finite, so the orbit of a seed under the
+maps of g equals its orbit under those of g^-1, and on that orbit an
+invariant sign assignment is fixed by the seed's sign: the closure is the
+unique invariant one.
 
 Every term must satisfy the diagonal eigenvalue condition: the z-exponents
 of f1 (and of f2) on its three coordinates sum to 0 mod 5, otherwise the
@@ -68,14 +78,13 @@ every matrix, block-monomial or not; no expansion is needed.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from . import cyclo
 from . import zkernel
-from .cyclo import CycNum
 from .exactlinalg import ExactMatrix
 from . import generators
 from .generators import LABELS, LABEL_INDEX, F1_EXP, F2_EXP
@@ -162,86 +171,76 @@ class CubicForm:
         return f"<CubicForm {len(self.terms)} terms>"
 
 
-@dataclass(frozen=True)
-class MonomialMap:
-    """Permutation-with-scalars action of a monomial matrix on labels.
+def _term_arrays(c):
+    """The label indices of the signed triples of c, one increasing row each,
+    and their signs."""
+    idx = [[LABEL_INDEX[lab] for lab in t.sorted_coords] for t in c]
+    return (np.array(idx, dtype=np.intp).reshape(-1, 3),
+            np.array([t.sign for t in c], dtype=np.int64))
 
-    perm[u] is the label whose basis vector receives e_u, and scale[u] the
-    unit scalar attached: m e_u = scale[u] * e_perm[u].
+
+def _term_map(m: ExactMatrix, idx):
+    """The term map of m, read from its compiled blocks (module docstring).
+
+    For the terms whose label indices are the rows of `idx`, returns
+    (d3, monomial, sigma, mapped, prods): D^3; whether m is block-monomial;
+    sigma[i], the column of the first nonzero entry of row i (0 if none);
+    the mask of the terms whose three rows are single; and, for those terms
+    in order, row 0 of the product of their three blocks, the coefficients
+    of D^3 times the product of their three entries.
     """
-
-    perm: tuple
-    scale: tuple
-
-    def perm_of(self, label):
-        return self.perm[LABEL_INDEX[label]]
-
-    def scale_of(self, label):
-        return self.scale[LABEL_INDEX[label]]
-
-
-def as_monomial(m: ExactMatrix) -> MonomialMap:
-    """Extract the monomial action; fails on matrices with dense columns."""
-    if m.rows != 27 or m.cols != 27:
-        raise NotMonomialError("expected a 27x27 matrix")
-    perm = [None] * 27
-    scale = [None] * 27
-    for j in range(27):
-        nz = [i for i in range(27) if not m.data[i][j].is_zero()]
-        if len(nz) != 1:
-            raise NotMonomialError(f"column {j} has {len(nz)} nonzero entries")
-        i = nz[0]
-        perm[j] = LABELS[i]
-        scale[j] = m.data[i][j]
-    if len(set(perm)) != 27:
-        raise NotMonomialError("repeated target row")
-    return MonomialMap(tuple(perm), tuple(scale))
-
-
-def act_on_triple(g: MonomialMap, t: SignedTriple) -> SignedTriple:
-    """Push a signed triple through a monomial map.
-
-    The image coefficient picks up the product of the three scalars, which
-    must be +-1 for the triple to stay sign-valued.
-    """
-    prod = cyclo.ONE
-    for c in t.coords:
-        prod = prod * g.scale_of(c)
-    if prod == cyclo.ONE:
-        s = 1
-    elif prod == cyclo.MINUS_ONE:
-        s = -1
-    else:
-        raise NonRealSignError(f"scalar product {prod} is not +-1 on {t.sorted_coords}")
-    return SignedTriple(frozenset(g.perm_of(c) for c in t.coords), t.sign * s)
+    act = zkernel.IntegerAction.of(m)
+    d3 = act.den ** 3
+    zkernel.check_range(1, d3, 1)
+    blocks = act.dense.reshape(27, 8, 27, 8)  # blocks[j, :, i] is D m_ij
+    nonzero = blocks[:, 0].any(axis=2)  # row 0 of a block holds D times its entry
+    single = nonzero.sum(axis=0) == 1
+    monomial = bool(single.all() and (nonzero.sum(axis=1) == 1).all())
+    sigma = nonzero.argmax(axis=0)
+    mapped = single[idx].all(axis=1)
+    # the block of the single entry of each row, for the terms whose rows are single
+    three = blocks[sigma, :, np.arange(27)].astype(np.int64)[idx[mapped]]
+    prods = three[:, 0, 0]
+    for k in (1, 2):
+        zkernel.check_range(8, zkernel.max_abs(three[:, k]), zkernel.max_abs(prods))
+        prods = np.einsum("tr,trc->tc", prods, three[:, k])
+    return d3, monomial, sigma, mapped, prods
 
 
 def close_terms(seeds, gens) -> CubicForm:
-    """Breadth-first closure of seed triples under monomial maps.
+    """Breadth-first closure of seed triples under the term maps of `gens`.
 
-    Deterministic for a fixed seed and generator order; the resulting term
-    set is order-independent.  Reaching one coordinate set with both signs
-    raises SignConflictError.
+    Each level of new terms goes through the term map of each matrix once:
+    t goes to sigma(t) with sign sign_t * s, where s D^3 e_0 is its block
+    product.  A matrix that is not block-monomial raises NotMonomialError,
+    any other block product NonRealSignError, and a coordinate set reached
+    with both signs SignConflictError.  The resulting form does not depend
+    on the order of the seeds or of the matrices.
     """
     signs = {}
-    queue = []
     for t in seeds:
-        prev = signs.setdefault(t.coords, t.sign)
-        if prev != t.sign:
+        if signs.setdefault(t.coords, t.sign) != t.sign:
             raise SignConflictError(f"conflicting seed signs on {t.sorted_coords}")
-        queue.append(t)
-    i = 0
-    while i < len(queue):
-        t = queue[i]
-        i += 1
-        for g in gens:
-            u = act_on_triple(g, t)
-            prev = signs.get(u.coords)
-            if prev is None:
-                signs[u.coords] = u.sign
-                queue.append(u)
-            elif prev != u.sign:
-                raise SignConflictError(f"sign conflict reaching {u.sorted_coords}")
+    level = [SignedTriple(c, s) for c, s in signs.items()]
+    while level:
+        idx, level_signs = _term_arrays(level)
+        new = []
+        for m in gens:
+            d3, monomial, sigma, _, prods = _term_map(m, idx)
+            if not monomial:
+                raise NotMonomialError("every row and column needs exactly one nonzero entry")
+            real = (np.abs(prods[:, 0]) == d3) & ~prods[:, 1:].any(axis=1)
+            if not real.all():
+                raise NonRealSignError(f"the scalar product on "
+                                       f"{level[int(real.argmin())].sorted_coords} is not +-1")
+            for img, sign in zip(sigma[idx], level_signs * np.sign(prods[:, 0])):
+                u = SignedTriple(frozenset(LABELS[i] for i in img), int(sign))
+                if u.coords not in signs:
+                    signs[u.coords] = u.sign
+                    new.append(u)
+                elif signs[u.coords] != u.sign:
+                    raise SignConflictError(f"sign conflict reaching {u.sorted_coords}")
+        level = new
     return CubicForm(SignedTriple(c, s) for c, s in signs.items())
 
 
@@ -257,32 +256,19 @@ def eigenvalue_check(t: SignedTriple) -> bool:
 def dickson_form() -> CubicForm:
     """The 45-term form: closure of the seeds under the monomial generators."""
     g = generators.build_all()
-    form = close_terms(SEEDS, (as_monomial(g.d), as_monomial(g.ac)))
+    form = close_terms(SEEDS, (g.d, g.ac))
     assert len(form) == 45
     return form
 
 
-def to_tensor(c: CubicForm) -> dict:
-    """The fully symmetric coefficient tensor as a sparse dict on labels.
-
-    T[(u, v, w)] = sign for every ordering of each term; 45 terms give 270
-    nonzero entries, and C(x) = T(x, x, x)/6.
-    """
-    t = {}
-    sign_one = {1: cyclo.ONE, -1: cyclo.MINUS_ONE}
-    for term in c:
-        a, b, d = term.sorted_coords
-        val = sign_one[term.sign]
-        for key in ((a, b, d), (a, d, b), (b, a, d), (b, d, a), (d, a, b), (d, b, a)):
-            t[key] = val
-    return t
-
-
 def _tensor_array(c: CubicForm) -> np.ndarray:
-    """to_tensor as a 27 x 27 x 27 int64 array on label indices; entries +-1."""
+    """The fully symmetric coefficient tensor of c on label indices, a
+    27 x 27 x 27 int64 array: T[u, v, w] = sign for every ordering of each
+    term, 270 nonzero entries for 45 terms, and C(x) = T(x, x, x)/6."""
+    idx, signs = _term_arrays(c)
     t = np.zeros((27, 27, 27), dtype=np.int64)
-    for key, val in to_tensor(c).items():
-        t[tuple(LABEL_INDEX[lab] for lab in key)] = val.num[0]
+    for order in itertools.permutations(idx.T):
+        t[order] = signs
     return t
 
 
@@ -322,51 +308,17 @@ def invariance_report(c: CubicForm, m: ExactMatrix):
     faithful dense generator).  A block-monomial m is decided by its term
     map, any other by `_dense_invariant` (see the module docstring).
     """
-    act = zkernel.IntegerAction.of(m)
-    d3 = act.den ** 3
-    zkernel.check_range(1, d3, 1)
-    blocks = act.dense.reshape(27, 8, 27, 8)  # blocks[j, :, i] is D m_ij
-    nonzero = blocks[:, 0].any(axis=2)  # row 0 of a block holds D times its entry
-    single = nonzero.sum(axis=0) == 1
-    sigma = nonzero.argmax(axis=0)
-    idx = np.array([[LABEL_INDEX[lab] for lab in t.sorted_coords] for t in c],
-                   dtype=np.intp).reshape(-1, 3)
-    mapped = single[idx].all(axis=1)
-    # the block of the single entry of each row, for the terms whose rows are single
-    three = blocks[sigma, :, np.arange(27)].astype(np.int64)[idx[mapped]]
-    scal = three[:, 0, 0]
-    for k in (1, 2):
-        zkernel.check_range(8, zkernel.max_abs(three[:, k]), zkernel.max_abs(scal))
-        scal = np.einsum("tr,trc->tc", scal, three[:, k])
+    idx, signs = _term_arrays(c)
+    d3, monomial, sigma, mapped, prods = _term_map(m, idx)
     e0 = np.eye(8, dtype=np.int64)[0]
     fixed = np.zeros(len(idx), dtype=bool)
     fixed[mapped] = ((np.sort(sigma[idx[mapped]], axis=1) == idx[mapped]).all(axis=1)
-                     & (scal == d3 * e0).all(axis=1))
+                     & (prods == d3 * e0).all(axis=1))
     flip_safe = [t for t, ok in zip(c, fixed) if ok]
-    if not (single.all() and (nonzero.sum(axis=1) == 1).all()):
+    if not monomial:
         return _dense_invariant(c, m), flip_safe
-    signs = np.array([t.sign * (c.sign_of(LABELS[i] for i in img) or 0)
-                      for t, img in zip(c, sigma[idx])], dtype=np.int64)
-    return np.array_equal(scal, np.outer(d3 * signs, e0)), flip_safe
-
-
-def identity_vector():
-    """(1, 1, 1; 0^24) in storage order."""
-    return (cyclo.ONE,) * 3 + (cyclo.ZERO,) * 24
-
-
-def evaluate(c: CubicForm, entries) -> CycNum:
-    """The value of the form on a vector of 27 scalars."""
-    sign_one = {1: cyclo.ONE, -1: cyclo.MINUS_ONE}
-    acc = cyclo.ZERO
-    for t in c:
-        prod = sign_one[t.sign]
-        for lab in t.coords:
-            prod = prod * entries[LABEL_INDEX[lab]]
-            if prod.is_zero():
-                break
-        acc = acc + prod
-    return acc
+    signs *= [c.sign_of(LABELS[i] for i in img) or 0 for img in sigma[idx]]
+    return np.array_equal(prods, np.outer(d3 * signs, e0)), flip_safe
 
 
 def jordan_identity_check(c: CubicForm, gens) -> tuple:
@@ -377,7 +329,8 @@ def jordan_identity_check(c: CubicForm, gens) -> tuple:
     it (its support is the single positive term (-3,-2,-1)).  Returns a
     tuple of `(name, ok)` pairs: one per matrix, in the order of `gens`,
     then the form value.  Each matrix row is one kernel application to the
-    vector as a 27-column row, compared with D times its 216-column layout.
+    vector as a 27-column row, compared with D times its 216-column layout;
+    the form value is the integer sum of sign_t x_u x_v x_w over the terms.
     """
     row = np.array([[1, 1, 1] + [0] * 24], dtype=np.int64)
     wide = np.zeros((1, zkernel.DIM), dtype=np.int64)
@@ -386,6 +339,7 @@ def jordan_identity_check(c: CubicForm, gens) -> tuple:
     for name, m in gens.items():
         act = zkernel.IntegerAction.of(m)
         checks.append((f"{name} fixes (1,1,1;0^24)", np.array_equal(act.raw(row), act.den * wide)))
-    v = identity_vector()
-    checks.append(("form value on fixed vector is +1", evaluate(c, v) == cyclo.ONE))
+    idx, signs = _term_arrays(c)
+    value = int((signs * row[0, idx].prod(axis=1)).sum())
+    checks.append(("form value on fixed vector is +1", value == 1))
     return tuple(checks)

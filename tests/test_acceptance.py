@@ -97,8 +97,7 @@ def test_06_cubic_form(certificate, gens):
         "cubic form has 45 terms", "every term passes the eigenvalue test",
         *(f"cubic form invariant under {n}" for n in generators.NAMES),
         "every single sign flip breaks eprime invariance"))
-    mono = (cubicform.as_monomial(gens.d), cubicform.as_monomial(gens.ac))
-    sizes = [len(cubicform.close_terms([s], mono)) for s in cubicform.SEEDS]
+    sizes = [len(cubicform.close_terms([s], (gens.d, gens.ac))) for s in cubicform.SEEDS]
     assert sizes == [1, 12, 16, 16]
     _report("6. 45-term cubic form, seed orbits, exact invariance, flips", t0)
 

@@ -1,52 +1,90 @@
 """The 45-term cubic form: closure, eigenvalue filter, exact invariance."""
 
+import math
+
+import numpy as np
 import pytest
 
-from tits27 import cubicform as cf, cyclo, exactlinalg as la, orbits, zkernel
+from tits27 import certificates, cubicform as cf, cyclo, exactlinalg as la, gf41, orbits, zkernel
 from tits27.cubicform import (CubicForm, NonRealSignError, NotMonomialError,
-                              SignConflictError, SignedTriple, act_on_triple,
-                              as_monomial, close_terms, eigenvalue_check, triple)
+                              SignConflictError, SignedTriple, close_terms, eigenvalue_check,
+                              triple)
 
 
 @pytest.fixture(scope="module")
 def monomials(gens):
-    return as_monomial(gens.d), as_monomial(gens.ac)
+    return gens.d, gens.ac
 
 
-def test_as_monomial_extracts_scalars(gens, monomials):
-    dm, am = monomials
-    scalars = set(dm.scale)
-    assert scalars <= {cyclo.ONE, cyclo.MINUS_ONE, cyclo.I, -cyclo.I}
-    assert set(am.scale) == {cyclo.ONE}
-    assert sorted(dm.perm) == sorted(cf.LABELS)
+def _sigma(m):
+    """The column sigma(i) of the entry of each row of m, read from the term map."""
+    _, monomial, sigma, _, _ = cf._term_map(m, np.zeros((0, 3), dtype=np.intp))
+    assert monomial
+    return sigma
 
 
-def test_as_monomial_rejects_dense(gens):
+def _entries(m):
+    """The entry m_i,sigma(i) of each row."""
+    return [m.data[i][j] for i, j in enumerate(_sigma(m))]
+
+
+def _step(m, t):
+    """The image of the signed triple t under the term map of m."""
+    idx, _ = cf._term_arrays([t])
+    d3, monomial, sigma, mapped, prods = cf._term_map(m, idx)
+    assert monomial and mapped.all() and not prods[0, 1:].any()
+    assert abs(prods[0, 0]) == d3
+    return SignedTriple(frozenset(cf.LABELS[i] for i in sigma[idx[0]]),
+                        t.sign * int(np.sign(prods[0, 0])))
+
+
+def test_term_map_reads_monomial_generators(monomials):
+    d, ac = monomials
+    assert set(_entries(d)) <= {cyclo.ONE, cyclo.MINUS_ONE, cyclo.I, -cyclo.I}
+    assert set(_entries(ac)) == {cyclo.ONE}
+    for m in monomials:
+        assert sorted(_sigma(m)) == list(range(27))
+
+
+def test_closure_rejects_dense(gens):
     with pytest.raises(NotMonomialError):
-        as_monomial(gens.eprime)
+        close_terms(cf.SEEDS, [gens.eprime])
 
 
-def test_act_on_triple_examples(monomials):
-    dm, am = monomials
-    t = triple(-3, -2, -1, +1)
-    # d scales the corner by (1, -1, -1): product +1, same triple
-    assert act_on_triple(dm, t) == t
-    # ac cycles the corner without signs
-    assert act_on_triple(am, t) == t
-    ident = cf.MonomialMap(tuple(cf.LABELS), (cyclo.ONE,) * 27)
+def test_closure_step_examples(monomials, dickson):
+    d, ac = monomials
+    # d scales the corner by (1, -1, -1): product +1, same triple; ac cycles
+    # it without signs
+    images = {
+        "d": [triple(-3, -2, -1, +1), triple(-3, 1, 4, -1),
+              triple(1, 13, 23, +1), triple(1, 14, 19, +1)],
+        "ac": [triple(-3, -2, -1, +1), triple(-2, 18, 19, -1),
+               triple(2, 10, 18, -1), triple(4, 15, 18, +1)],
+    }
+    for name, m in (("d", d), ("ac", ac)):
+        got = [_step(m, s) for s in cf.SEEDS]
+        assert got == images[name], name
+        assert all(dickson.sign_of(u.coords) == u.sign for u in got)
+    identity = la.ExactMatrix.identity(27, la.RING_CYC)
     u = triple(1, 9, 17, -1)
-    assert act_on_triple(ident, u) == u
+    assert _step(identity, u) == u
+    assert close_terms([u], [identity]) == CubicForm([u])
 
 
-def test_act_on_triple_rejects_complex_scalar(gens, monomials):
-    dm, _ = monomials
-    # a triple hitting exactly one +-i scalar of d has a non-real product
-    idx = next(i for i, s in enumerate(dm.scale) if s == cyclo.I)
-    lab = cf.LABELS[idx]
-    others = [l for l in (1, 2, 3, 4, 5) if l != lab][:2]
-    bad = triple(lab, others[0], others[1], +1)
+def test_closure_rejects_complex_scalar(monomials):
+    d, _ = monomials
+    # a triple through exactly one +-i entry of d has a non-real product
+    entries = _entries(d)
+    lab = next(cf.LABELS[i] for i, e in enumerate(entries) if e == cyclo.I)
+    real = [cf.LABELS[i] for i, e in enumerate(entries) if e in (cyclo.ONE, cyclo.MINUS_ONE)]
+    bad = triple(lab, real[0], real[1], +1)
     with pytest.raises(NonRealSignError):
-        act_on_triple(dm, bad)
+        close_terms([bad], [d])
+    # 1 + i has coefficient 0 equal to 1, and is still not a sign
+    i = cf.LABEL_INDEX[1]
+    skew = _with_entry(la.ExactMatrix.identity(27, la.RING_CYC), i, i, cyclo.ONE + cyclo.I)
+    with pytest.raises(NonRealSignError):
+        close_terms([triple(1, 9, 17, +1)], [skew])
 
 
 def test_closure_gives_45_terms(dickson):
@@ -76,13 +114,22 @@ def test_flipped_seed_detected_by_invariance(gens, monomials):
 
 
 def test_sign_conflict_from_negative_loop():
-    # a monomial map fixing a triple setwise with scale product -1 forces
+    # a diagonal matrix fixing a triple setwise with entry product -1 forces
     # both signs onto one coordinate set
-    scale = [cyclo.ONE] * 27
-    scale[cf.LABEL_INDEX[1]] = cyclo.MINUS_ONE
-    flipper = cf.MonomialMap(tuple(cf.LABELS), tuple(scale))
+    i = cf.LABEL_INDEX[1]
+    flipper = _with_entry(la.ExactMatrix.identity(27, la.RING_CYC), i, i, cyclo.MINUS_ONE)
     with pytest.raises(SignConflictError):
         close_terms([triple(1, 9, 17, +1)], [flipper])
+
+
+def test_closure_rejects_column_collision():
+    # rows 1 and 2 both read column 2: every row is single, but the matrix is
+    # singular and not block-monomial
+    a, b = cf.LABEL_INDEX[1], cf.LABEL_INDEX[2]
+    images = list(range(27))
+    images[a] = b
+    with pytest.raises(NotMonomialError):
+        close_terms([triple(1, 9, 17, +1)], [_permutation(images)])
 
 
 def test_eigenvalue_check_examples():
@@ -103,13 +150,15 @@ def test_block_structure(dickson):
 
 
 def test_tensor_counts(dickson):
-    tens = cf.to_tensor(dickson)
-    assert len(tens) == 270
-    assert cf.to_tensor(CubicForm([])) == {}
-    single = CubicForm([triple(-3, -2, -1, +1)])
-    t1 = cf.to_tensor(single)
-    assert len(t1) == 6
-    assert all(v == cyclo.ONE for v in t1.values())
+    tens = cf._tensor_array(dickson)
+    assert np.count_nonzero(tens) == 270
+    assert set(np.unique(tens)) == {-1, 0, 1}
+    for axes in ((1, 0, 2), (0, 2, 1), (2, 1, 0), (1, 2, 0), (2, 0, 1)):
+        assert np.array_equal(tens.transpose(axes), tens)
+    assert not cf._tensor_array(CubicForm([])).any()
+    t1 = cf._tensor_array(CubicForm([triple(-3, -2, -1, +1)]))
+    assert np.count_nonzero(t1) == 6
+    assert set(t1[t1 != 0]) == {1}
 
 
 def test_invariance_under_all_generators(gens, dickson):
@@ -137,8 +186,10 @@ def test_signed_triple_validation():
 
 
 def test_form_evaluation(dickson):
-    v = cf.identity_vector()
-    assert cf.evaluate(dickson, v) == cyclo.ONE
+    # with no matrices the Jordan check is the form value row alone
+    assert cf.jordan_identity_check(dickson, {}) == (("form value on fixed vector is +1", True),)
+    flipped = dickson.with_flipped((-3, -2, -1))
+    assert cf.jordan_identity_check(flipped, {}) == (("form value on fixed vector is +1", False),)
 
 
 def test_jordan_identity_check(gens, dickson):
@@ -146,7 +197,7 @@ def test_jordan_identity_check(gens, dickson):
     rows = cf.jordan_identity_check(dickson, fix)
     assert all(ok for _, ok in rows)
     # d moves the vector: (1,1,1;0) -> (1,-1,-1;0)
-    v = cf.identity_vector()
+    v = (cyclo.ONE,) * 3 + (cyclo.ZERO,) * 24
     dv = la.matvec(gens.d, v)
     assert dv != v
     assert dv == (cyclo.ONE, cyclo.MINUS_ONE, cyclo.MINUS_ONE) + (cyclo.ZERO,) * 24
@@ -155,32 +206,59 @@ def test_jordan_identity_check(gens, dickson):
 
 
 # -- the term-by-term expansion that the kernel replaced, as a reference ----
+#
+# Fraction-free on plain int tuples: the entries of D m, D the lcm of the
+# denominators of m, as 8 power-basis coefficients, multiplied in Z[zeta20]
+# with zeta^8 = zeta^6 - zeta^4 + zeta^2 - 1.  C(m x) = C(x) iff the
+# expansion of C(D m x) is D^3 times C.
 
-def _term_poly(m, idx_triple):
-    """Coefficients of prod_k (m x)_{i_k} as a dict on sorted index triples."""
-    nz = []
-    for i in idx_triple:
-        row = m.data[i]
-        nz.append([(j, e) for j, e in enumerate(row) if not e.is_zero()])
+def _times(a, b):
+    """The product of two elements of Z[zeta20] given as coefficient 8-tuples."""
+    c = [0] * 15
+    for p, ap in enumerate(a):
+        if ap:
+            for q, bq in enumerate(b):
+                c[p + q] += ap * bq
+    for k in range(14, 7, -1):  # zeta^k = zeta^(k-2) - zeta^(k-4) + zeta^(k-6) - zeta^(k-8)
+        v = c[k]
+        if v:
+            c[k - 2] += v
+            c[k - 4] -= v
+            c[k - 6] += v
+            c[k - 8] -= v
+    return tuple(c[:8])
+
+
+def _scaled_rows(m):
+    """D, and the nonzero entries of each row of D m as (column, 8-tuple) pairs."""
+    den = math.lcm(*(e.den for row in m.data for e in row))
+    return den, [[(j, tuple(n * (den // e.den) for n in e.num))
+                  for j, e in enumerate(row) if not e.is_zero()] for row in m.data]
+
+
+def _term_poly(rows, idx_triple):
+    """Coefficients of prod_k (D m x)_{i_k} as a dict on sorted index triples."""
+    r0, r1, r2 = (rows[i] for i in idx_triple)
     out = {}
-    zero = cyclo.ZERO
-    for a, ca in nz[0]:
-        for b, cb in nz[1]:
-            cab = ca * cb
-            for c, cc in nz[2]:
-                key = tuple(sorted((a, b, c)))
-                out[key] = out.get(key, zero) + cab * cc
-    return {k: v for k, v in out.items() if not v.is_zero()}
+    for a, ca in r0:
+        for b, cb in r1:
+            cab = _times(ca, cb)
+            for c, cc in r2:
+                acc = out.setdefault(tuple(sorted((a, b, c))), [0] * 8)
+                for n, v in enumerate(_times(cab, cc)):
+                    acc[n] += v
+    return {k: tuple(v) for k, v in out.items() if any(v)}
 
 
 def reference_report(c, m, polys=None):
-    """(invariant, flip_safe) by expanding C(m x) in CycNum arithmetic.
+    """(invariant, flip_safe) by expanding C(D m x) in integer arithmetic.
 
     `polys`, when given, is a dict of the term polynomials of m already
     expanded, keyed by sorted index triple; new ones are added to it.
     """
-    sign_one = {1: cyclo.ONE, -1: cyclo.MINUS_ONE}
-    target = {tuple(sorted(cf.LABEL_INDEX[l] for l in t.coords)): sign_one[t.sign]
+    den, rows = _scaled_rows(m)
+    d3 = (den ** 3,) + (0,) * 7
+    target = {tuple(sorted(cf.LABEL_INDEX[l] for l in t.coords)): tuple(t.sign * v for v in d3)
               for t in c}
     polys = {} if polys is None else polys
     total = {}
@@ -188,16 +266,16 @@ def reference_report(c, m, polys=None):
     for t in c:
         key = tuple(sorted(cf.LABEL_INDEX[l] for l in t.coords))
         if key not in polys:
-            polys[key] = _term_poly(m, key)
+            polys[key] = _term_poly(rows, key)
         poly = polys[key]
-        if poly == {key: cyclo.ONE}:
+        if poly == {key: d3}:
             flip_safe.append(t)
         for k, v in poly.items():
-            acc = total.get(k, cyclo.ZERO) + sign_one[t.sign] * v
-            if acc.is_zero():
-                total.pop(k, None)
-            else:
+            acc = tuple(a + t.sign * b for a, b in zip(total.get(k, (0,) * 8), v))
+            if any(acc):
                 total[k] = acc
+            else:
+                total.pop(k, None)
     return total == target, flip_safe
 
 
@@ -220,7 +298,7 @@ DENSE = ("eprime", "ac.eprime", "eprime.ac.f1", "zeta3.eprime")
 
 
 def _sub_form(form):
-    # the expansion costs about 13,000 CycNum operations per term under a
+    # the expansion costs about 7,000 products of 8-tuples per term under a
     # dense matrix, so dense cases run on the first three terms, which
     # include the flippable (-3, 1, 4)
     sub = CubicForm(form.terms[:3])
@@ -332,15 +410,20 @@ def test_cubic_checks_make_no_scalar_products(gens, dickson, monkeypatch):
     calls = []
     mul = cyclo.CycNum.__mul__
     monkeypatch.setattr(cyclo.CycNum, "__mul__", lambda a, b: calls.append(None) or mul(a, b))
+    cf.dickson_form.cache_clear()
+    assert cf.dickson_form() == dickson
+    assert close_terms(cf.SEEDS, (fresh["d"], fresh["ac"])) == dickson
     assert all(cf.invariance_report(dickson, m)[0] for m in fresh.values())
-    assert calls == []
-    # every product the Jordan check makes is the form value's
     rows = cf.jordan_identity_check(dickson, {n: m for n, m in fresh.items() if n != "d"})
     assert len(rows) == 5 and all(ok for _, ok in rows)
+    assert calls == []
+    # with the generators built, the fast certificates make only the
+    # products of the mod-41 lift table
+    assert all(ok for _, ok in certificates.rows(fast=True))
     made = len(calls)
     calls.clear()
-    cf.evaluate(dickson, cf.identity_vector())
-    assert made == len(calls)
+    gf41.lift_table()
+    assert made == len(calls) > 0
 
 
 def _raw_calls_before_overflow(monkeypatch, m):
