@@ -51,11 +51,19 @@ Stabilizer chain
 
   * base points are chosen as the smallest point moved by the residue that
     creates each level;
-  * each level stores the orbit of its base point under all strong
-    generators assigned at its depth or deeper, and its transversal as two
-    tables filled by one BFS: row r of `u` maps the base point to the r-th
-    point visited, row r of `uinv` is its inverse, and `pos[x]` is the row
-    of point x (-1 off the orbit);
+  * each strong generator is stored with its inverse, formed once when the
+    generator is added;
+  * each level keeps the orbit of its base point under all strong generators
+    assigned at its depth or deeper, as `pos[x]` (the BFS visit number of
+    point x, -1 off the orbit), the BFS tree (`steps`: each layer's points,
+    their parents and the generators that reached them) and the table
+    `uinv`, whose row r is the inverse of u_e for the r-th point e visited,
+    where u_e = s_k u_d if generator s_k first reached e from d; sifting maps
+    arbitrary images through `uinv`, so it is kept for every point;
+  * u itself is formed only on the test points (see Known base), from the
+    tree, while the level's Schreier generators u_e^-1 s u_d are sifted, and
+    again whenever a new base point joins the test points; the one full row
+    u_d that a residue needs is the inverse of row d of `uinv`;
   * every Schreier generator of a level is sifted through the deeper levels,
     and nontrivial residues are appended where they escape.
 
@@ -96,10 +104,17 @@ Batches
     sifted in batches against the chain as it stands.  The chain changes
     only when a residue is added, so every row before the first one with a
     nontrivial residue sifts to the identity exactly as it would one at a
-    time.  That row is then formed in full, sifted and added, and the rows
-    after it are sifted again against the new chain.  The base and the
-    strong generators, in their order, are therefore those of sifting one
-    Schreier generator at a time.
+    time.  That row is then formed in full, sifted and added, and the next
+    batch starts at the row after it, against the new chain.  This holds
+    for batches of any size, so the base and the strong generators, in
+    their order, are those of sifting one Schreier generator at a time,
+    whatever the sizes are.  A batch starts at 64 rows and doubles after
+    each batch that sifts clean, up to 2^20 // |Q| rows, which bounds the
+    temporaries; after a residue it starts again at 64.  Residues come
+    early and close together (the 7 of the 2304-point level all come within
+    its first 107 of 11,520 rows), and every row after the first escape in
+    a batch is formed again, so small batches there and large ones later
+    form each row about once.
 
 The degree-2304 orbit and order 17,971,200 with a transitive action and a
 point stabilizer of order 7,800 are recorded here as the certificate that
@@ -385,24 +400,33 @@ def _bfs(gens, beta):
 
 
 class _Level:
-    """A base point, its strong generators and its transversal tables."""
+    """A base point, its strong generators with their inverses, and its
+    transversal: `pos`, `points`, the BFS `steps` and the `uinv` table."""
 
     def __init__(self, beta):
-        self.beta, self.gens = beta, []
+        self.beta, self.gens, self.ginvs = beta, [], []
 
-    def build(self, gens):
-        """Rebuild the transversal under `gens` by one BFS, filled layer by layer."""
-        g = np.array(gens)
-        self.pos, steps = _bfs(g, self.beta)
+    def build(self, gens, ginvs):
+        """Rebuild the orbit and `uinv` under `gens` by one BFS, layer by layer."""
+        self.pos, self.steps = _bfs(np.array(gens), self.beta)
         self.points = np.flatnonzero(self.pos >= 0)
-        ginv = np.argsort(g, axis=1).astype(g.dtype)
-        self.u, self.uinv = np.empty((2, len(self.points), g.shape[1]), dtype=g.dtype)
-        self.u[0] = self.uinv[0] = np.arange(g.shape[1])
-        for new, parent, label in steps:  # u_e = s_k u_d and u_e^-1 = u_d^-1 s_k^-1
-            for k in range(len(g)):
-                rows, up = new[label == k], parent[label == k]
-                self.u[rows] = np.take(g[k], self.u[up])
-                self.uinv[rows] = np.take(self.uinv[up], ginv[k], axis=1)
+        self.uinv = np.empty((len(self.points), len(self.pos)), dtype=gens[0].dtype)
+        self.uinv[0] = np.arange(len(self.pos))
+        for new, parent, label in self.steps:  # u_e^-1 = u_d^-1 s_k^-1 for e = s_k(d)
+            for k, ginv in enumerate(ginvs):
+                pick = label == k
+                self.uinv[new[pick]] = np.take(self.uinv[parent[pick]], ginv, axis=1)
+
+    def u_on(self, gens, cols):
+        """Row r: the images of the points `cols` under u_e, e the r-th point
+        visited, filled along the BFS tree (u_e = s_k u_d)."""
+        u = np.empty((len(self.points), len(cols)), dtype=cols.dtype)
+        u[0] = cols
+        for new, parent, label in self.steps:
+            for k, g in enumerate(gens):
+                pick = label == k
+                u[new[pick]] = g[u[parent[pick]]]
+        return u
 
 
 def _gather(table, rows, a):
@@ -444,10 +468,10 @@ class StabChain:
         return bool(j == len(self._levels) and (h == np.arange(self.degree)).all())
 
 
-def _schreier(lv, gens, d, s, cols):
-    """Images of the points `cols` under u_e^-1 s u_d, e = s(d), one row per (d, s)."""
-    a = _gather(gens, s, _gather(lv.u, lv.pos[d], cols[None]))
-    return _gather(lv.uinv, lv.pos[gens[s, d]], a)
+def _schreier(lv, gens, d, s, ud):
+    """Images under u_e^-1 s u_d, e = s(d), one row per (d, s), of the points
+    whose images under u_d are the row's entries of `ud`."""
+    return _gather(lv.uinv, lv.pos[gens[s, d]], _gather(gens, s, ud))
 
 
 def build_stab_chain(pset: PermSet) -> StabChain:
@@ -467,9 +491,13 @@ def build_stab_chain(pset: PermSet) -> StabChain:
                 return
             levels.append(_Level(int(moved[0])))
             test[int(moved[0])] = None
+        hinv = np.empty_like(h)
+        hinv[h] = ident
         levels[j].gens.append(h)
+        levels[j].ginvs.append(hinv)
         for k in range(lowest, j + 1):
-            levels[k].build([g for lv in levels[k:] for g in lv.gens])
+            levels[k].build([g for lv in levels[k:] for g in lv.gens],
+                            [g for lv in levels[k:] for g in lv.ginvs])
 
     for p in pset.perms:
         add(np.array(p, dtype=ident.dtype), 0)
@@ -478,15 +506,21 @@ def build_stab_chain(pset: PermSet) -> StabChain:
         gens = np.array([g for deeper in levels[i:] for g in deeper.gens])
         d = np.repeat(lv.points, len(gens))
         s = np.tile(np.arange(len(gens)), len(lv.points))
-        row = 0
+        row, size, pts = 0, 64, ()
         while row < len(d):
-            pts = np.array(list(test), dtype=ident.dtype)
-            col[pts] = np.arange(len(pts))
-            end = min(len(d), row + max(1, 2 ** 20 // len(pts)))  # bounds temporaries
-            a = _schreier(lv, gens, d[row:end], s[row:end], pts)
+            if len(pts) != len(test):  # first pass, or a residue added a base point
+                pts = np.array(list(test), dtype=ident.dtype)
+                col[pts] = np.arange(len(pts))
+                u = lv.u_on(gens, pts)
+            end = min(len(d), row + min(size, max(1, 2 ** 20 // len(pts))))
+            a = _schreier(lv, gens, d[row:end], s[row:end], u[lv.pos[d[row:end]]])
             a, stop = _sift(levels, a, col, i + 1)
             escaped = np.flatnonzero((stop < len(levels)) | (a != pts).any(axis=1))
-            row = row + int(escaped[0]) + 1 if escaped.size else end
-            if escaped.size:  # the first row with a nontrivial residue, in full
-                add(_schreier(lv, gens, d[row - 1:row], s[row - 1:row], ident)[0], i + 1)
+            if not escaped.size:
+                row, size = end, 2 * size
+                continue
+            row, size = row + int(escaped[0]) + 1, 64
+            ud = np.empty_like(ident)  # u_d in full, the inverse of its uinv row
+            ud[lv.uinv[lv.pos[d[row - 1]]]] = ident
+            add(_schreier(lv, gens, d[row - 1:row], s[row - 1:row], ud[None])[0], i + 1)
     return StabChain(levels, pset.degree)

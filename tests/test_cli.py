@@ -115,6 +115,11 @@ def test_orbit_perms_golden_bytes(capsys, seed, size, digest):
 @pytest.mark.parametrize("argv, printed", [
     (("order",), "17971200\n"),
     (("order", "--gens", "f1,f2,ac,eprime"), "7800\n"),
+    (("order", "--gens", "d"), "2\n"),
+    (("order", "--gens", "ac"), "12\n"),
+    (("order", "--gens", "f1,f1"), "5\n"),  # the duplicate sifts to the identity
+    (("order", "--gens", "f1,f2"), "25\n"),
+    (("order", "--gens", "f1,f2,d"), "50\n"),
 ])
 def test_order_prints_certified_order(capsys, argv, printed):
     assert run(capsys, *argv) == (0, printed)

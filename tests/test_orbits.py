@@ -1,11 +1,13 @@
 """Orbit enumeration, permutation images and the stabilizer chain."""
 
+import collections
 import hashlib
 import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tits27 import cyclo, exactlinalg as la, gf41, orbits as ob, zkernel
 
@@ -270,6 +272,53 @@ def test_known_base_chain_equals_whole_permutation_chain(request, which):
         assert chain.contains(perm) == plain.contains(perm)
     assert all(chain.contains(w) for w in words)
     assert not chain.contains(tuple(swapped))
+
+
+def test_level_zero_forms_each_schreier_row_at_most_twice(monkeypatch, perms_all):
+    # level 0 has 2304 points x 5 generators = 11,520 Schreier generators and
+    # its 7 residues all escape within the first 107 rows; batches of a fixed
+    # 2^20 // 31 rows form the rest of a batch again after each escape, about
+    # 80,500 rows in all
+    rows = collections.Counter()
+    schreier = ob._schreier
+
+    def counted(lv, gens, d, s, ud):
+        rows[lv] += len(d)
+        return schreier(lv, gens, d, s, ud)
+
+    monkeypatch.setattr(ob, "_schreier", counted)
+    chain = ob.build_stab_chain(perms_all)
+    assert _pinned(chain) == PINNED_CHAINS["G"]
+    level0 = chain._levels[0]
+    assert len(level0.points) * len(perms_all.perms) == 11_520
+    assert 11_520 <= rows[level0] <= 2 * 11_520
+
+
+def _closure(perms, degree):
+    """The group generated by `perms`, by BFS over permutation tuples."""
+    ident = tuple(range(degree))
+    seen, frontier = {ident}, [ident]
+    while frontier:
+        frontier = [g for g in {tuple(p[x] for x in h) for h in frontier for p in perms}
+                    if g not in seen]
+        seen.update(frontier)
+    return seen
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(2, 7).flatmap(lambda n: st.tuples(
+    st.lists(st.permutations(range(n)), min_size=2, max_size=4),
+    st.lists(st.permutations(range(n)), min_size=20, max_size=20))))
+def test_chain_matches_brute_force_closure(case):
+    # a plain PermSet: every point is a test point, and residues restart the batches
+    perms, others = ([tuple(p) for p in ps] for ps in case)
+    degree = len(perms[0])
+    group = _closure(perms, degree)
+    chain = ob.build_stab_chain(ob.PermSet(degree, tuple(perms)))
+    assert chain.order() == len(group)
+    assert all(chain.contains(g) for g in group)
+    for p in others:
+        assert chain.contains(p) == (p in group)
 
 
 def test_certified_base_is_independent_mod_41(orbit2304, perms_all, perms_psl):
