@@ -18,9 +18,14 @@ Exactness guards
     formed.  Every image must divide exactly by the generator's denominator
     lcm (skipped when it is 1), so it is again integral at scale 25, or the
     kernel raises ScaleError; a seed that is not integral at scale 25 raises
-    ScaleError too.  Rotating a projective point by zeta^k sums at most 8
-    terms of +-1 times an entry, so it is exact under the same bound and is
-    formed the same way, one product per rotation that occurs in a level.
+    ScaleError too.  Each entry of a rotated projective point, and of each
+    candidate rotation of a leading block, is a sum of at most 8 terms of
+    +-1 (an entry of ROT) times a stored entry, so one check_range of 8
+    times the largest stored entry against 2^53, made before any product,
+    keeps every such sum exact in float64: in the product that forms the 20
+    candidates of each distinct leading block, and in the one batched
+    product that rotates every row by its own 8x8 matrix ROT[k].  Both are
+    cast back to int64 before any comparison or key.
 
 Projective points
     A 1-space is stored as the rotation zeta^k v (0 <= k < 20) of any
@@ -33,7 +38,15 @@ Projective points
     so c is a root of unity in Q(zeta20), i.e. c is in mu20.  The 20
     rotations of a nonzero block are pairwise distinct, so the least one is
     unique and two vectors get the same key exactly when they span the same
-    line.
+    line.  The exponent k depends only on the leading block, and the images
+    of a BFS level share few of them (63 distinct leading blocks among the
+    8,775 images of the 1755-point orbit), so k is chosen once per distinct
+    leading block (np.unique of the blocks taken as 64-byte keys) and
+    indexed back to the rows; every row is then rotated by its ROT[k] in
+    one product.  The least rotation is an argmin over byte strings: with
+    each coefficient's sign bit flipped and its bytes big-endian, bytewise
+    order is the order of the signed values, so a rotation's 64 bytes
+    compare as its 8 coefficients do, lexicographically.
 
 Numbering
     BFS visits point i and then the generators in order, and numbers each
@@ -75,7 +88,8 @@ Known base
     carries the images of a set Q of test points, not whole permutations.  Q
     is a known base (a set whose pointwise stabilizer is trivial) together
     with the chain's base points, whose images pick the transversal rows.
-    `perm_images` certifies a known base for a vector orbit: it reduces its
+    `perm_images` certifies a known base for a vector orbit, once per
+    orbit (`Orbit.certified_base`, formed on first use): it reduces its
     first 64 vectors mod 41 and, if they have rank 27, takes the 27 pivot
     points (the first 33 points suffice for the 2304-point orbit).
     zeta -> 39 is a ring map Z[zeta20, 1/5] -> GF(41), and reduction cannot
@@ -126,6 +140,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -143,7 +158,11 @@ PROJECTIVE = "projective"
 #: Stored orbit rows are SCALE times the power-basis coefficients.
 SCALE = 25
 
-_ROTS = ROT.transpose(1, 2, 0).reshape(8, 8 * 20)  # a block's 20 rotations, side by side
+_ROT_F64 = ROT.astype(np.float64)
+# a block times _ROTS is its 20 rotations in turn, 8 coefficients each
+_ROTS = _ROT_F64.transpose(1, 0, 2).reshape(8, 20 * 8)
+_BLOCK = np.dtype((np.void, 8 * 8))  # one 8-coefficient int64 block as a single key
+_SIGN_BIT = np.int64(-2 ** 63)  # x ^ _SIGN_BIT orders as uint64 as x does as int64
 
 
 class CapExceededError(ValueError):
@@ -238,18 +257,13 @@ def _canonical(rows, mode):
     if not nonzero.any(axis=1).all():
         raise ValueError("projective point must be nonzero")
     check_range(8, 1, max_abs(rows), bits=53)  # exact in float64: ROT is 0 and +-1
-    blocks = rows.reshape(n, 27, 8).astype(np.float64)
-    first = blocks[np.arange(n), nonzero.argmax(axis=1) // 8]
-    cands = (first @ _ROTS).reshape(n, 8, 20)  # [i, c, r]: coefficient c of rotation r
-    alive = np.ones((n, 20), dtype=bool)
-    for c in range(8):
-        col = np.where(alive, cands[:, c], np.inf)
-        alive &= col == col.min(axis=1, keepdims=True)
-    k = alive.argmax(axis=1)
-    for r in np.unique(k):  # one product per rotation that occurs
-        pick = np.flatnonzero(k == r)
-        blocks[pick] = (blocks[pick].reshape(-1, 8) @ ROT[r]).reshape(-1, 27, 8)
-    return blocks.reshape(n, DIM).astype(np.int64)
+    blocks = rows.reshape(n, 27, 8)
+    first = blocks[np.arange(n), nonzero.argmax(axis=1) // 8]  # a C-ordered copy: viewable
+    lead, which = np.unique(first.view(_BLOCK).ravel(), return_inverse=True)
+    cands = (lead.view(np.int64).reshape(-1, 8) @ _ROTS).astype(np.int64)
+    # the least rotation in lex order, as the least byte string (see Projective points)
+    k = (cands ^ _SIGN_BIT).astype(">i8").view("S64").argmin(axis=1)[which]
+    return np.matmul(blocks.astype(np.float64), _ROT_F64[k]).reshape(n, DIM).astype(np.int64)
 
 
 def _row_keys(rows) -> list:
@@ -276,6 +290,15 @@ class Orbit:
 
     def __len__(self):
         return len(self.coords)
+
+    @cached_property
+    def certified_base(self):
+        """The 27 pivot points of the first 64 vectors mod 41, or None (see
+        Known base); `perm_images` forms it on first use."""
+        if self.mode != VECTOR:
+            return None
+        _, pivots = gf41.rref(gf41.reduce_rows(self.coords[:64], SCALE).T)
+        return tuple(pivots) if len(pivots) == 27 else None
 
     def point(self, i) -> tuple:
         """Point i as 27 exact scalars."""
@@ -355,10 +378,7 @@ def perm_images(orbit: Orbit, gens) -> PermSet:
         except KeyError:
             raise OrbitNotClosedError("image of an orbit point is missing") from None
     pset = PermSet(len(orbit), tuple(perms))
-    if orbit.mode == VECTOR:  # 33 points suffice for the 2304-point orbit
-        _, pivots = gf41.rref(gf41.reduce_rows(orbit.coords[:64], SCALE).T)
-        if len(pivots) == 27:
-            object.__setattr__(pset, "certified_base", tuple(pivots))
+    object.__setattr__(pset, "certified_base", orbit.certified_base)
     return pset
 
 

@@ -1,9 +1,13 @@
 """Orbit enumeration, permutation images and the stabilizer chain."""
 
 import collections
+import dataclasses
 import hashlib
 import math
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -210,6 +214,93 @@ def test_projective_canonicalization():
     assert p == q
 
 
+def _reference_canonical(rows):
+    """The least rotation of each row's first nonzero block, on Python ints."""
+    rots = zkernel.ROT.tolist()
+
+    def rotate(block, k):
+        return [sum(a * r[c] for a, r in zip(block, rots[k])) for c in range(8)]
+
+    out = []
+    for row in rows.tolist():
+        lead = next(row[j:j + 8] for j in range(0, len(row), 8) if any(row[j:j + 8]))
+        k = min(range(20), key=lambda k: rotate(lead, k))
+        out.append([x for j in range(0, len(row), 8) for x in rotate(row[j:j + 8], k)])
+    return out
+
+
+def test_canonical_matches_reference_on_rotated_orbit_points(orbit1755):
+    rows = orbit1755.coords[::5]
+    ks = np.random.default_rng(20).integers(0, 20, size=len(rows))
+    moved = np.matmul(rows.reshape(-1, 27, 8), zkernel.ROT[ks]).reshape(rows.shape)
+    assert ob._canonical(moved, ob.PROJECTIVE).tolist() == _reference_canonical(moved)
+    assert (ob._canonical(moved, ob.PROJECTIVE) == rows).all()
+
+
+def test_canonical_matches_reference_at_every_leading_position():
+    rng = np.random.default_rng(21)
+    rows = rng.integers(-25, 26, size=(6 * 27, zkernel.DIM))
+    for i, row in enumerate(rows):
+        row[:8 * (i % 27)] = 0
+        row[8 * (i % 27) + rng.integers(8)] = rng.choice([-1, 1]) * rng.integers(1, 26)
+    assert ob._canonical(rows, ob.PROJECTIVE).tolist() == _reference_canonical(rows)
+
+
+def test_canonical_matches_reference_for_one_shared_leading_block():
+    rng = np.random.default_rng(22)
+    rows = rng.integers(-25, 26, size=(40, zkernel.DIM))
+    rows[:, :24] = 0
+    rows[:, 24:32] = [3, -1, 0, 7, 0, 0, -2, 1]
+    got = ob._canonical(rows, ob.PROJECTIVE)
+    assert got.tolist() == _reference_canonical(rows)
+    assert len({tuple(r) for r in got[:, 24:32].tolist()}) == 1
+
+
+def test_canonical_refusals():
+    rows = np.zeros((3, zkernel.DIM), dtype=np.int64)
+    rows[0, 5] = rows[2, 40] = 1
+    with pytest.raises(ValueError, match="nonzero"):
+        ob._canonical(rows, ob.PROJECTIVE)
+    rows[1, 100] = 2 ** 50  # 8 terms of 2^50 reach 2^53
+    with pytest.raises(ob.KernelOverflowError, match=r"2\^53"):
+        ob._canonical(rows, ob.PROJECTIVE)
+    rows[1, 100] = 2 ** 50 - 1  # just under the bound: every sum is still exact
+    rows[1, 101] = -(2 ** 50 - 1)
+    assert ob._canonical(rows, ob.PROJECTIVE).tolist() == _reference_canonical(rows)
+
+
+# sha256 of coords.tobytes() and of images.astype(np.int64).tobytes(),
+# recorded with the per-rotation canonical form
+PINNED_ORBITS = {
+    "orbit2304": ("e0f439546efc6f2a45aa2d249714ef427ff1533215660333e413abafc7d733ad",
+                  "01887a18e51e70bf48b6362f5ebc09b1147cbf2fe67ac4f56d77ef1d7e2a38de"),
+    "orbit1755": ("85704ed8eda56142df2b9ffde8b1e12317971aefb2e879bc2d7d879b4a794f31",
+                  "6e607178960cbbd6c64b506a837af47dacb6d63a49739b0f2b54d206e14df70b"),
+}
+
+
+@pytest.mark.parametrize("which", sorted(PINNED_ORBITS))
+def test_orbit_bytes_are_pinned(request, which):
+    orbit = request.getfixturevalue(which)
+    assert (hashlib.sha256(orbit.coords.tobytes()).hexdigest(),
+            hashlib.sha256(orbit.images.astype(np.int64).tobytes()).hexdigest()) \
+        == PINNED_ORBITS[which]
+
+
+def test_projective_orbit_does_not_import_numpy_ma():
+    # a bare np.unique imports numpy.ma (about 14 ms) on first use
+    src = os.path.dirname(os.path.dirname(ob.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys; from tits27 import cli; "
+            "assert cli.run(['orbit', '--seed', 'proj1755']) == 0; "
+            "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "orbit size: 1755\n"
+
+
 def test_conjugate_seed_orbit_is_not_1755(gens5):
     # the conjugate 1-space has a strictly larger orbit: the BFS passes 3000
     # points without closing, so its orbit cannot have 1755 of them
@@ -335,6 +426,17 @@ def test_reduce_rows_matches_reduce_cyc(orbit2304):
     assert red.shape == (2304, 27)
     for i in range(0, len(orbit2304), 97):
         assert red[i].tolist() == [gf41.reduce_cyc(e).value for e in orbit2304.point(i)]
+
+
+def test_certified_base_is_formed_once_per_orbit(monkeypatch, orbit2304, gens5, perms_all):
+    calls = []
+    rref = gf41.rref
+    monkeypatch.setattr(gf41, "rref", lambda a: calls.append(1) or rref(a))
+    orbit = dataclasses.replace(orbit2304)  # the same points, no base formed yet
+    first = ob.perm_images(orbit, gens5)
+    second = ob.perm_images(orbit, gens5[:2])
+    assert len(calls) == 1
+    assert first.certified_base == second.certified_base == perms_all.certified_base
 
 
 def test_certified_base_is_not_compared(perms_all):
