@@ -65,18 +65,13 @@ def _cmd_gens(args):
     return 0
 
 
-def _seed_point(name: str):
-    if name == "fixed":
-        return orbits.seed_fixed_vector()
-    if name == "proj1755":
-        return orbits.seed_proj_1755()
-    raise _UsageError(f"unknown seed {name!r} (use fixed or proj1755)")
+#: The seeds `orbit --seed` accepts, by name.
+_SEEDS = {"fixed": orbits.seed_fixed_vector, "proj1755": orbits.seed_proj_1755}
 
 
 def _cmd_orbit(args):
     names, gens = _gen_subset(args.gens)
-    seed = _seed_point(args.seed)
-    orbit = orbits.enumerate_orbit(seed, gens, cap=args.cap)
+    orbit = orbits.enumerate_orbit(_SEEDS[args.seed](), gens, cap=args.cap)
     print(f"orbit size: {len(orbit)}")
     if args.perms:
         pset = orbits.perm_images(orbit, gens)
@@ -197,7 +192,7 @@ def build_parser():
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("orbit", help="enumerate an orbit")
-    p.add_argument("--seed", required=True, choices=("fixed", "proj1755"))
+    p.add_argument("--seed", required=True, choices=tuple(_SEEDS))
     p.add_argument("--gens", default="all", help="comma list or 'all'")
     p.add_argument("--cap", type=int, default=10000)
     p.add_argument("--perms", action="store_true",

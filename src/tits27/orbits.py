@@ -17,10 +17,10 @@ Exactness guards
     integer one and is cast back to int64 before any key or verdict is
     formed.  Every image must divide exactly by the generator's denominator
     lcm (skipped when it is 1), so it is again integral at scale 25, or the
-    kernel raises ScaleError; a seed that is not integral at scale 25 raises
-    ScaleError too.  Each entry of a rotated projective point, and of each
-    candidate rotation of a leading block, is a sum of at most 8 terms of
-    +-1 (an entry of ROT) times a stored entry, so one check_range of 8
+    kernel raises ScaleError, as `Seed.of` does for a seed that is not
+    integral at scale 25.  Each entry of a rotated projective point, and of
+    each candidate rotation of a leading block, is a sum of at most 8 terms
+    of +-1 (an entry of ROT) times a stored entry, so one check_range of 8
     times the largest stored entry against 2^53, made before any product,
     keeps every such sum exact in float64: in the product that forms the 20
     candidates of each distinct leading block, and in the one batched
@@ -47,6 +47,17 @@ Projective points
     each coefficient's sign bit flipped and its bytes big-endian, bytewise
     order is the order of the signed values, so a rotation's 64 bytes
     compare as its 8 coefficients do, lexicographically.
+
+Seeds and characters
+    A `Seed` is the row of a point at SCALE, with its mode, and its orbit's
+    `coords[0]` is that row in canonical form.  `scalar_character(seed,
+    word)` applies the word's matrices to the row, rightmost first, with
+    `IntegerAction.raw`, and returns the k with image D zeta^k v, D the
+    product of their denominator lcms; the 20 rotations of a nonzero v are
+    distinct, so at most one k fits.  Each entry of a rotation sums at most
+    8 terms of +-1 times an entry of v, so one check_range of 8 * D * max|v|
+    against 2^63 keeps D zeta^k v exact in int64.  Searching mu20 only is
+    exact for a word of finite order (see Projective points).
 
 Numbering
     BFS visits point i and then the generators in order, and numbers each
@@ -146,7 +157,6 @@ import numpy as np
 
 from . import cyclo, gf41
 from . import exactlinalg as la
-from .exactlinalg import ExactMatrix
 # KernelOverflowError and ScaleError are re-exported: callers of the orbit
 # functions catch them from this module.
 from .zkernel import (DIM, ROT, IntegerAction, KernelOverflowError, ScaleError,  # noqa: F401
@@ -177,34 +187,36 @@ class NotAnEigenvectorError(la.CheckFailed):
     pass
 
 
-@dataclass(frozen=True)
-class CanonicalPoint:
-    """27 exact scalars, canonicalized according to the mode."""
+@dataclass(frozen=True, eq=False)
+class Seed:
+    """A point to start an orbit from: `row` is the 1 x 216 int64 row of
+    SCALE times its power-basis coefficients, `mode` VECTOR or PROJECTIVE."""
 
-    entries: tuple
+    row: np.ndarray
     mode: str
 
     @classmethod
-    def make(cls, entries, mode):
-        entries = tuple(entries)
-        if mode == PROJECTIVE:
-            first = next((e for e in entries if not e.is_zero()), None)
-            if first is None:
-                raise ValueError("projective point must be nonzero")
-            if first != cyclo.ONE:
-                inv = first.inverse()
-                entries = tuple(inv * e for e in entries)
-        elif mode != VECTOR:
+    def of(cls, entries, mode):
+        """The seed of 27 exact scalars, each integral at SCALE."""
+        if mode not in (VECTOR, PROJECTIVE):
             raise ValueError(f"unknown mode {mode!r}")
-        return cls(entries, mode)
+        row = []
+        for e in entries:
+            for n in e.num:
+                q, r = divmod(n * SCALE, e.den)
+                if r:
+                    raise ScaleError(f"seed entry {e} is not integral at scale {SCALE}")
+                row.append(q)
+        check_range(1, max(map(abs, row)), 1)
+        return cls(np.array([row], dtype=np.int64), mode)
 
 
-def seed_fixed_vector() -> CanonicalPoint:
+def seed_fixed_vector() -> Seed:
     """(1,1,1;0^24), the vector fixed by the index-2304 point stabilizer."""
-    return CanonicalPoint.make((cyclo.ONE,) * 3 + (cyclo.ZERO,) * 24, VECTOR)
+    return Seed.of((cyclo.ONE,) * 3 + (cyclo.ZERO,) * 24, VECTOR)
 
 
-def seed_proj_1755() -> CanonicalPoint:
+def seed_proj_1755() -> Seed:
     """The 1-space of (0,0,0; 0,0,0,0; -i,1,-1,i; 0^16), with 1755 images.
 
     This vector is fixed by d exactly and scaled by -i under (ac)^3; its
@@ -217,10 +229,10 @@ def seed_proj_1755() -> CanonicalPoint:
     entries = ([cyclo.ZERO] * 7
                + [-cyclo.I, cyclo.ONE, cyclo.MINUS_ONE, cyclo.I]
                + [cyclo.ZERO] * 16)
-    return CanonicalPoint.make(entries, PROJECTIVE)
+    return Seed.of(entries, PROJECTIVE)
 
 
-def seed_proj_conjugate() -> CanonicalPoint:
+def seed_proj_conjugate() -> Seed:
     """The conjugate 1-space (0,0,0; 0,0,0,0; i,1,-1,-i; 0^16).
 
     Fixed by d and scaled by +i under (ac)^3, but its point stabilizer is
@@ -230,20 +242,7 @@ def seed_proj_conjugate() -> CanonicalPoint:
     entries = ([cyclo.ZERO] * 7
                + [cyclo.I, cyclo.ONE, cyclo.MINUS_ONE, -cyclo.I]
                + [cyclo.ZERO] * 16)
-    return CanonicalPoint.make(entries, PROJECTIVE)
-
-
-def _encode(entries) -> np.ndarray:
-    """The 1 x 216 row of SCALE times the coefficients of 27 scalars."""
-    row = []
-    for e in entries:
-        for n in e.num:
-            q, r = divmod(n * SCALE, e.den)
-            if r:
-                raise ScaleError(f"seed entry {e} is not integral at scale {SCALE}")
-            row.append(q)
-    check_range(1, max(map(abs, row)), 1)
-    return np.array([row], dtype=np.int64)
+    return Seed.of(entries, PROJECTIVE)
 
 
 def _canonical(rows, mode):
@@ -283,7 +282,6 @@ class Orbit:
 
     coords: np.ndarray
     index: dict
-    base: CanonicalPoint
     mode: str
     gens: tuple
     images: np.ndarray
@@ -325,14 +323,14 @@ class PermSet:
                 raise ValueError("not a permutation of 0..degree-1")
 
 
-def enumerate_orbit(seed: CanonicalPoint, gens, cap: int = 10000) -> Orbit:
+def enumerate_orbit(seed: Seed, gens, cap: int = 10000) -> Orbit:
     """BFS closure of the seed under the generator matrices, with the
     number of the image of every point under every generator."""
     if cap < 1:
         raise CapExceededError(f"orbit exceeds cap {cap}")
     gens = tuple(gens)
     actions = [IntegerAction.of(g) for g in gens]
-    frontier = _canonical(_encode(seed.entries), seed.mode)
+    frontier = _canonical(seed.row, seed.mode)
     levels = [frontier]
     index = {frontier.tobytes(): 0}
     targets = []  # in (point, generator) order: frontier points are numbered in turn
@@ -355,7 +353,7 @@ def enumerate_orbit(seed: CanonicalPoint, gens, cap: int = 10000) -> Orbit:
         picks = np.array(new, dtype=np.intp).reshape(-1, 2)
         frontier = images[picks[:, 0], picks[:, 1]]
         levels.append(frontier)
-    return Orbit(np.concatenate(levels), index, seed, seed.mode, gens,
+    return Orbit(np.concatenate(levels), index, seed.mode, gens,
                  np.array(targets, dtype=np.intp).reshape(len(index), len(gens)).T)
 
 
@@ -382,17 +380,23 @@ def perm_images(orbit: Orbit, gens) -> PermSet:
     return pset
 
 
-def scalar_character(seed: CanonicalPoint, m: ExactMatrix):
-    """The exact scalar c with m * seed = c * seed."""
-    w = la.matvec(m, seed.entries)
-    k = next((i for i, e in enumerate(seed.entries) if not e.is_zero()), None)
-    if k is None:
-        raise NotAnEigenvectorError("zero vector")
-    c = w[k] / seed.entries[k]
-    for we, se in zip(w, seed.entries):
-        if we != c * se:
-            raise NotAnEigenvectorError("matrix does not preserve the 1-space")
-    return c
+def scalar_character(seed: Seed, word) -> int:
+    """The k with m_1 ... m_r v = zeta^k v, for the seed v and the word
+    [m_1, ..., m_r] of matrices (see Seeds and characters)."""
+    if not seed.row.any():
+        raise NotAnEigenvectorError("the zero vector spans no line")
+    image, den = seed.row, 1
+    for m in reversed(word):
+        act = IntegerAction.of(m)
+        image, den = act.raw(image), den * act.den
+    check_range(8, den, max_abs(seed.row))  # den * rotation, in int64: ROT is 0 and +-1
+    scaled = den * np.matmul(seed.row.reshape(27, 8), ROT).reshape(20, DIM)
+    misses = (scaled != image).sum(axis=1)
+    if misses.min():
+        raise NotAnEigenvectorError(
+            f"the word scales the seed by no power of zeta: every D zeta^k v "
+            f"(D = {den}) differs from the image in {misses.min()} or more coordinates")
+    return int(misses.argmin())
 
 
 def transitivity_check(p: PermSet) -> bool:

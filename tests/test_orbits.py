@@ -13,13 +13,36 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tits27 import cyclo, exactlinalg as la, gf41, orbits as ob, zkernel
+from tits27 import certificates, cyclo, exactlinalg as la, gf41, orbits as ob, zkernel
+
+
+def _decode(row):
+    """27 exact scalars from a 216-coefficient row at SCALE."""
+    row = row.ravel().tolist()
+    return tuple(cyclo.CycNum(row[8 * j:8 * j + 8], ob.SCALE) for j in range(27))
+
+
+def _scalar(c):
+    """c times the 27x27 identity."""
+    return la.scale_matrix(la.ExactMatrix.identity(27, la.RING_CYC), c)
 
 
 def test_fixed_seed_is_fixed_by_psl_generators(gens):
-    v = ob.seed_fixed_vector()
+    v = _decode(ob.seed_fixed_vector().row)
+    assert v == (cyclo.ONE,) * 3 + (cyclo.ZERO,) * 24
     for m in (gens.f1, gens.f2, gens.ac, gens.eprime):
-        assert la.matvec(m, v.entries) == v.entries
+        assert la.matvec(m, v) == v
+
+
+def test_seed_refusals(gens5):
+    seventh = [cyclo.CycNum.rational(1, 7)] + [cyclo.ZERO] * 26
+    with pytest.raises(ob.ScaleError, match="scale 25"):
+        ob.Seed.of(seventh, ob.VECTOR)
+    with pytest.raises(ValueError, match="unknown mode"):
+        ob.Seed.of([cyclo.ONE] * 27, "affine")
+    zero = ob.Seed.of([cyclo.ZERO] * 27, ob.PROJECTIVE)
+    with pytest.raises(ValueError, match="nonzero"):
+        ob.enumerate_orbit(zero, gens5)
 
 
 def test_trivial_orbit(gens):
@@ -74,8 +97,7 @@ def test_kernel_refuses_int64_overflow(monkeypatch, exponent):
     raw = zkernel.IntegerAction.raw
     monkeypatch.setattr(zkernel.IntegerAction, "raw",
                         lambda self, rows: calls.append(1) or raw(self, rows))
-    big = la.scale_matrix(la.ExactMatrix.identity(27, la.RING_CYC),
-                          cyclo.CycNum.from_int(2 ** exponent))
+    big = _scalar(cyclo.CycNum.from_int(2 ** exponent))
     with pytest.raises(ob.KernelOverflowError):
         ob.enumerate_orbit(ob.seed_fixed_vector(), [big])
     assert len(calls) == (0 if exponent > 22 else 2)
@@ -163,17 +185,20 @@ def test_orbit_1755(orbit1755):
     assert len(orbit1755) == 1755
 
 
+def _first_nonzero_is_one(entries):
+    first = next(e for e in entries if not e.is_zero()).inverse()
+    return tuple(first * e for e in entries)
+
+
 def test_projective_points_are_distinct_lines(orbit1755):
     # the first-nonzero-is-1 rule is independent of the mu20 rotation rule
-    lines = {ob.CanonicalPoint.make(orbit1755.point(i), ob.PROJECTIVE)
-             for i in range(len(orbit1755))}
+    lines = {_first_nonzero_is_one(orbit1755.point(i)) for i in range(len(orbit1755))}
     assert len(lines) == 1755
 
 
 @pytest.mark.parametrize("k", [1, 5, 10, 19])
 def test_projective_keys_ignore_mu20_scalars(orbit1755, k):
-    scalar = la.scale_matrix(la.ExactMatrix.identity(27, la.RING_CYC),
-                             cyclo.CycNum.zeta(k))
+    scalar = _scalar(cyclo.CycNum.zeta(k))
     assert ob.perm_images(orbit1755, [scalar]).perms[0] == tuple(range(1755))
 
 
@@ -186,10 +211,31 @@ def test_1755_order_and_stabilizer(orbit1755, chain1755):
 
 def test_projective_seed_characters(gens):
     seed = ob.seed_proj_1755()
-    assert ob.scalar_character(seed, gens.d) == cyclo.ONE
-    c = ob.scalar_character(seed, la.mat_pow(gens.ac, 3))
-    assert c ** 2 == cyclo.MINUS_ONE     # a primitive power of i
-    assert c == -cyclo.I
+    assert ob.scalar_character(seed, [gens.d]) == 0
+    assert ob.scalar_character(seed, [gens.ac] * 3) == 15
+    assert cyclo.CycNum.zeta(15) == -cyclo.I     # (ac)^3 scales the seed by -i
+
+
+def test_certificates_make_no_per_scalar_orbit_work(monkeypatch, gens):
+    # gens is build_all(), made before the patch; the seeds and both
+    # characters are decided on kernel rows
+    calls = collections.Counter()
+
+    def counted(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(cyclo.CycNum, "inverse")
+    for name in ("matvec", "mat_mul", "mat_pow"):
+        counted(la, name)
+    rows = list(certificates.rows(seed=3))
+    assert len(rows) == 44 and all(ok for _, ok in rows)
+    assert calls == {}
 
 
 def test_d_fixes_seed_index(orbit1755, gens):
@@ -198,20 +244,37 @@ def test_d_fixes_seed_index(orbit1755, gens):
 
 
 def test_scalar_character_errors(gens):
+    # d sends (1,1,1;0^24) to (1,-1,-1;0^24), which is on another line
     seed = ob.seed_fixed_vector()
-    with pytest.raises(ob.NotAnEigenvectorError):
-        ob.scalar_character(seed, gens.d)
+    with pytest.raises(ob.NotAnEigenvectorError, match="no power of zeta"):
+        ob.scalar_character(seed, [gens.d])
+    # 2 I keeps every line, but its scalar is not in mu20
+    with pytest.raises(ob.NotAnEigenvectorError, match="no power of zeta"):
+        ob.scalar_character(seed, [_scalar(cyclo.CycNum.from_int(2))])
+    zero = ob.Seed.of([cyclo.ZERO] * 27, ob.PROJECTIVE)
+    with pytest.raises(ob.NotAnEigenvectorError, match="zero vector"):
+        ob.scalar_character(zero, [gens.d])
 
 
-def test_projective_canonicalization():
-    entries = [cyclo.ZERO] * 27
-    entries[5] = cyclo.I + cyclo.I
-    entries[9] = cyclo.SIGMA
-    p = ob.CanonicalPoint.make(entries, ob.PROJECTIVE)
-    assert p.entries[5] == cyclo.ONE
-    scaled = [cyclo.TAU * e for e in entries]
-    q = ob.CanonicalPoint.make(scaled, ob.PROJECTIVE)
-    assert p == q
+def test_scalar_character_with_a_denominator(gens):
+    # eprime has denominator 5, so the image is compared with 5 zeta^k v
+    assert zkernel.IntegerAction.of(gens.eprime).den == 5
+    assert ob.scalar_character(ob.seed_fixed_vector(), [gens.eprime]) == 0
+    assert ob.scalar_character(ob.seed_fixed_vector(), [gens.eprime, gens.f1]) == 0
+
+
+def test_scalar_character_refuses_inexact_products():
+    # stored entries of 50: the second product could reach
+    # 216 * 2^20 * (50 * 2^20) >= 2^53, so it is refused before it is formed
+    big = _scalar(cyclo.CycNum.from_int(2 ** 20))
+    seed = ob.Seed.of([cyclo.CycNum.from_int(2)] + [cyclo.ZERO] * 26, ob.VECTOR)
+    assert ob.scalar_character(seed, [_scalar(cyclo.MINUS_ONE)]) == 10
+    with pytest.raises(ob.KernelOverflowError, match=r"2\^53"):
+        ob.scalar_character(seed, [big] * 2)
+    # denominators 2^50 and 2^50: D zeta^k v would reach 2^63 in int64
+    tiny = _scalar(cyclo.CycNum.rational(1, 2 ** 50))
+    with pytest.raises(ob.KernelOverflowError, match=r"2\^63"):
+        ob.scalar_character(seed, [tiny] * 2)
 
 
 def _reference_canonical(rows):
@@ -452,7 +515,7 @@ def test_projective_orbit_gets_every_point(orbit1755, gens5, chain1755):
 
 def test_low_rank_orbit_gets_every_point(gens):
     # e0 spans a 3-coordinate, 6-point orbit under the monomial generators
-    e0 = ob.CanonicalPoint.make((cyclo.ONE,) + (cyclo.ZERO,) * 26, ob.VECTOR)
+    e0 = ob.Seed.of((cyclo.ONE,) + (cyclo.ZERO,) * 26, ob.VECTOR)
     sub = [gens.f1, gens.f2, gens.d, gens.ac]
     orbit = ob.enumerate_orbit(e0, sub)
     assert len(orbit) == 6
