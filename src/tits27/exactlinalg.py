@@ -1,10 +1,13 @@
 """Dense exact matrices over Q(zeta20) or GF(41).
 
 A matrix carries a ring tag ("cyc" or "gf41") and its entries as scalar
-objects from :mod:`tits27.cyclo` / :mod:`tits27.gf41`.  All arithmetic is
-exact; elimination pivots on the first nonzero entry in column order, so
-every result is deterministic.  Over GF(41) the products and elimination
-convert to int64 residue arrays and run on the kernel in `gf41`.
+objects from :mod:`tits27.cyclo` / :mod:`tits27.gf41`.  A cyclotomic matrix
+may instead be built from integer power-basis coefficients over one
+denominator, the form the kernel in `zkernel` compiles; its scalars are then
+decoded only when read.  All arithmetic is exact; elimination pivots on the
+first nonzero entry in column order, so every result is deterministic.  Over
+GF(41) the products and elimination convert to int64 residue arrays and run
+on the kernel in `gf41`.
 
 File formats
     cyc R C     header, then R*C lines, one cyclotomic element per line
@@ -15,6 +18,8 @@ Readers skip blank lines and lines starting with '#'.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -43,9 +48,14 @@ class CheckFailed(ValueError):
 
 
 class ExactMatrix:
-    """A rows x cols matrix with entries in one exact scalar ring."""
+    """A rows x cols matrix with entries in one exact scalar ring.
 
-    __slots__ = ("ring", "rows", "cols", "data", "action")
+    A cyclotomic matrix is held as scalar entries (`data`), as integer
+    coefficients over one denominator (`coeffs`, `den`), or both: each form
+    is derived from the other on first read and kept.
+    """
+
+    __slots__ = ("ring", "rows", "cols", "_data", "_coeffs", "_den", "action")
 
     def __init__(self, ring, data):
         if ring not in _SCALARS:
@@ -59,7 +69,8 @@ class ExactMatrix:
         self.ring = ring
         self.rows = len(data)
         self.cols = cols
-        self.data = data
+        self._data = data
+        self._coeffs = self._den = None
         self.action = None  # the compiled zkernel.IntegerAction, set on first use
 
     # -- constructors ------------------------------------------------------
@@ -73,6 +84,52 @@ class ExactMatrix:
     def zeros(cls, rows, cols, ring):
         zero, _ = _SCALARS[ring]
         return cls(ring, [[zero] * cols for _ in range(rows)])
+
+    @classmethod
+    def from_coeffs(cls, coeffs, den):
+        """The cyclotomic matrix with entry (i, j) = coeffs[i, j] / den, coeffs
+        a rows x cols x 8 int64 array of power-basis coefficients, den >= 1."""
+        m = cls.__new__(cls)
+        m.ring, (m.rows, m.cols, _) = RING_CYC, coeffs.shape
+        m._data, m._coeffs, m._den, m.action = None, coeffs, den, None
+        return m
+
+    # -- the two forms -----------------------------------------------------
+
+    @property
+    def data(self):
+        """The entries as lists of scalars."""
+        if self._data is None:
+            den = self._den
+            self._data = [[cyclo.CycNum(c, den) for c in row] for row in self._coeffs.tolist()]
+        return self._data
+
+    @property
+    def coeffs(self):
+        """A cyclotomic matrix as a rows x cols x 8 int64 array of power-basis
+        coefficients over the denominator `den`."""
+        return self._scaled()[0]
+
+    @property
+    def den(self):
+        """The positive common denominator of `coeffs`."""
+        return self._scaled()[1]
+
+    def _scaled(self):
+        """(coeffs, den), derived from `data` on first use with den the lcm
+        of the entries' denominators.  The coefficients are formed as Python
+        integers and refused with KernelOverflowError unless they fit in
+        int64, so none wraps."""
+        if self._coeffs is None:
+            if self.ring != RING_CYC:
+                raise RingMismatchError(f"expected a cyc matrix, got {self.ring}")
+            entries = [e for row in self.data for e in row]
+            den = math.lcm(*(e.den for e in entries))
+            nums = [n * (den // e.den) for e in entries for n in e.num]
+            gf41.check_range(1, max(map(abs, nums)), 1)
+            self._coeffs = np.array(nums, dtype=np.int64).reshape(self.rows, self.cols, 8)
+            self._den = den
+        return self._coeffs, self._den
 
     # -- basic protocol -----------------------------------------------------
 
@@ -183,10 +240,6 @@ def matvec(m: ExactMatrix, v) -> tuple:
                     acc = acc + e * vj
         out.append(acc)
     return tuple(out)
-
-
-def scale_matrix(m: ExactMatrix, s) -> ExactMatrix:
-    return ExactMatrix(m.ring, [[s * e for e in row] for row in m.data])
 
 
 def transpose(m: ExactMatrix) -> ExactMatrix:

@@ -13,6 +13,16 @@ in {0, +-1, sigma, tau}, all scaled by 1/5.  A scalar printed where a 1x4 or
 4x1 block belongs in the eprime layout denotes that scalar times the
 all-ones row/column, which is the unique reading giving every row norm
 exactly 1.
+
+Every table here is a small integer array, and the generators are built
+from them as 27 x 27 x 8 int64 arrays of power-basis coefficients over one
+denominator (1 for f1, f2, d and ac; 5 for eprime), the form the kernel in
+`zkernel` compiles.  A 4x4 block is an array of indices into the coefficient
+rows of 0, +-1, sigma and tau, and a scalar zeta^k on a block is one product
+with `zkernel.ROT[k]`; the reductions mod 41 are one `gf41.reduce_rows` per
+generator.  No scalar object is made on the way.  Per-scalar `CycNum`s stay
+where single values are read or written: parsing matrix files, printing
+matrices (`ExactMatrix.data`, decoded on first read) and `gf41.lift_table`.
 """
 
 from __future__ import annotations
@@ -22,11 +32,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import cyclo
-from .cyclo import CycNum
 from . import exactlinalg as la
+from . import gf41
 from . import zkernel
-from .exactlinalg import ExactMatrix, RING_CYC
+from .exactlinalg import ExactMatrix
 
 #: Coordinate labels in storage order; index 0..26.
 LABELS = (-3, -2, -1) + tuple(range(1, 25))
@@ -48,125 +57,60 @@ F2_EXP = (0, 0, 0,
           3, 1, 4, 2,
           0, 0, 0, 0)
 
-_O = cyclo.ZERO
-_1 = cyclo.ONE
-_S = cyclo.SIGMA
-_T = cyclo.TAU
+#: Row k: the power-basis coefficients of zeta^k; z = zeta^4.
+_ZETA = zkernel.ROT[:, 0]
+
+#: The entries of the 4x4 blocks by code: 0, 1, -1, sigma = -z - z^4 and
+#: tau = -z^2 - z^3, as rows of power-basis coefficients.
+_CODES = "01-st"
+_ENTRY = np.stack([np.zeros_like(_ZETA[0]), _ZETA[0], -_ZETA[0],
+                   -_ZETA[4] - _ZETA[16], -_ZETA[8] - _ZETA[12]])
+
+_PATTERNS = {
+    "I": ("1000", "0100", "0010", "0001"),
+    "J": ("0001", "0010", "0100", "1000"),
+    "K": ("0100", "0001", "1000", "0010"),
+    "L": ("0010", "1000", "0001", "0100"),
+    "A": ("0ts0", "t00s", "s00t", "0st0"),
+    "B": ("-ts-", "t--s", "s--t", "-st-"),
+    "C": ("1st1", "s11t", "t11s", "1ts1"),
+    "D": ("1001", "0110", "0110", "1001"),
+    "E": ("t11s", "1st1", "1ts1", "s11t"),
+    "F": ("-st-", "s--t", "t--s", "-ts-"),
+    "G": ("t00s", "0st0", "0ts0", "s00t"),
+}
+#: The 4x4 blocks as 4 x 4 x 8 coefficient arrays.
+_BLOCKS = {name: _ENTRY[[[_CODES.index(ch) for ch in row] for row in rows]]
+          for name, rows in _PATTERNS.items()}
 
 
-def _cyc(entries):
-    """4x4 cyclotomic matrix from a nested literal of CycNum values."""
-    return ExactMatrix(RING_CYC, entries)
+def _assemble(corner, blocks):
+    """27 x 27 x 8 coefficients: the 3x3 `corner` of rational integers, and
+    zeta^k times block `letter` at each (brow, bcol, letter, k) of `blocks`,
+    block rows and columns numbered 1..6."""
+    out = np.zeros((27, 27, 8), dtype=np.int64)
+    out[:3, :3, 0] = corner
+    for brow, bcol, letter, k in blocks:
+        r, c = 4 * brow - 1, 4 * bcol - 1
+        out[r:r + 4, c:c + 4] = _BLOCKS[letter] @ zkernel.ROT[k]
+    return out
 
 
-@dataclass(frozen=True)
-class BlockConstants:
-    """The 4x4 building blocks of d, ac and eprime."""
-
-    I: ExactMatrix
-    J: ExactMatrix
-    K: ExactMatrix
-    L: ExactMatrix
-    A: ExactMatrix
-    B: ExactMatrix
-    C: ExactMatrix
-    D: ExactMatrix
-    E: ExactMatrix
-    F: ExactMatrix
-    G: ExactMatrix
+def _diagonal(exponents):
+    """The diagonal matrix of the powers z^e."""
+    out = np.zeros((27, 27, 8), dtype=np.int64)
+    out[range(27), range(27)] = _ZETA[4 * np.array(exponents)]
+    return out
 
 
-@lru_cache(maxsize=1)
-def block_constants() -> BlockConstants:
-    I4 = ExactMatrix.identity(4, RING_CYC)
-    J = _cyc([[_O, _O, _O, _1],
-              [_O, _O, _1, _O],
-              [_O, _1, _O, _O],
-              [_1, _O, _O, _O]])
-    K = _cyc([[_O, _1, _O, _O],
-              [_O, _O, _O, _1],
-              [_1, _O, _O, _O],
-              [_O, _O, _1, _O]])
-    L = _cyc([[_O, _O, _1, _O],
-              [_1, _O, _O, _O],
-              [_O, _O, _O, _1],
-              [_O, _1, _O, _O]])
-    A = _cyc([[_O, _T, _S, _O],
-              [_T, _O, _O, _S],
-              [_S, _O, _O, _T],
-              [_O, _S, _T, _O]])
-    B = _cyc([[-_1, _T, _S, -_1],
-              [_T, -_1, -_1, _S],
-              [_S, -_1, -_1, _T],
-              [-_1, _S, _T, -_1]])
-    C = _cyc([[_1, _S, _T, _1],
-              [_S, _1, _1, _T],
-              [_T, _1, _1, _S],
-              [_1, _T, _S, _1]])
-    D = _cyc([[_1, _O, _O, _1],
-              [_O, _1, _1, _O],
-              [_O, _1, _1, _O],
-              [_1, _O, _O, _1]])
-    E = _cyc([[_T, _1, _1, _S],
-              [_1, _S, _T, _1],
-              [_1, _T, _S, _1],
-              [_S, _1, _1, _T]])
-    F = _cyc([[-_1, _S, _T, -_1],
-              [_S, -_1, -_1, _T],
-              [_T, -_1, -_1, _S],
-              [-_1, _T, _S, -_1]])
-    G = _cyc([[_T, _O, _O, _S],
-              [_O, _S, _T, _O],
-              [_O, _T, _S, _O],
-              [_S, _O, _O, _T]])
-    return BlockConstants(I4, J, K, L, A, B, C, D, E, F, G)
-
-
-def _place(data, brow, bcol, block, scalar=_1):
-    """Write scalar*block into the 4x4 slot (brow, bcol), blocks numbered 1..6."""
-    r0, c0 = 3 + 4 * (brow - 1), 3 + 4 * (bcol - 1)
-    for r in range(4):
-        for c in range(4):
-            e = block.data[r][c]
-            if not e.is_zero():
-                data[r0 + r][c0 + c] = scalar * e
-
-
-def build_f1f2():
-    """The two diagonal generators of order 5."""
-    z = cyclo.Z
-    f1 = ExactMatrix(RING_CYC, [[z ** F1_EXP[i] if i == j else _O for j in range(27)]
-                                for i in range(27)])
-    f2 = ExactMatrix(RING_CYC, [[z ** F2_EXP[i] if i == j else _O for j in range(27)]
-                                for i in range(27)])
-    return f1, f2
-
-
-def build_d_ac():
-    """The signed-monomial generators: the involution d and the order-12 ac."""
-    bc = block_constants()
-    i = cyclo.I
-
-    d = [[_O] * 27 for _ in range(27)]
-    d[0][0] = _1
-    d[1][1] = -_1
-    d[2][2] = -_1
-    _place(d, 1, 1, bc.I, -_1)
-    _place(d, 2, 2, bc.J, -_1)
-    _place(d, 3, 4, bc.I, -i)
-    _place(d, 4, 3, bc.I, i)
-    _place(d, 5, 6, bc.L, i)
-    _place(d, 6, 5, bc.K, -i)
-
-    ac = [[_O] * 27 for _ in range(27)]
-    ac[0][1] = _1
-    ac[1][2] = _1
-    ac[2][0] = _1
-    for brow, bcol in ((1, 5), (2, 6), (3, 1), (4, 2), (5, 3), (6, 4)):
-        _place(ac, brow, bcol, bc.K)
-
-    return ExactMatrix(RING_CYC, d), ExactMatrix(RING_CYC, ac)
-
+# d and ac: the 3x3 corner, and the blocks with -1 = zeta^10, i = zeta^5,
+# -i = zeta^15.
+_D_CORNER = ((1, 0, 0), (0, -1, 0), (0, 0, -1))
+_AC_CORNER = ((0, 1, 0), (0, 0, 1), (1, 0, 0))
+_D_BLOCKS = ((1, 1, "I", 10), (2, 2, "J", 10), (3, 4, "I", 15),
+             (4, 3, "I", 5), (5, 6, "L", 5), (6, 5, "K", 15))
+_AC_BLOCKS = tuple((brow, bcol, "K", 0)
+                   for brow, bcol in ((1, 5), (2, 6), (3, 1), (4, 2), (5, 3), (6, 4)))
 
 # eprime layout: 3x3 corner, per-block scalars for the mixed 3x24 part, and
 # the 6x6 grid of A..G blocks (all then scaled by 1/5).
@@ -177,25 +121,14 @@ _MIXED = ((0, -1, 1, 1, -1, 0),
 _GRID = ("ABADEF", "BCDGFG", "ADEFAB", "DGFGBC", "EFABAD", "FGBCDG")
 
 
-def build_eprime() -> ExactMatrix:
-    """The dense symmetric involution, entries in (1/5)*{0, +-1, +-2, sigma, tau}."""
-    bc = block_constants()
-    n = [[_O] * 27 for _ in range(27)]
-    for r in range(3):
-        for c in range(3):
-            n[r][c] = CycNum.from_int(_CORNER[r][c])
-    for r in range(3):
-        for b in range(6):
-            s = _MIXED[r][b]
-            if s:
-                sc = CycNum.from_int(s)
-                for k in range(4):
-                    n[r][3 + 4 * b + k] = sc
-                    n[3 + 4 * b + k][r] = sc
-    for br, letters in enumerate(_GRID):
-        for bcidx, letter in enumerate(letters):
-            _place(n, br + 1, bcidx + 1, getattr(bc, letter))
-    return la.scale_matrix(ExactMatrix(RING_CYC, n), cyclo.FIFTH)
+def _eprime():
+    """5 eprime: entries in {0, +-1, +-2, sigma, tau}."""
+    out = _assemble(_CORNER, [(br + 1, bc + 1, letter, 0)
+                              for br, letters in enumerate(_GRID)
+                              for bc, letter in enumerate(letters)])
+    mixed = np.repeat(_MIXED, 4, axis=1)
+    out[:3, 3:, 0], out[3:, :3, 0] = mixed, mixed.T
+    return out
 
 
 @dataclass(frozen=True)
@@ -219,16 +152,17 @@ NAMES = ("f1", "f2", "d", "ac", "eprime")
 
 @lru_cache(maxsize=1)
 def build_all() -> GeneratorSet:
-    f1, f2 = build_f1f2()
-    d, ac = build_d_ac()
-    return GeneratorSet(f1, f2, d, ac, build_eprime())
+    m = ExactMatrix.from_coeffs
+    return GeneratorSet(m(_diagonal(F1_EXP), 1), m(_diagonal(F2_EXP), 1),
+                        m(_assemble(_D_CORNER, _D_BLOCKS), 1),
+                        m(_assemble(_AC_CORNER, _AC_BLOCKS), 1), m(_eprime(), 5))
 
 
 @lru_cache(maxsize=1)
 def build_all_gf41():
     """The five generators reduced entrywise modulo 41, in standard order."""
-    g = build_all()
-    return tuple(la.reduce_matrix_mod41(m) for m in g.in_order())
+    return tuple(la.from_residues(gf41.reduce_rows(m.coeffs.reshape(27, zkernel.DIM), m.den))
+                 for m in build_all().in_order())
 
 
 def verify_relations(g: GeneratorSet) -> tuple:

@@ -177,9 +177,9 @@ def lift_table() -> dict:
         gf(2): CycNum.from_int(2),
         gf(40): cyclo.MINUS_ONE,
         gf(16): cyclo.Z,
-        gf(10): cyclo.Z ** 2,
-        gf(37): cyclo.Z ** 3,
-        gf(18): cyclo.Z ** 4,
+        gf(10): CycNum.zeta(8),
+        gf(37): CycNum.zeta(12),
+        gf(18): CycNum.zeta(16),
         gf(9): cyclo.I,
         gf(7): cyclo.SIGMA,
         gf(35): cyclo.TAU,

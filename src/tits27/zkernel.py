@@ -5,12 +5,16 @@ coefficient block 8j..8j+7 in the power basis 1, zeta, ..., zeta^7.
 Multiplication by c in Q(zeta20) right-multiplies a block by the 8x8
 rational matrix sum_k c_k ROT[k], ROT[k] the matrix of multiplication by
 zeta^k, so a 27x27 matrix m is a 216x216 rational matrix.  IntegerAction
-scales m by D, the lcm of its denominators, and compiles D * m once into
-the 216x216 integer matrix B whose block (j, i) right-multiplies block j
-of a row into block i.  It applies B to n x 216 int64 rows, one vector v
-per row, as the single product rows @ B, giving the rows of D * (m v).
-On n x 27 rows of rational integers (coefficient 0 of each block only) it
-uses the 27 rows B[0::8].  The action of m^T is B with its 8x8 blocks
+reads m as the int64 coefficients of D * m, D its common denominator
+(`ExactMatrix.coeffs` and `.den`: the generators are built in that form,
+and any other matrix derives it once from its scalars), and compiles them
+once into the 216x216 integer matrix B whose block (j, i) right-multiplies
+block j of a row into block i.  `from_coeffs` compiles such coefficients
+directly; both go through the one compile step, and nothing compiles a
+matrix before its action is first asked for.  It applies B to n x 216
+int64 rows, one vector v per row, as the single product rows @ B, giving
+the rows of D * (m v).  On n x 27 rows of rational integers (coefficient 0
+of each block only) it uses the 27 rows B[0::8].  The action of m^T is B with its 8x8 blocks
 transposed as blocks, so it needs no second compile.
 
 There are two ways to apply it:
@@ -53,8 +57,10 @@ Exactness guards
     the sum of the absolute values of its terms, below 2^53, so no
     operation rounds.  The result is cast back to int64, and every verdict
     is taken on those integers.  When the matrix is compiled, 216 * 8 * c
-    < 2^53 is checked, with c the largest coefficient of D * m, while the
-    coefficients are still Python integers: an entry of B sums 8
+    < 2^53 is checked, with c the largest coefficient of D * m.  The
+    coefficients arrive as int64, and none has wrapped: a matrix held as
+    scalars forms them as Python integers and casts them only after checking
+    that they fit (`ExactMatrix.coeffs`).  An entry of B sums 8
     coefficients times 0 or +-1, so B is formed exactly in float64 and
     max|B| <= 8c.  D < 2^53 is checked too, so ``act(rows)`` can divide in
     float64, and skips the division when D = 1: for |p| < 2^53 and
@@ -67,8 +73,6 @@ Exactness guards
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -111,11 +115,7 @@ class IntegerAction:
     def __init__(self, m: ExactMatrix):
         if m.ring != RING_CYC or m.rows != 27 or m.cols != 27:
             raise ValueError("the integer kernel needs a 27x27 cyclotomic matrix")
-        entries = [e for row in m.data for e in row]
-        den = math.lcm(*(e.den for e in entries))
-        scale = np.array([den // e.den for e in entries], dtype=object)[:, None]
-        coeffs = np.array([e.num for e in entries], dtype=object) * scale  # exact ints
-        self._compile(coeffs.reshape(27, 27, 8), den)
+        self._compile(m.coeffs, m.den)
 
     @classmethod
     def of(cls, m: ExactMatrix):

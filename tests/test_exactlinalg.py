@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+import cyc_reference
 from tits27 import cyclo, exactlinalg as la, generators, gf41, zkernel
 from tits27.exactlinalg import (DimensionMismatchError, ExactMatrix, RingMismatchError,
                                 SingularMatrixError, RING_CYC, RING_GF41)
@@ -42,7 +43,7 @@ def _rank_oracle(m):
 
 
 def test_block_constant_products():
-    bc = generators.block_constants()
+    bc = cyc_reference.block_constants()
     ident = ExactMatrix.identity(4, RING_CYC)
     # K and L are mutually inverse 4-cycles; J is a double transposition.
     assert la.mat_mul(bc.K, bc.L) == ident
@@ -176,3 +177,31 @@ def test_parse_skips_comments():
     text = "# comment\ngf41 1 2\n\n3 4\n"
     m = la.parse_matrix(text)
     assert m.rows == 1 and m.cols == 2 and m.data[0][1] == gf(4)
+
+
+def test_coefficient_form_round_trips(gens):
+    rng = random.Random(11)
+    entries = [[cyclo.CycNum([rng.randint(-9, 9) for _ in range(8)], rng.choice([1, 3, 10]))
+                for _ in range(4)] for _ in range(3)]
+    m = ExactMatrix(RING_CYC, entries)
+    assert m.coeffs.shape == (3, 4, 8) and m.coeffs.dtype == np.int64
+    again = ExactMatrix.from_coeffs(m.coeffs, m.den)
+    assert again == m and again.data == entries
+    # the generators are built as coefficients; their files parse back to them
+    parsed = la.parse_matrix(la.format_matrix(gens.eprime))
+    assert parsed.den == gens.eprime.den == 5
+    assert np.array_equal(parsed.coeffs, gens.eprime.coeffs)
+
+
+def test_coefficients_that_overflow_int64_are_refused():
+    top = 2 ** 63 - 1
+    m = ExactMatrix(RING_CYC, [[cyclo.CycNum.from_int(top), cyclo.CycNum.from_int(-top)]])
+    assert m.coeffs[:, :, 0].tolist() == [[top, -top]]
+    for entries in ([[cyclo.CycNum.from_int(top + 1)]],
+                    [[cyclo.CycNum.from_int(-top - 1)]],
+                    # over the common denominator 3, 2^62 becomes 3 * 2^62
+                    [[cyclo.CycNum.rational(1, 3), cyclo.CycNum.from_int(2 ** 62)]]):
+        with pytest.raises(zkernel.KernelOverflowError):
+            ExactMatrix(RING_CYC, entries).coeffs
+    with pytest.raises(RingMismatchError):
+        ExactMatrix.identity(2, RING_GF41).coeffs

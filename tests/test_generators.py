@@ -1,12 +1,16 @@
 """Construction of the five generators."""
 
+import dataclasses
+import itertools
 from collections import Counter
 
+import numpy as np
 import pytest
 
-from tits27 import cyclo, exactlinalg as la, generators, zkernel
+import cyc_reference
+from tits27 import certificates, cyclo, exactlinalg as la, generators, gf41, zkernel
 from tits27.cyclo import CycNum
-from tits27.exactlinalg import ExactMatrix, RING_CYC
+from tits27.exactlinalg import ExactMatrix, RING_CYC, RING_GF41
 
 
 def test_f1_f2_diagonal_tables(gens):
@@ -224,7 +228,7 @@ def _raw_calls(monkeypatch):
 def test_verify_relations_refuses_unsafe_sets_before_any_product(gens, monkeypatch):
     calls = _raw_calls(monkeypatch)
     # 216 * 8 * 2^43 reaches 2^53, so compiling the actions refuses it
-    huge = la.scale_matrix(gens.f1, CycNum.from_int(2 ** 43))
+    huge = cyc_reference.scale_matrix(gens.f1, CycNum.from_int(2 ** 43))
     with pytest.raises(zkernel.KernelOverflowError):
         generators.verify_relations(
             generators.GeneratorSet(huge, gens.f2, gens.d, gens.ac, gens.eprime))
@@ -235,7 +239,7 @@ def test_verify_relations_refuses_an_unsafe_power(gens, monkeypatch):
     # 2^16 f1 compiles, and f1 and f1^2 are applied, but the third
     # application of f1^5 would reach 216 * 2^16 * 2^32 > 2^53
     calls = _raw_calls(monkeypatch)
-    big = la.scale_matrix(gens.f1, CycNum.from_int(2 ** 16))
+    big = cyc_reference.scale_matrix(gens.f1, CycNum.from_int(2 ** 16))
     with pytest.raises(zkernel.KernelOverflowError):
         generators.verify_relations(
             generators.GeneratorSet(big, gens.f2, gens.d, gens.ac, gens.eprime))
@@ -275,3 +279,66 @@ def test_gf41_reduction_of_generators(gens):
     assert reduced[4].data[0][0] == gf(25)   # 2/5 mod 41
     top = [e for e in reduced[4].data[0] if not e.is_zero()]
     assert Counter(e.value for e in top) == {25: 2, 33: 9, 8: 8}
+
+
+@pytest.mark.parametrize("name", generators.NAMES)
+def test_generators_equal_the_per_scalar_reference(gens, name):
+    built, ref = getattr(gens, name), getattr(cyc_reference.build_all(), name)
+    assert (built.den, ref.den) == ({"eprime": 5}.get(name, 1),) * 2
+    assert np.array_equal(built.coeffs, ref.coeffs)
+    fresh = getattr(generators.build_all.__wrapped__(), name)  # decoded here
+    for i in range(27):
+        for j in range(27):
+            assert fresh.data[i][j] == ref.data[i][j], (i, j)
+
+
+def test_gf41_generators_reduce_the_per_scalar_reference():
+    for m, ref in zip(generators.build_all_gf41(), cyc_reference.build_all().in_order()):
+        assert m.ring == RING_GF41
+        assert m.data == [[gf41.reduce_cyc(e) for e in row] for row in ref.data]
+
+
+def test_fast_certificates_make_no_scalar_products(monkeypatch):
+    calls = []
+    mul = CycNum.__mul__
+    monkeypatch.setattr(CycNum, "__mul__", lambda a, b: calls.append(None) or mul(a, b))
+    fresh = generators.build_all.__wrapped__()  # built inside the count
+    monkeypatch.setattr(generators, "build_all", lambda: fresh)
+    assert all(ok for _, ok in certificates.rows(fast=True))
+    assert calls == []
+
+
+def _verdicts_with_eprime(monkeypatch, change):
+    """The eprime rows of `verify --fast` with eprime's 5 * coefficients
+    changed in place by `change`."""
+    g = generators.build_all.__wrapped__()
+    coeffs = g.eprime.coeffs.copy()
+    change(coeffs)
+    changed = dataclasses.replace(g, eprime=ExactMatrix.from_coeffs(coeffs, g.eprime.den))
+    monkeypatch.setattr(generators, "build_all", lambda: changed)
+    return {name: ok for name, ok in itertools.islice(certificates.rows(fast=True), 16)
+            if name.startswith("eprime")}
+
+
+_SYMMETRIC = "eprime symmetric"
+_MULTISET = "eprime top row multiset {2/5 x2, 1/5 x9, -1/5 x8}"
+
+
+def test_symmetry_row_fails_on_one_changed_coefficient(monkeypatch):
+    def change(c):
+        assert not c[0, 5].any() and not c[5, 0].any()
+        c[0, 5, 1] = 1  # eprime[0][5] = zeta/5, eprime[5][0] stays 0
+    assert not _verdicts_with_eprime(monkeypatch, change)[_SYMMETRIC]
+
+
+@pytest.mark.parametrize("entry", [(0, 2, 0), (0, 2, 1), (0, 3, 0)],
+                         ids=["1/5 to 2/5", "1/5 to (1 + zeta)/5", "0 to 1/5"])
+def test_multiset_row_fails_on_a_changed_top_row(monkeypatch, entry):
+    def change(c):
+        # (0, 2) is 1/5 and (0, 3) is 0; the mirror entry changes too, so
+        # eprime stays symmetric and only the multiset row can tell
+        i, j, k = entry
+        c[i, j, k] += 1
+        c[j, i, k] += 1
+    rows = _verdicts_with_eprime(monkeypatch, change)
+    assert rows[_SYMMETRIC] and not rows[_MULTISET]

@@ -178,13 +178,17 @@ def test_action_is_compiled_once_and_kept_on_the_matrix(gens):
 
 
 def test_each_generator_is_compiled_once_per_certificate_run(monkeypatch):
-    # fresh generators, so that no action compiled by an earlier test is reused
+    # fresh generators, so that no action compiled by an earlier test is
+    # reused; building them compiles nothing
     fresh = generators.build_all.__wrapped__()
+    assert all(m.action is None for m in fresh.in_order())
     monkeypatch.setattr(generators, "build_all", lambda: fresh)
     compiled = []
-    init = IntegerAction.__init__
-    monkeypatch.setattr(IntegerAction, "__init__",
-                        lambda self, m: compiled.append(m) or init(self, m))
+    compile_ = IntegerAction._compile
+    monkeypatch.setattr(IntegerAction, "_compile",
+                        lambda self, coeffs, den: compiled.append(coeffs) or compile_(self, coeffs, den))
     assert all(ok for _, ok in certificates.rows(seed=3))
-    assert len(compiled) <= 5
-    assert {id(m) for m in compiled} <= {id(m) for m in fresh.in_order()}
+    # every compile goes through _compile: each generator's coefficients
+    # exactly once, and besides them the adjoints of the five unitarity rows
+    assert [sum(c is m.coeffs for c in compiled) for m in fresh.in_order()] == [1] * 5
+    assert len(compiled) == 10
