@@ -36,13 +36,13 @@ Residue arrays
     inverses run on the kernel in `gf41`, which checks once per call that
     n * 40^2 < 2^63 for n columns (43,200 for n = 27), so no int64 sum can
     overflow; diagonal conjugation multiplies three residues, below 41^3.
-    `run_pipeline` and `scramble_roundtrip` convert the `ExactMatrix`
-    generators at their edge.  The results equal those of per-residue
-    `Gf41` arithmetic: the closure of <d, ac> visits elements breadth first
-    in the same order, a reduced echelon form is unique, so nullspace bases
-    and inverses are unchanged, and `random_invertible` draws
-    `rng.randrange(41)` row-major as before, so every seed gives the same
-    matrix.
+    A gf41 `ExactMatrix` holds such an array, so `la.residues` hands one
+    over without conversion, and `la.from_residues` wraps a result back.
+    The results equal those of per-residue `Gf41` arithmetic: the closure
+    of <d, ac> visits elements breadth first in the same order, a reduced
+    echelon form is unique, so nullspace bases and inverses are unchanged,
+    and `random_invertible` draws `rng.randrange(41)` row-major as before,
+    so every seed gives the same matrix.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ import numpy as np
 from . import exactlinalg as la
 from . import generators
 from . import gf41
-from .exactlinalg import CheckFailed
+from .exactlinalg import CapExceededError, CheckFailed
 from .gf41 import P
 
 
@@ -71,10 +71,6 @@ class SingularAssemblyError(CheckFailed):
 
 
 class PatternViolationError(CheckFailed):
-    pass
-
-
-class CapExceededError(ValueError):
     pass
 
 
@@ -318,7 +314,8 @@ def row_value_multiset(m, i: int) -> dict:
 
 
 def recover(gens):
-    """The full recovery on a (5, 27, 27) residue stack in any basis.
+    """The full recovery on five 27x27 residue arrays in any basis, stacked
+    or in a sequence.
 
     Eigenvectors, basis, rebase, balance: returns the balanced stack (same
     generator order) and the common interaction multiple as a residue.
@@ -331,13 +328,6 @@ def recover(gens):
         raise WrongCountError(f"<d, ac> closure has {len(sub)} elements, not 48")
     basis = assemble_basis(charvec, fixvec, sub)
     return scalar_balance(rebase(gens, basis))
-
-
-def run_pipeline(f1m, f2m, dm, acm, em):
-    """`recover` on five gf41 `ExactMatrix` generators, with results as
-    gf41 `ExactMatrix` objects and the common multiple as a `Gf41` residue."""
-    balanced, common = recover(np.stack([la.residues(m) for m in (f1m, f2m, dm, acm, em)]))
-    return [la.from_residues(m) for m in balanced], gf41.gf(common)
 
 
 def random_invertible(rng: random.Random, n: int = 27):

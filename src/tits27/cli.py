@@ -49,10 +49,10 @@ def _gen_subset(selector: str):
 
 
 def _cmd_gens(args):
-    g = generators.build_all()
-    mats = {}
-    for name, m in g.as_dict().items():
-        mats[name] = la.reduce_matrix_mod41(m) if args.gf41 else m
+    if args.gf41:
+        mats = dict(zip(generators.NAMES, generators.build_all_gf41()))
+    else:
+        mats = generators.build_all().as_dict()
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         for name, m in mats.items():
@@ -153,14 +153,13 @@ def _cmd_basis(args):
     for name, text in wordlang.STANDARD_WORDS:
         expr = wordlang.parse_word(text, names=env.keys())
         env[name] = wordlang.eval_word(expr, env)
-    ac = la.mat_mul(env["a"], env["c"])
-    balanced, common = basisfinder.run_pipeline(
-        env["f1"], env["f2"], env["d"], ac, env["eprime"])
-    print(f"common interaction multiple: {common.value}")
+    env["ac"] = la.mat_mul(env["a"], env["c"])
+    balanced, common = basisfinder.recover([la.residues(env[name]) for name in generators.NAMES])
+    print(f"common interaction multiple: {common}")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        for name, m in zip(("f1", "f2", "d", "ac", "eprime"), balanced):
-            la.save_matrix(m, os.path.join(args.out, f"{name}.mat"))
+        for name, m in zip(generators.NAMES, balanced):
+            la.save_matrix(la.from_residues(m), os.path.join(args.out, f"{name}.mat"))
         print(f"wrote 5 rebased matrices to {args.out}")
     return 0
 

@@ -1,13 +1,15 @@
 """Dense exact matrices over Q(zeta20) or GF(41).
 
-A matrix carries a ring tag ("cyc" or "gf41") and its entries as scalar
-objects from :mod:`tits27.cyclo` / :mod:`tits27.gf41`.  A cyclotomic matrix
-may instead be built from integer power-basis coefficients over one
-denominator, the form the kernel in `zkernel` compiles; its scalars are then
-decoded only when read.  All arithmetic is exact; elimination pivots on the
-first nonzero entry in column order, so every result is deterministic.  Over
-GF(41) the products and elimination convert to int64 residue arrays and run
-on the kernel in `gf41`.
+A matrix carries a ring tag ("cyc" or "gf41").  A cyclotomic matrix holds
+`CycNum` entries from :mod:`tits27.cyclo`, or integer power-basis
+coefficients over one denominator, the form the kernel in `zkernel`
+compiles, or both.  A GF(41) matrix holds one read-only int64 array of
+residues mod 41 (`residues`, made by `from_residues`), and its products,
+inverses, powers, equality, hashing and file form all read that array;
+`Gf41` objects are decoded only when `data` is read.  Either form of a
+matrix is derived from the other on first use and kept.  All arithmetic is
+exact; elimination pivots on the first nonzero entry in column order, so
+every result is deterministic.
 
 File formats
     cyc R C     header, then R*C lines, one cyclotomic element per line
@@ -28,11 +30,7 @@ from .gf41 import SingularMatrixError
 
 RING_CYC = "cyc"
 RING_GF41 = "gf41"
-
-_SCALARS = {
-    RING_CYC: (cyclo.ZERO, cyclo.ONE),
-    RING_GF41: (gf41.ZERO, gf41.ONE),
-}
+_RINGS = (RING_CYC, RING_GF41)
 
 
 class DimensionMismatchError(ValueError):
@@ -47,18 +45,23 @@ class CheckFailed(ValueError):
     """The input is well formed, but a mathematical check found it wrong."""
 
 
+class CapExceededError(ValueError):
+    """An orbit or a subgroup closure outgrew the cap it was given."""
+
+
 class ExactMatrix:
     """A rows x cols matrix with entries in one exact scalar ring.
 
     A cyclotomic matrix is held as scalar entries (`data`), as integer
-    coefficients over one denominator (`coeffs`, `den`), or both: each form
-    is derived from the other on first read and kept.
+    coefficients over one denominator (`coeffs`, `den`), or both; a GF(41)
+    matrix as scalar entries, as its residue array (`residues`), or both.
+    Each form is derived from the other on first read and kept.
     """
 
-    __slots__ = ("ring", "rows", "cols", "_data", "_coeffs", "_den", "action")
+    __slots__ = ("ring", "rows", "cols", "_data", "_array", "_den", "action")
 
     def __init__(self, ring, data):
-        if ring not in _SCALARS:
+        if ring not in _RINGS:
             raise RingMismatchError(f"unknown ring {ring!r}")
         data = [list(row) for row in data]
         if not data or not data[0]:
@@ -70,28 +73,31 @@ class ExactMatrix:
         self.rows = len(data)
         self.cols = cols
         self._data = data
-        self._coeffs = self._den = None
+        self._array = self._den = None
         self.action = None  # the compiled zkernel.IntegerAction, set on first use
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def identity(cls, n, ring):
-        zero, one = _SCALARS[ring]
-        return cls(ring, [[one if i == j else zero for j in range(n)] for i in range(n)])
+        return _of_integers(np.eye(n, dtype=np.int64), ring)
 
     @classmethod
     def zeros(cls, rows, cols, ring):
-        zero, _ = _SCALARS[ring]
-        return cls(ring, [[zero] * cols for _ in range(rows)])
+        return _of_integers(np.zeros((rows, cols), dtype=np.int64), ring)
 
     @classmethod
     def from_coeffs(cls, coeffs, den):
         """The cyclotomic matrix with entry (i, j) = coeffs[i, j] / den, coeffs
         a rows x cols x 8 int64 array of power-basis coefficients, den >= 1."""
+        return cls._held(RING_CYC, coeffs, den)
+
+    @classmethod
+    def _held(cls, ring, array, den=None):
+        """The matrix held as `array` alone: coefficients or residues."""
         m = cls.__new__(cls)
-        m.ring, (m.rows, m.cols, _) = RING_CYC, coeffs.shape
-        m._data, m._coeffs, m._den, m.action = None, coeffs, den, None
+        m.ring, m.rows, m.cols = ring, *array.shape[:2]
+        m._data, m._array, m._den, m.action = None, array, den, None
         return m
 
     # -- the two forms -----------------------------------------------------
@@ -100,8 +106,8 @@ class ExactMatrix:
     def data(self):
         """The entries as lists of scalars."""
         if self._data is None:
-            den = self._den
-            self._data = [[cyclo.CycNum(c, den) for c in row] for row in self._coeffs.tolist()]
+            scalar = gf41.gf if self.ring == RING_GF41 else lambda c: cyclo.CycNum(c, self._den)
+            self._data = [[scalar(v) for v in row] for row in self._array.tolist()]
         return self._data
 
     @property
@@ -120,28 +126,32 @@ class ExactMatrix:
         of the entries' denominators.  The coefficients are formed as Python
         integers and refused with KernelOverflowError unless they fit in
         int64, so none wraps."""
-        if self._coeffs is None:
-            if self.ring != RING_CYC:
-                raise RingMismatchError(f"expected a cyc matrix, got {self.ring}")
+        if self.ring != RING_CYC:
+            raise RingMismatchError(f"expected a cyc matrix, got {self.ring}")
+        if self._array is None:
             entries = [e for row in self.data for e in row]
             den = math.lcm(*(e.den for e in entries))
             nums = [n * (den // e.den) for e in entries for n in e.num]
             gf41.check_range(1, max(map(abs, nums)), 1)
-            self._coeffs = np.array(nums, dtype=np.int64).reshape(self.rows, self.cols, 8)
+            self._array = np.array(nums, dtype=np.int64).reshape(self.rows, self.cols, 8)
             self._den = den
-        return self._coeffs, self._den
+        return self._array, self._den
 
     # -- basic protocol -----------------------------------------------------
 
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        return (self.ring == other.ring and self.rows == other.rows
-                and self.cols == other.cols and self.data == other.data)
+        if (self.ring, self.rows, self.cols) != (other.ring, other.rows, other.cols):
+            return False
+        if self.ring == RING_GF41:
+            return np.array_equal(residues(self), residues(other))
+        return self.data == other.data
 
     def __hash__(self):
-        return hash((self.ring, self.rows, self.cols,
-                     tuple(tuple(row) for row in self.data)))
+        if self.ring == RING_GF41:
+            return hash((self.rows, self.cols, residues(self).tobytes()))
+        return hash((self.rows, self.cols, tuple(map(tuple, self.data))))
 
     def __repr__(self):
         return f"<ExactMatrix {self.ring} {self.rows}x{self.cols}>"
@@ -151,14 +161,6 @@ class ExactMatrix:
 
     def __pow__(self, n):
         return mat_pow(self, n)
-
-    @property
-    def zero(self):
-        return _SCALARS[self.ring][0]
-
-    @property
-    def one(self):
-        return _SCALARS[self.ring][1]
 
     def is_square(self):
         return self.rows == self.cols
@@ -189,15 +191,31 @@ def _check_ring(a, b):
 
 
 def residues(m: ExactMatrix) -> np.ndarray:
-    """A gf41 matrix as an int64 array of residues."""
+    """A gf41 matrix as its read-only rows x cols int64 array of residues."""
     if m.ring != RING_GF41:
         raise RingMismatchError(f"expected a gf41 matrix, got {m.ring}")
-    return np.array([[e.value for e in row] for row in m.data], dtype=np.int64)
+    if m._array is None:
+        m._array = from_residues([[e.value for e in row] for row in m.data])._array
+    return m._array
 
 
 def from_residues(a) -> ExactMatrix:
-    """The gf41 matrix of a 2-D array of integers."""
-    return ExactMatrix(RING_GF41, [[gf41.gf(v) for v in row] for row in a.tolist()])
+    """The gf41 matrix of a 2-D array of integers, held as a read-only copy
+    of their residues; no scalar object is made."""
+    a = np.asarray(a, dtype=np.int64) % gf41.P
+    if a.ndim != 2 or not a.size:
+        raise DimensionMismatchError("dimensions must be at least 1x1")
+    a.flags.writeable = False
+    return ExactMatrix._held(RING_GF41, a)
+
+
+def _of_integers(a, ring) -> ExactMatrix:
+    """The matrix of a 2-D array of integers in `ring`."""
+    if ring == RING_CYC:
+        return ExactMatrix.from_coeffs(a[:, :, None] * np.eye(1, 8, dtype=np.int64), 1)
+    if ring != RING_GF41:
+        raise RingMismatchError(f"unknown ring {ring!r}")
+    return from_residues(a)
 
 
 def mat_mul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
@@ -207,7 +225,7 @@ def mat_mul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
         raise DimensionMismatchError(f"{a.rows}x{a.cols} times {b.rows}x{b.cols}")
     if a.ring == RING_GF41:
         return from_residues(gf41.matmul(residues(a), residues(b)))
-    zero = a.zero
+    zero = cyclo.ZERO
     bdata = b.data
     out = []
     for arow in a.data:
@@ -229,7 +247,7 @@ def matvec(m: ExactMatrix, v) -> tuple:
         raise DimensionMismatchError(f"{m.rows}x{m.cols} applied to length {len(v)}")
     if m.ring == RING_GF41:
         return tuple(map(gf41.gf, gf41.matmul(residues(m), [e.value for e in v]).tolist()))
-    zero = m.zero
+    zero = cyclo.ZERO
     out = []
     for row in m.data:
         acc = zero
@@ -254,7 +272,7 @@ def mat_inv(a: ExactMatrix) -> ExactMatrix:
     if a.ring == RING_GF41:
         return from_residues(gf41.inverse(residues(a)))
     n = a.rows
-    zero, one = _SCALARS[a.ring]
+    zero, one = cyclo.ZERO, cyclo.ONE
     aug = [list(row) + [one if i == j else zero for j in range(n)]
            for i, row in enumerate(a.data)]
     for col in range(n):
@@ -303,7 +321,7 @@ def format_matrix(m: ExactMatrix) -> str:
     if m.ring == RING_CYC:
         lines.extend(e.to_text() for row in m.data for e in row)
     else:
-        lines.extend(" ".join(str(e.value) for e in row) for row in m.data)
+        lines.extend(" ".join(map(str, row)) for row in residues(m).tolist())
     return "\n".join(lines) + "\n"
 
 
@@ -313,7 +331,7 @@ def parse_matrix(text: str) -> ExactMatrix:
     if not lines:
         raise ValueError("empty matrix file")
     header = lines[0].split()
-    if len(header) != 3 or header[0] not in _SCALARS:
+    if len(header) != 3 or header[0] not in _RINGS:
         raise ValueError(f"bad matrix header {lines[0]!r}")
     ring, rows, cols = header[0], int(header[1]), int(header[2])
     body = lines[1:]
@@ -324,17 +342,16 @@ def parse_matrix(text: str) -> ExactMatrix:
             entries = [cyclo.CycNum.from_text(ln) for ln in body]
         except ZeroDivisionError:
             raise ValueError("zero denominator in a cyc entry") from None
-        data = [entries[r * cols:(r + 1) * cols] for r in range(rows)]
-    else:
-        if len(body) != rows:
-            raise ValueError(f"expected {rows} rows, got {len(body)}")
-        data = []
-        for ln in body:
-            parts = ln.split()
-            if len(parts) != cols:
-                raise ValueError(f"expected {cols} residues per row")
-            data.append([gf41.gf(int(p)) for p in parts])
-    return ExactMatrix(ring, data)
+        return ExactMatrix(ring, [entries[r * cols:(r + 1) * cols] for r in range(rows)])
+    if len(body) != rows:
+        raise ValueError(f"expected {rows} rows, got {len(body)}")
+    data = []
+    for ln in body:
+        parts = ln.split()
+        if len(parts) != cols:
+            raise ValueError(f"expected {cols} residues per row")
+        data.append([int(p) % gf41.P for p in parts])
+    return from_residues(data)
 
 
 def save_matrix(m: ExactMatrix, path):
@@ -352,6 +369,6 @@ def reduce_matrix_mod41(m: ExactMatrix) -> ExactMatrix:
     if m.ring != RING_CYC:
         raise RingMismatchError("already a gf41 matrix")
     try:
-        return ExactMatrix(RING_GF41, [[gf41.reduce_cyc(e) for e in row] for row in m.data])
+        return from_residues([[gf41.reduce_cyc(e).value for e in row] for row in m.data])
     except ZeroDivisionError:
         raise ValueError("an entry has a denominator divisible by 41") from None

@@ -19,10 +19,12 @@ from them as 27 x 27 x 8 int64 arrays of power-basis coefficients over one
 denominator (1 for f1, f2, d and ac; 5 for eprime), the form the kernel in
 `zkernel` compiles.  A 4x4 block is an array of indices into the coefficient
 rows of 0, +-1, sigma and tau, and a scalar zeta^k on a block is one product
-with `zkernel.ROT[k]`; the reductions mod 41 are one `gf41.reduce_rows` per
-generator.  No scalar object is made on the way.  Per-scalar `CycNum`s stay
-where single values are read or written: parsing matrix files, printing
-matrices (`ExactMatrix.data`, decoded on first read) and `gf41.lift_table`.
+with `zkernel.ROT[k]`.  The reductions mod 41 are one `gf41.reduce_rows` per
+generator, kept as residue arrays (`exactlinalg.from_residues`) that
+`basisfinder` and the GF(41) matrix files read as they are.  No scalar object
+is made on the way.  Per-scalar `CycNum`s stay where single cyclotomic values
+are read or written: parsing cyc matrix files, printing them
+(`ExactMatrix.data`, decoded on first read) and `gf41.lift_table`.
 """
 
 from __future__ import annotations
@@ -183,7 +185,7 @@ def verify_relations(g: GeneratorSet) -> tuple:
     conjugated by ac is f2" as f1 ac = ac f2, the same relation for an
     invertible ac (a singular ac fails both rows about ac before it).  ac
     has order 12 iff (ac)^12 = 1 and no smaller power is 1.  Unitarity is
-    m* m = 1, with D m* read off the conjugated images of m.
+    m* m = 1, with D m* the adjoint of the compiled action of m.
     """
     acts = dict(zip(NAMES, map(zkernel.IntegerAction.of, g.in_order())))
 
@@ -217,8 +219,7 @@ def verify_relations(g: GeneratorSet) -> tuple:
     ]
     for name in NAMES:
         rows, den = image(name)
-        adjoint = zkernel.IntegerAction.from_coeffs(zkernel.conj(rows).reshape(27, 27, 8), den)
-        checks.append((f"{name} unitary", _same((adjoint.raw(rows), den * den), _ONE)))
+        checks.append((f"{name} unitary", _same((acts[name].adjoint().raw(rows), den * den), _ONE)))
     return tuple(checks)
 
 
@@ -238,14 +239,11 @@ def _same(a, b):
 def row_norms_are_one(m: ExactMatrix) -> bool:
     """Whether every row of m has norm sum_j m_ij conj(m_ij) = 1.
 
-    The norms are the diagonal of m m*, decided on the kernel from the
-    images of the unit vectors that the unitarity rows of `verify_relations`
-    build: row j of those images is column j of D m, so conjugating every
-    block and transposing the blocks gives the columns of D m*, and row i
-    of the image of D m on them is D^2 m m* e_i, whose block i must be D^2.
+    The norms are the diagonal of m m*, decided on the kernel: row i of the
+    images of the unit vectors under the adjoint is D m* e_i, and row i of
+    the image of D m on those is D^2 m m* e_i, whose block i must be D^2.
     """
     act = zkernel.IntegerAction.of(m)
-    rows = act.raw(np.eye(27, dtype=np.int64))
-    star = zkernel.conj(rows).reshape(27, 27, 8).transpose(1, 0, 2).reshape(27, zkernel.DIM)
+    star = act.adjoint().raw(np.eye(27, dtype=np.int64))
     diag = act.raw(star).reshape(27, 27, 8)[np.arange(27), np.arange(27)]
     return _same((diag, act.den ** 2), (np.tile(np.eye(1, 8, dtype=np.int64), (27, 1)), 1))

@@ -157,6 +157,7 @@ import numpy as np
 
 from . import cyclo, gf41
 from . import exactlinalg as la
+from .exactlinalg import CapExceededError
 # KernelOverflowError and ScaleError are re-exported: callers of the orbit
 # functions catch them from this module.
 from .zkernel import (DIM, ROT, IntegerAction, KernelOverflowError, ScaleError,  # noqa: F401
@@ -173,10 +174,6 @@ _ROT_F64 = ROT.astype(np.float64)
 _ROTS = _ROT_F64.transpose(1, 0, 2).reshape(8, 20 * 8)
 _BLOCK = np.dtype((np.void, 8 * 8))  # one 8-coefficient int64 block as a single key
 _SIGN_BIT = np.int64(-2 ** 63)  # x ^ _SIGN_BIT orders as uint64 as x does as int64
-
-
-class CapExceededError(ValueError):
-    pass
 
 
 class OrbitNotClosedError(la.CheckFailed):

@@ -9,13 +9,13 @@ reads m as the int64 coefficients of D * m, D its common denominator
 (`ExactMatrix.coeffs` and `.den`: the generators are built in that form,
 and any other matrix derives it once from its scalars), and compiles them
 once into the 216x216 integer matrix B whose block (j, i) right-multiplies
-block j of a row into block i.  `from_coeffs` compiles such coefficients
-directly; both go through the one compile step, and nothing compiles a
-matrix before its action is first asked for.  It applies B to n x 216
-int64 rows, one vector v per row, as the single product rows @ B, giving
-the rows of D * (m v).  On n x 27 rows of rational integers (coefficient 0
-of each block only) it uses the 27 rows B[0::8].  The action of m^T is B with its 8x8 blocks
-transposed as blocks, so it needs no second compile.
+block j of a row into block i; nothing compiles a matrix before its action
+is first asked for.  It applies B to n x 216 int64 rows, one vector v per
+row, as the single product rows @ B, giving the rows of D * (m v).  On
+n x 27 rows of rational integers (coefficient 0 of each block only) it uses
+the 27 rows B[0::8].  The action of m^T is B with its 8x8 blocks transposed
+as blocks, and the action of m* moves them the same way and conjugates each
+block, so neither needs a second compile.
 
 There are two ways to apply it:
 
@@ -33,16 +33,17 @@ Relations and unitarity
     rows of D_1 ... D_k * (w e_j) exactly, and no division is made: two sides
     with denominator products D and D' are equal iff D' times the rows of one
     equals D times the rows of the other, and `check_range` guards those two
-    products like every application.  The conjugate transpose m* needs no
-    other arithmetic.  Row j of `raw` on the unit vectors holds the blocks of
-    column j of D * m, so conjugating every block gives the coefficients of
-    row j of D * m*, ready for `IntegerAction.from_coeffs`.  Conjugation is
-    the automorphism zeta -> zeta^19, Q-linear on the power basis, so on a
-    block it is the fixed matrix CONJ whose row j holds the coefficients of
-    zeta^-j, all 0 or +-1: the conjugate of an integer block is an integer
-    block, computed without rounding.  The same images, conjugated and
-    transposed as blocks, are the columns of D * m*, and `raw` on them
-    gives D^2 * m m*, whose diagonal holds the row norms of m
+    products like every application.  The conjugate transpose m* is read
+    off B (`IntegerAction.adjoint`).  Conjugation is the automorphism
+    zeta -> zeta^19, Q-linear on the power basis, so on a block of
+    coefficients it is the fixed matrix CONJ whose row j holds the
+    coefficients of zeta^-j, all 0 or +-1.  Block (j, i) of B is the matrix
+    of multiplication by m_ij, and multiplication by conj(c) is CONJ times
+    the matrix of c times CONJ, so block (j, i) of the action of m* is
+    CONJ B_ij CONJ: each block moved to its mirror position and conjugated
+    on both sides, an integer block computed without rounding.  Unitarity
+    is D^2 m* m = D^2, and `raw` of m on the images of the unit vectors
+    under m* gives D^2 m m*, whose diagonal holds the row norms of m
     (`generators.row_norms_are_one`).
 
 Exactness guards
@@ -62,8 +63,10 @@ Exactness guards
     scalars forms them as Python integers and casts them only after checking
     that they fit (`ExactMatrix.coeffs`).  An entry of B sums 8
     coefficients times 0 or +-1, so B is formed exactly in float64 and
-    max|B| <= 8c.  D < 2^53 is checked too, so ``act(rows)`` can divide in
-    float64, and skips the division when D = 1: for |p| < 2^53 and
+    max|B| <= 8c.  `adjoint` forms CONJ B_ij CONJ in float64 too, after
+    checking 64 * max|B| < 2^53, which bounds every partial sum of its two
+    products of 8 terms.  D < 2^53 is checked too, so ``act(rows)`` can
+    divide in float64, and skips the division when D = 1: for |p| < 2^53 and
     1 < D < 2^53, p / D rounded to a float64 is an integer iff D divides p,
     since it is then exact, and otherwise it lies within 2^(e-53) < 1/D of
     p / D, with 2^e <= |p / D| < 2^53 / D, while every integer is at least
@@ -102,12 +105,6 @@ def max_abs(a) -> int:
     return max(int(a.max(initial=0)), -int(a.min(initial=0)))
 
 
-def conj(rows):
-    """The entrywise complex conjugates of n x 216 rows."""
-    check_range(8, 1, max_abs(rows))  # CONJ has entries 0 and +-1
-    return (rows.reshape(-1, 27, 8) @ CONJ).reshape(rows.shape)
-
-
 class IntegerAction:
     """A 27x27 cyclotomic matrix as an exact integer map on n x 216 rows:
     D times its 216x216 rational matrix, applied as one float64 product."""
@@ -125,13 +122,6 @@ class IntegerAction:
             m.action = cls(m)
         return m.action
 
-    @classmethod
-    def from_coeffs(cls, coeffs, den):
-        """The matrix whose entry (i, j) is coeffs[i, j] / den, coeffs a 27 x 27 x 8 int64 array."""
-        act = cls.__new__(cls)
-        act._compile(coeffs, den)
-        return act
-
     def _compile(self, coeffs, den):
         """Check the bounds of the module docstring, then form B in float64:
         block (j, i) is sum_k coeffs[i, j, k] ROT[k], its sums of 8 terms exact."""
@@ -145,6 +135,18 @@ class IntegerAction:
         act = IntegerAction.__new__(IntegerAction)
         act.den, act.max_b = self.den, self.max_b
         act.dense = self.dense.reshape(27, 8, 27, 8).transpose(2, 1, 0, 3).reshape(DIM, DIM)
+        return act
+
+    def adjoint(self):
+        """The action of m*: every block moved to its mirror position and
+        conjugated as CONJ B CONJ."""
+        # two products with CONJ (entries 0 and +-1) of 8 terms each, in float64
+        check_range(8 * 8, 1, self.max_b, bits=53)
+        act = self.transposed()  # a copy: mirrored blocks are no view of B
+        # in place, one block row at a time, so the temporaries hold 27 blocks
+        for blocks in act.dense.reshape(27, 8, 27, 8):
+            blocks[:] = (CONJ @ blocks.transpose(1, 0, 2) @ CONJ).transpose(1, 0, 2)
+        act.max_b = max_abs(act.dense)
         return act
 
     def raw(self, rows):

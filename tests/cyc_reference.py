@@ -6,7 +6,7 @@ is a literal of the constants 0, +-1, sigma and tau of `cyclo`, and each
 block is placed with its scalar by one `CycNum` product per entry.  The
 exponent tables are `generators.F1_EXP` and `F2_EXP`; the eprime layout is
 restated here.  Also `scale_matrix`, the scalar multiple of a matrix entry
-by entry.
+by entry, and `conj_transpose`, the conjugate transpose entry by entry.
 """
 
 from dataclasses import dataclass
@@ -25,6 +25,12 @@ _T = cyclo.TAU
 def scale_matrix(m: ExactMatrix, s: CycNum) -> ExactMatrix:
     """s * m, entry by entry."""
     return ExactMatrix(m.ring, [[s * e for e in row] for row in m.data])
+
+
+def conj_transpose(m: ExactMatrix) -> ExactMatrix:
+    """The entrywise conjugate of the transpose, one CycNum at a time."""
+    return ExactMatrix(RING_CYC, [[m.data[i][j].conj() for i in range(m.rows)]
+                                  for j in range(m.cols)])
 
 
 def _cyc(entries):

@@ -4,12 +4,15 @@ import contextlib
 import hashlib
 import io
 import os
+import random
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tits27 import basisfinder, cli, exactlinalg as la, generators, orbits
+from tits27 import basisfinder, cli, cyclo, exactlinalg as la, generators, gf41, orbits
+from tits27 import wordlang, zkernel
 
 
 def run(capsys, *argv):
@@ -218,6 +221,41 @@ def test_reduce41_denominator_divisible_by_41(tmp_path, capsys):
     assert "divisible by 41" in err and "Traceback" not in err
 
 
+def test_reduce41_beyond_int64(tmp_path, capsys):
+    # entries whose numerators and common denominator do not fit in int64
+    lines = [f"{2 ** 80 + 1}/3 -{2 ** 70} 0 1/7 0 0 0 5", f"-{2 ** 70} 0 0 0 0 0 0 {2 ** 65}/11",
+             "0 0 0 0 0 0 0 0", f"3 {2 ** 90} -1 0 0 0 0 1/2"]
+    (tmp_path / "m.mat").write_text("cyc 2 2\n" + "\n".join(lines) + "\n")
+    m = la.load_matrix(tmp_path / "m.mat")
+    with pytest.raises(zkernel.KernelOverflowError):
+        m.coeffs
+    code, out = run(capsys, "reduce41", "--in", str(tmp_path / "m.mat"))
+    assert code == 0
+    expected = [gf41.reduce_cyc(cyclo.CycNum.from_text(ln)).value for ln in lines]
+    assert out == "gf41 2 2\n{} {}\n{} {}\n".format(*expected)
+
+
+def test_basis_in_writes_the_recovered_generators(tmp_path, monkeypatch, capsys):
+    # no standard generators a, b are at hand, so the standard words evaluate,
+    # in turn, to scrambled generators instead; a is the identity, c is ac
+    ref = np.stack([la.residues(m) for m in generators.build_all_gf41()])
+    p = basisfinder.random_invertible(random.Random(3))
+    scrambled = dict(zip(generators.NAMES, gf41.matmul(gf41.matmul(gf41.inverse(p), ref), p)))
+    scrambled.update(c=scrambled["ac"], e=p)  # e only feeds the word for eprime
+    words = iter(wordlang.STANDARD_WORDS)
+    monkeypatch.setattr(wordlang, "eval_word",
+                        lambda expr, env: la.from_residues(scrambled[next(words)[0]]))
+    for name in ("a", "b"):
+        la.save_matrix(la.ExactMatrix.identity(27, la.RING_GF41), tmp_path / f"{name}.mat")
+    code, out = run(capsys, "basis", "--in", str(tmp_path), "--out", str(tmp_path / "out"))
+    balanced, common = basisfinder.recover(np.stack([scrambled[n] for n in generators.NAMES]))
+    assert code == 0
+    assert out == (f"common interaction multiple: {common}\n"
+                   f"wrote 5 rebased matrices to {tmp_path / 'out'}\n")
+    for name, m in zip(generators.NAMES, balanced):
+        assert np.array_equal(la.residues(la.load_matrix(tmp_path / "out" / f"{name}.mat")), m)
+
+
 @pytest.mark.parametrize("n, ring", [(27, la.RING_CYC), (3, la.RING_GF41)])
 def test_basis_in_rejects_other_matrices(tmp_path, capsys, n, ring):
     for name in ("a", "b"):
@@ -282,6 +320,10 @@ def test_check_failures_share_one_base():
         assert issubclass(error, la.CheckFailed)
     assert basisfinder.CheckFailed is la.CheckFailed
     assert not issubclass(orbits.KernelOverflowError, la.CheckFailed)
+
+
+def test_cap_errors_are_one_class():
+    assert basisfinder.CapExceededError is orbits.CapExceededError is la.CapExceededError
 
 
 @pytest.mark.parametrize("error, code, prefix", [

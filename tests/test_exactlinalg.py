@@ -1,12 +1,15 @@
 """Exact dense matrices over both scalar rings."""
 
+import contextlib
+import io
 import random
 
 import numpy as np
 import pytest
 
 import cyc_reference
-from tits27 import cyclo, exactlinalg as la, generators, gf41, zkernel
+from tits27 import basisfinder, cli, cyclo, exactlinalg as la, generators, gf41, wordlang
+from tits27 import zkernel
 from tits27.exactlinalg import (DimensionMismatchError, ExactMatrix, RingMismatchError,
                                 SingularMatrixError, RING_CYC, RING_GF41)
 from tits27.gf41 import gf
@@ -98,10 +101,8 @@ def test_conj_transpose(gens):
     # f1 and d are unitary and eprime is Hermitian, decided on the kernel
     rows = dict(generators.verify_relations(gens))
     assert rows["f1 unitary"] and rows["d unitary"]
-    image = zkernel.IntegerAction(gens.eprime).raw(np.eye(27, dtype=np.int64))
-    # image[j, k] holds 5 eprime[k, j]; its conjugate is 5 eprime*[j, k]
-    blocks = image.reshape(27, 27, 8)
-    assert (zkernel.conj(image).reshape(27, 27, 8) == blocks.transpose(1, 0, 2)).all()
+    act = zkernel.IntegerAction(gens.eprime)
+    assert (act.adjoint().dense == act.dense).all()
 
 
 def test_mat_order(gens):
@@ -205,3 +206,74 @@ def test_coefficients_that_overflow_int64_are_refused():
             ExactMatrix(RING_CYC, entries).coeffs
     with pytest.raises(RingMismatchError):
         ExactMatrix.identity(2, RING_GF41).coeffs
+
+
+def _gens_gf41(monkeypatch):
+    """Fresh GF(41) generators, so that none is reused from an earlier test,
+    also for every caller of `build_all_gf41` under `monkeypatch`."""
+    fresh = generators.build_all_gf41.__wrapped__()
+    monkeypatch.setattr(generators, "build_all_gf41", lambda: fresh)
+    return fresh
+
+
+def _gens_gf41_output(monkeypatch):
+    _gens_gf41(monkeypatch)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.run(["gens", "--gf41"]) == 0
+
+
+def _file_round_trip(monkeypatch):
+    text = "gf41 2 3\n1 40 7\n0 -1 44\n"
+    assert la.format_matrix(la.parse_matrix(text)) == "gf41 2 3\n1 40 7\n0 40 3\n"
+
+
+def _scramble_roundtrip(monkeypatch):
+    _gens_gf41(monkeypatch)
+    assert all(ok for _, ok in basisfinder.scramble_roundtrip(3))
+
+
+def _eval_word(monkeypatch):
+    _, _, _, ac, eprime = _gens_gf41(monkeypatch)
+    word = wordlang.parse_word("a b^-1 a^3", names="ab")
+    out = wordlang.eval_word(word, {"a": eprime, "b": ac})
+    e, a = la.residues(eprime), la.residues(ac)
+    assert np.array_equal(la.residues(out), gf41.matmul(gf41.matmul(e, gf41.inverse(a)), e))
+
+
+@pytest.mark.parametrize("work", [
+    _gens_gf41,
+    _scramble_roundtrip,
+    _gens_gf41_output,
+    _file_round_trip,
+    _eval_word,
+], ids=["build_all_gf41", "scramble_roundtrip", "gens --gf41", "parse and format", "eval_word"])
+def test_gf41_matrices_make_no_scalar_objects(monkeypatch, work):
+    calls = []
+    gf_ = gf41.gf
+    monkeypatch.setattr(gf41, "gf", lambda v: calls.append(v) or gf_(v))
+    work(monkeypatch)
+    assert calls == []
+
+
+def test_residues_are_read_only():
+    rows = [[gf(1), gf(2)], [gf(3), gf(44)]]
+    for m in (ExactMatrix(RING_GF41, rows), la.from_residues(np.array([[1, 2], [3, 44]]))):
+        a = la.residues(m)
+        assert a.tolist() == [[1, 2], [3, 3]] and la.residues(m) is a
+        with pytest.raises(ValueError):
+            a[0, 0] = 5
+
+
+def test_gf41_equality_and_hash_across_constructors():
+    rng = random.Random(4)
+    listed = _rand_gf_matrix(rng, 6)
+    stored = la.from_residues(np.array([[e.value for e in row] for row in listed.data]) + 41)
+    assert listed == stored and stored == listed
+    assert hash(listed) == hash(stored)
+    assert len({listed, stored, ExactMatrix(RING_GF41, listed.data)}) == 1
+    changed = la.residues(stored).copy()
+    changed[5, 0] += 1
+    assert la.from_residues(changed) != listed
+    assert stored.data == listed.data    # decoded on first read
+    assert ExactMatrix.identity(6, RING_GF41) != ExactMatrix.identity(6, RING_CYC)

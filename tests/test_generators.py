@@ -138,12 +138,6 @@ def test_verify_relations_detects_swap(gens):
     assert "f1 conjugated by ac is f2" in _failures(rows)
 
 
-def _conj_transpose(m):
-    """Entrywise conjugate of the transpose, one CycNum at a time."""
-    return ExactMatrix(RING_CYC, [[m.data[i][j].conj() for i in range(m.rows)]
-                                  for j in range(m.cols)])
-
-
 def reference_relations(g):
     """The 13 verdicts of verify_relations, computed per scalar."""
     ident = ExactMatrix.identity(27, RING_CYC)
@@ -161,7 +155,7 @@ def reference_relations(g):
         ("eprime inverts ac", mul(mul(g.eprime, g.ac), g.eprime) == ac_inv),
         ("f1 conjugated by ac is f2", mul(mul(ac_inv, g.f1), g.ac) == g.f2),
     ]
-    rows += [(f"{name} unitary", mul(_conj_transpose(m), m) == ident)
+    rows += [(f"{name} unitary", mul(cyc_reference.conj_transpose(m), m) == ident)
              for name, m in zip(generators.NAMES, g.in_order())]
     return tuple(rows)
 

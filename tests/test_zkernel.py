@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cyc_reference
 from tits27 import certificates, cyclo, exactlinalg as la, generators
 from tits27 import zkernel
 from tits27.zkernel import DIM, ROT, IntegerAction, KernelOverflowError, ScaleError
@@ -135,30 +136,42 @@ def test_kernel_is_exact_just_under_the_guard(seed):
         assert (act(multiples) == reference_dense(m, multiples) // act.den).all()
 
 
-@settings(max_examples=20, deadline=None)
-@given(st.lists(st.integers(-50, 50), min_size=DIM, max_size=DIM))
-def test_conj_matches_the_scalar_conjugation(coeffs):
-    row = np.array([coeffs], dtype=np.int64)
-    blocks = [cyclo.CycNum(coeffs[8 * j:8 * j + 8]) for j in range(27)]
-    expected = [c * e.den for e in blocks for c in e.conj().num]
-    assert zkernel.conj(row).tolist() == [expected]
+@pytest.mark.parametrize("name", [*generators.NAMES, "eprime.ac.f1", "random"])
+def test_adjoint_matches_the_conjugate_transpose(products, gens, name):
+    # neither eprime.ac.f1 nor the random matrix is Hermitian; the random one
+    # has coefficients on every power of zeta and denominators 1, 2 and 5
+    rnd = random.Random(name)
+    m = _random_matrix(rnd) if name == "random" else {**gens.as_dict(), **products}[name]
+    act = IntegerAction(m).adjoint()
+    assert act.den == IntegerAction(m).den
+    assert act.max_b == zkernel.max_abs(act.dense)    # what its guard reads
+    for width in (DIM, 27):
+        rows = _rows(rnd, 6, width)
+        assert (act.raw(rows) == reference_dense(cyc_reference.conj_transpose(m), rows)).all()
 
 
-def test_conj_refuses_large_rows():
-    limit = (2 ** 63 - 1) // 8
-    zkernel.conj(np.full((1, DIM), limit, dtype=np.int64))
-    with pytest.raises(KernelOverflowError):
-        zkernel.conj(np.full((1, DIM), limit + 1, dtype=np.int64))
-
-
-def test_from_coeffs_matches_the_matrix_it_encodes(products):
-    m = products["eprime.ac.f1"]
-    act = IntegerAction(m)
-    image = act.raw(np.eye(27, dtype=np.int64))
-    # row j of the image holds the blocks of column j of D m
-    again = IntegerAction.from_coeffs(image.reshape(27, 27, 8).transpose(1, 0, 2), act.den)
+def test_adjoint_of_the_adjoint_is_the_action(products):
+    act = IntegerAction(products["eprime.ac.f1"])
     rows = _rows(random.Random(1), 6, DIM)
-    assert (again.raw(rows) == act.raw(rows)).all()
+    assert (act.adjoint().adjoint().raw(rows) == act.raw(rows)).all()
+
+
+def test_adjoint_guard_boundary():
+    # the two products with CONJ sum 8 terms each: exact in float64 while
+    # 64 * max|B| < 2^53, refused from there on
+    limit = (2 ** 53 - 1) // 64
+    rnd = random.Random(2)
+    act = IntegerAction.__new__(IntegerAction)
+    act.den, act.max_b = 1, limit
+    act.dense = np.array([[rnd.choice((-limit, limit, rnd.randint(-limit, limit)))
+                           for _ in range(DIM)] for _ in range(DIM)], dtype=np.float64)
+    # the same blocks in int64, where 64 * limit cannot wrap
+    blocks = act.dense.astype(np.int64).reshape(27, 8, 27, 8).transpose(2, 0, 1, 3)
+    expected = (zkernel.CONJ @ blocks @ zkernel.CONJ).transpose(0, 2, 1, 3).reshape(DIM, DIM)
+    assert (act.adjoint().dense.astype(np.int64) == expected).all()
+    act.max_b = limit + 1
+    with pytest.raises(KernelOverflowError):
+        act.adjoint()
 
 
 @pytest.mark.parametrize("name", ["eprime", "ac.eprime", "eprime.ac.f1"])
@@ -189,6 +202,6 @@ def test_each_generator_is_compiled_once_per_certificate_run(monkeypatch):
                         lambda self, coeffs, den: compiled.append(coeffs) or compile_(self, coeffs, den))
     assert all(ok for _, ok in certificates.rows(seed=3))
     # every compile goes through _compile: each generator's coefficients
-    # exactly once, and besides them the adjoints of the five unitarity rows
+    # exactly once, and nothing else, since the adjoints are read off them
     assert [sum(c is m.coeffs for c in compiled) for m in fresh.in_order()] == [1] * 5
-    assert len(compiled) == 10
+    assert len(compiled) == 5
