@@ -65,11 +65,11 @@ def rows(fast: bool = False, seed: int = 12345):
     p5 = orbits.perm_images(orbit, gens5)
     chain = orbits.build_stab_chain(p5)
     yield ("certified order is 17971200", chain.order() == 17_971_200)
-    yield ("degree-2304 action is transitive", orbits.transitivity_check(p5))
+    yield ("degree-2304 action is transitive", p5.degree == 2304 and orbits.transitivity_check(p5))
     psub = orbits.perm_images(orbit, [g.f1, g.f2, g.ac, g.eprime])
     sub_chain = orbits.build_stab_chain(psub)
     yield ("point stabilizer has order 7800", sub_chain.order() == 7800)
-    yield ("index is 2304", chain.order() // sub_chain.order() == 2304)
+    yield ("index is 2304", chain.order() // sub_chain.order() == len(orbit) == 2304)
 
     line = orbits.seed_proj_1755()
     proj = orbits.enumerate_orbit(line, gens5)

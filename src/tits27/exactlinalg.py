@@ -1,15 +1,18 @@
 """Dense exact matrices over Q(zeta20) or GF(41).
 
-A matrix carries a ring tag ("cyc" or "gf41").  A cyclotomic matrix holds
-`CycNum` entries from :mod:`tits27.cyclo`, or integer power-basis
-coefficients over one denominator, the form the kernel in `zkernel`
-compiles, or both.  A GF(41) matrix holds one read-only int64 array of
-residues mod 41 (`residues`, made by `from_residues`), and its products,
-inverses, powers, equality, hashing and file form all read that array;
-`Gf41` objects are decoded only when `data` is read.  Either form of a
-matrix is derived from the other on first use and kept.  All arithmetic is
-exact; elimination pivots on the first nonzero entry in column order, so
-every result is deterministic.
+A matrix carries a ring tag ("cyc" or "gf41") and holds one read-only
+integer array, set when it is built.  A cyclotomic matrix holds integer
+power-basis coefficients over one denominator in lowest terms, the form the
+kernel in `zkernel` compiles: int64 when every coefficient fits, Python
+integers otherwise.  A GF(41) matrix holds its residues mod 41.  Equality,
+hashing, transposition, the shape tests, the file form and the reduction mod
+41 read the array, and so do GF(41) products, inverses and powers.  The
+scalar entries (`CycNum` from :mod:`tits27.cyclo`, or `Gf41`) are only a
+view, decoded on first read of `data`; the cyclotomic products, inverses
+and powers of `eval` work on them entry by entry and build their results
+from scalars, which are converted once.  All arithmetic is exact;
+elimination pivots on the first nonzero entry in column order, so every
+result is deterministic.
 
 File formats
     cyc R C     header, then R*C lines, one cyclotomic element per line
@@ -21,7 +24,9 @@ Readers skip blank lines and lines starting with '#'.
 
 from __future__ import annotations
 
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -50,12 +55,14 @@ class CapExceededError(ValueError):
 
 
 class ExactMatrix:
-    """A rows x cols matrix with entries in one exact scalar ring.
+    """A rows x cols matrix with entries in one exact scalar ring, held as one
+    read-only integer array set when it is built.
 
-    A cyclotomic matrix is held as scalar entries (`data`), as integer
-    coefficients over one denominator (`coeffs`, `den`), or both; a GF(41)
-    matrix as scalar entries, as its residue array (`residues`), or both.
-    Each form is derived from the other on first read and kept.
+    A cyclotomic matrix holds rows x cols x 8 power-basis coefficients over
+    one positive denominator in lowest terms (`coeffs`, `den`); a GF(41)
+    matrix holds its residues (`residues`), over the denominator 1.  The
+    scalar entries (`data`) are decoded from the array on first read and
+    kept; a matrix built from scalars keeps those.
     """
 
     __slots__ = ("ring", "rows", "cols", "_data", "_array", "_den", "action")
@@ -66,15 +73,30 @@ class ExactMatrix:
         data = [list(row) for row in data]
         if not data or not data[0]:
             raise DimensionMismatchError("dimensions must be at least 1x1")
-        cols = len(data[0])
-        if any(len(row) != cols for row in data):
+        if any(len(row) != len(data[0]) for row in data):
             raise DimensionMismatchError("ragged rows")
-        self.ring = ring
-        self.rows = len(data)
-        self.cols = cols
+        if ring == RING_CYC:
+            entries = [e for row in data for e in row]
+            den = math.lcm(*(e.den for e in entries))
+            nums = [n * (den // e.den) for e in entries for n in e.num]
+            held = ExactMatrix.from_coeffs(
+                np.array(nums, dtype=object).reshape(len(data), -1, 8), den)
+        else:
+            held = from_residues([[e.value for e in row] for row in data])
+        self._hold(ring, held._array, held._den)
         self._data = data
-        self._array = self._den = None
+
+    def _hold(self, ring, array, den):
+        array.flags.writeable = False
+        self.ring, self.rows, self.cols = ring, *array.shape[:2]
+        self._array, self._den, self._data = array, den, None
         self.action = None  # the compiled zkernel.IntegerAction, set on first use
+
+    @classmethod
+    def _held(cls, ring, array, den):
+        m = cls.__new__(cls)
+        m._hold(ring, array, den)
+        return m
 
     # -- constructors ------------------------------------------------------
 
@@ -89,22 +111,19 @@ class ExactMatrix:
     @classmethod
     def from_coeffs(cls, coeffs, den):
         """The cyclotomic matrix with entry (i, j) = coeffs[i, j] / den, coeffs
-        a rows x cols x 8 int64 array of power-basis coefficients, den >= 1."""
-        return cls._held(RING_CYC, coeffs, den)
+        a rows x cols x 8 array of integer power-basis coefficients, den >= 1.
+        It holds a copy in lowest terms: int64 when every given coefficient
+        fits, Python integers otherwise."""
+        if coeffs.dtype == object and gf41.max_abs(coeffs) < 2 ** 63:
+            coeffs = coeffs.astype(np.int64)
+        g = math.gcd(int(np.gcd.reduce(coeffs, axis=None)), den)
+        return cls._held(RING_CYC, coeffs // g, den // g)
 
-    @classmethod
-    def _held(cls, ring, array, den=None):
-        """The matrix held as `array` alone: coefficients or residues."""
-        m = cls.__new__(cls)
-        m.ring, m.rows, m.cols = ring, *array.shape[:2]
-        m._data, m._array, m._den, m.action = None, array, den, None
-        return m
-
-    # -- the two forms -----------------------------------------------------
+    # -- views of the array ------------------------------------------------
 
     @property
     def data(self):
-        """The entries as lists of scalars."""
+        """The entries as lists of scalars, decoded on first read."""
         if self._data is None:
             scalar = gf41.gf if self.ring == RING_GF41 else lambda c: cyclo.CycNum(c, self._den)
             self._data = [[scalar(v) for v in row] for row in self._array.tolist()]
@@ -112,46 +131,32 @@ class ExactMatrix:
 
     @property
     def coeffs(self):
-        """A cyclotomic matrix as a rows x cols x 8 int64 array of power-basis
-        coefficients over the denominator `den`."""
-        return self._scaled()[0]
+        """A cyclotomic matrix as its rows x cols x 8 int64 array of
+        power-basis coefficients over the denominator `den`; refused with
+        KernelOverflowError unless every coefficient fits in int64."""
+        _require(self, RING_CYC)
+        if self._array.dtype == object:
+            raise gf41.KernelOverflowError("a coefficient does not fit in int64")
+        return self._array
 
     @property
     def den(self):
         """The positive common denominator of `coeffs`."""
-        return self._scaled()[1]
-
-    def _scaled(self):
-        """(coeffs, den), derived from `data` on first use with den the lcm
-        of the entries' denominators.  The coefficients are formed as Python
-        integers and refused with KernelOverflowError unless they fit in
-        int64, so none wraps."""
-        if self.ring != RING_CYC:
-            raise RingMismatchError(f"expected a cyc matrix, got {self.ring}")
-        if self._array is None:
-            entries = [e for row in self.data for e in row]
-            den = math.lcm(*(e.den for e in entries))
-            nums = [n * (den // e.den) for e in entries for n in e.num]
-            gf41.check_range(1, max(map(abs, nums)), 1)
-            self._array = np.array(nums, dtype=np.int64).reshape(self.rows, self.cols, 8)
-            self._den = den
-        return self._array, self._den
+        _require(self, RING_CYC)
+        return self._den
 
     # -- basic protocol -----------------------------------------------------
 
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        if (self.ring, self.rows, self.cols) != (other.ring, other.rows, other.cols):
-            return False
-        if self.ring == RING_GF41:
-            return np.array_equal(residues(self), residues(other))
-        return self.data == other.data
+        return ((self.ring, self._den) == (other.ring, other._den)
+                and np.array_equal(self._array, other._array))
 
     def __hash__(self):
-        if self.ring == RING_GF41:
-            return hash((self.rows, self.cols, residues(self).tobytes()))
-        return hash((self.rows, self.cols, tuple(map(tuple, self.data))))
+        # reduced as Python reduces an int's hash, so both dtypes hash alike
+        a = (self._array % (2 ** 61 - 1)).astype(np.int64)
+        return hash((self._den, a.shape, a.tobytes()))
 
     def __repr__(self):
         return f"<ExactMatrix {self.ring} {self.rows}x{self.cols}>"
@@ -165,21 +170,18 @@ class ExactMatrix:
     def is_square(self):
         return self.rows == self.cols
 
+    def _nonzero(self):
+        """rows x cols booleans, True at the nonzero entries."""
+        return (self._array != 0).reshape(self.rows, self.cols, -1).any(axis=2)
+
     def is_diagonal(self):
-        return all(self.data[i][j].is_zero()
-                   for i in range(self.rows) for j in range(self.cols) if i != j)
+        return not (self._nonzero() & ~np.eye(self.rows, self.cols, dtype=bool)).any()
 
     def is_monomial(self):
         """Exactly one nonzero entry in every row and every column."""
-        if not self.is_square():
-            return False
-        col_hits = [0] * self.cols
-        for row in self.data:
-            nz = [j for j, e in enumerate(row) if not e.is_zero()]
-            if len(nz) != 1:
-                return False
-            col_hits[nz[0]] += 1
-        return all(h == 1 for h in col_hits)
+        nonzero = self._nonzero()
+        return self.is_square() and bool((nonzero.sum(axis=0) == 1).all()
+                                         and (nonzero.sum(axis=1) == 1).all())
 
     def diagonal(self):
         return tuple(self.data[i][i] for i in range(min(self.rows, self.cols)))
@@ -190,12 +192,14 @@ def _check_ring(a, b):
         raise RingMismatchError(f"{a.ring} vs {b.ring}")
 
 
+def _require(m, ring):
+    if m.ring != ring:
+        raise RingMismatchError(f"expected a {ring} matrix, got {m.ring}")
+
+
 def residues(m: ExactMatrix) -> np.ndarray:
     """A gf41 matrix as its read-only rows x cols int64 array of residues."""
-    if m.ring != RING_GF41:
-        raise RingMismatchError(f"expected a gf41 matrix, got {m.ring}")
-    if m._array is None:
-        m._array = from_residues([[e.value for e in row] for row in m.data])._array
+    _require(m, RING_GF41)
     return m._array
 
 
@@ -205,8 +209,7 @@ def from_residues(a) -> ExactMatrix:
     a = np.asarray(a, dtype=np.int64) % gf41.P
     if a.ndim != 2 or not a.size:
         raise DimensionMismatchError("dimensions must be at least 1x1")
-    a.flags.writeable = False
-    return ExactMatrix._held(RING_GF41, a)
+    return ExactMatrix._held(RING_GF41, a, 1)
 
 
 def _of_integers(a, ring) -> ExactMatrix:
@@ -261,8 +264,7 @@ def matvec(m: ExactMatrix, v) -> tuple:
 
 
 def transpose(m: ExactMatrix) -> ExactMatrix:
-    return ExactMatrix(m.ring, [[m.data[i][j] for i in range(m.rows)]
-                                for j in range(m.cols)])
+    return ExactMatrix._held(m.ring, m._array.swapaxes(0, 1), m._den)
 
 
 def mat_inv(a: ExactMatrix) -> ExactMatrix:
@@ -317,12 +319,12 @@ def rref(m: ExactMatrix):
 # -- file format ---------------------------------------------------------------
 
 def format_matrix(m: ExactMatrix) -> str:
-    lines = [f"{m.ring} {m.rows} {m.cols}"]
-    if m.ring == RING_CYC:
-        lines.extend(e.to_text() for row in m.data for e in row)
-    else:
-        lines.extend(" ".join(map(str, row)) for row in residues(m).tolist())
-    return "\n".join(lines) + "\n"
+    # one line per cyc entry (8 coefficients) or per gf41 row, each number
+    # printed as a fraction over the denominator (1 for gf41)
+    lines = m._array.reshape(-1, m._array.shape[-1]).tolist()
+    text = {c: str(Fraction(c, m._den)) for c in set(itertools.chain.from_iterable(lines))}
+    return "\n".join([f"{m.ring} {m.rows} {m.cols}"]
+                     + [" ".join(map(text.__getitem__, line)) for line in lines]) + "\n"
 
 
 def parse_matrix(text: str) -> ExactMatrix:
@@ -365,10 +367,10 @@ def load_matrix(path) -> ExactMatrix:
 
 
 def reduce_matrix_mod41(m: ExactMatrix) -> ExactMatrix:
-    """Entrywise reduction of a cyclotomic matrix modulo 41."""
+    """Entrywise reduction of a cyclotomic matrix modulo 41, exact for
+    coefficients of any size."""
     if m.ring != RING_CYC:
         raise RingMismatchError("already a gf41 matrix")
-    try:
-        return from_residues([[gf41.reduce_cyc(e).value for e in row] for row in m.data])
-    except ZeroDivisionError:
-        raise ValueError("an entry has a denominator divisible by 41") from None
+    if m._den % gf41.P == 0:
+        raise ValueError("an entry has a denominator divisible by 41")
+    return from_residues(gf41.reduce_rows((m._array % gf41.P).reshape(m.rows, -1), m._den))

@@ -16,15 +16,17 @@ exactly 1.
 
 Every table here is a small integer array, and the generators are built
 from them as 27 x 27 x 8 int64 arrays of power-basis coefficients over one
-denominator (1 for f1, f2, d and ac; 5 for eprime), the form the kernel in
-`zkernel` compiles.  A 4x4 block is an array of indices into the coefficient
-rows of 0, +-1, sigma and tau, and a scalar zeta^k on a block is one product
-with `zkernel.ROT[k]`.  The reductions mod 41 are one `gf41.reduce_rows` per
-generator, kept as residue arrays (`exactlinalg.from_residues`) that
-`basisfinder` and the GF(41) matrix files read as they are.  No scalar object
-is made on the way.  Per-scalar `CycNum`s stay where single cyclotomic values
-are read or written: parsing cyc matrix files, printing them
-(`ExactMatrix.data`, decoded on first read) and `gf41.lift_table`.
+denominator (1 for f1, f2, d and ac; 5 for eprime), the one array an
+`ExactMatrix` holds and the form the kernel in `zkernel` compiles.  A 4x4
+block is an array of indices into the coefficient rows of 0, +-1, sigma and
+tau, and a scalar zeta^k on a block is one product with `zkernel.ROT[k]`.
+The reductions mod 41 are one `gf41.reduce_rows` per generator
+(`exactlinalg.reduce_matrix_mod41`), kept as residue arrays that
+`basisfinder` and the GF(41) matrix files read as they are.  Printing a
+generator reads its array too, so no scalar object is made on the way.
+Per-scalar `CycNum`s stay where single cyclotomic values are read or
+computed: parsing cyc matrix files, the cyclotomic products and inverses of
+`eval`, and `gf41.lift_table`.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from functools import lru_cache
 import numpy as np
 
 from . import exactlinalg as la
-from . import gf41
 from . import zkernel
 from .exactlinalg import ExactMatrix
 
@@ -163,8 +164,7 @@ def build_all() -> GeneratorSet:
 @lru_cache(maxsize=1)
 def build_all_gf41():
     """The five generators reduced entrywise modulo 41, in standard order."""
-    return tuple(la.from_residues(gf41.reduce_rows(m.coeffs.reshape(27, zkernel.DIM), m.den))
-                 for m in build_all().in_order())
+    return tuple(map(la.reduce_matrix_mod41, build_all().in_order()))
 
 
 def verify_relations(g: GeneratorSet) -> tuple:

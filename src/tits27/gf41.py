@@ -49,6 +49,12 @@ def check_range(inner, max_b, max_v, bits=63):
             "cannot form this product exactly")
 
 
+def max_abs(a) -> int:
+    """The largest absolute value in an integer array, 0 if it is empty."""
+    # no |a| temporary: the cubic-form tensors are 1.3 MB each
+    return max(int(a.max(initial=0)), -int(a.min(initial=0)))
+
+
 class Gf41:
     """A residue in GF(41)."""
 
@@ -104,9 +110,6 @@ class Gf41:
 
 
 _T = tuple(Gf41(v) for v in range(P))
-
-ZERO = _T[0]
-ONE = _T[1]
 
 
 def gf(v):

@@ -6,8 +6,8 @@ Multiplication by c in Q(zeta20) right-multiplies a block by the 8x8
 rational matrix sum_k c_k ROT[k], ROT[k] the matrix of multiplication by
 zeta^k, so a 27x27 matrix m is a 216x216 rational matrix.  IntegerAction
 reads m as the int64 coefficients of D * m, D its common denominator
-(`ExactMatrix.coeffs` and `.den`: the generators are built in that form,
-and any other matrix derives it once from its scalars), and compiles them
+(`ExactMatrix.coeffs` and `.den`: the array every matrix holds from the
+moment it is built, in lowest terms), and compiles them
 once into the 216x216 integer matrix B whose block (j, i) right-multiplies
 block j of a row into block i; nothing compiles a matrix before its action
 is first asked for.  It applies B to n x 216 int64 rows, one vector v per
@@ -59,9 +59,9 @@ Exactness guards
     operation rounds.  The result is cast back to int64, and every verdict
     is taken on those integers.  When the matrix is compiled, 216 * 8 * c
     < 2^53 is checked, with c the largest coefficient of D * m.  The
-    coefficients arrive as int64, and none has wrapped: a matrix held as
-    scalars forms them as Python integers and casts them only after checking
-    that they fit (`ExactMatrix.coeffs`).  An entry of B sums 8
+    coefficients arrive as int64, and none has wrapped: a matrix built from
+    scalars forms them as Python integers and holds them as int64 only if
+    all fit; `ExactMatrix.coeffs` refuses the rest.  An entry of B sums 8
     coefficients times 0 or +-1, so B is formed exactly in float64 and
     max|B| <= 8c.  `adjoint` forms CONJ B_ij CONJ in float64 too, after
     checking 64 * max|B| < 2^53, which bounds every partial sum of its two
@@ -81,8 +81,8 @@ import numpy as np
 
 from . import cyclo
 from .exactlinalg import ExactMatrix, RING_CYC
-# The range guard and its error are shared with the GF(p) kernel in gf41.
-from .gf41 import KernelOverflowError, check_range  # noqa: F401
+# The range guard, its error and max_abs are shared with the GF(p) kernel in gf41.
+from .gf41 import KernelOverflowError, check_range, max_abs  # noqa: F401
 
 #: Integer coordinates of a 27-vector: 8 power-basis coefficients per entry.
 DIM = 27 * 8
@@ -98,11 +98,6 @@ CONJ = _ZETA_POW[-np.arange(8) % 20]
 
 class ScaleError(ValueError):
     """A value is not integral at the scale the kernel works at."""
-
-
-def max_abs(a) -> int:
-    # no |a| temporary: the cubic-form tensors are 1.3 MB each
-    return max(int(a.max(initial=0)), -int(a.min(initial=0)))
 
 
 class IntegerAction:

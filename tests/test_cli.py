@@ -73,9 +73,18 @@ def test_gens_gf41_round_trip(tmp_path, capsys):
      "7093e0f7981e02cf5657dba66faa854a2921539c4236d3886c2c8077ddad11d4"),
     (("gens", "--gf41"), 7_704,
      "50dd9287664e410822d998acc7f8643c5db7a985a1e66d97a123b55da5062afe"),
+    (("eval", "--word", "eprime ac eprime", "--bind", "eprime={}/eprime.mat",
+      "--bind", "ac={}/ac.mat"), 11_674,
+     "b112167d615ed204a95053cc5b0af5d5e2b6f21e75be7603ad12f39d299e727a"),
+    (("eval", "--word", "f1^ac", "--bind", "f1={}/f1.mat", "--bind", "ac={}/ac.mat"), 11_694,
+     "15e753578ac4a0bafcfb9d96b98d6f4dea0b1cd305581f87b063250e90051572"),
+    (("reduce41", "--in", "{}/eprime.mat"), 1_742,
+     "5b607eea6ffefcd9244118eecbd5e7a98f08d67071bc9d75332f3074c97aacbf"),
 ])
-def test_gens_golden_bytes(capsys, argv, size, digest):
-    code, out = run(capsys, *argv)
+def test_gens_golden_bytes(tmp_path, capsys, argv, size, digest):
+    # eval and reduce41 read the files that `gens --out` writes into {}
+    run(capsys, "gens", "--out", str(tmp_path))
+    code, out = run(capsys, *(arg.format(tmp_path) for arg in argv))
     assert code == 0
     assert len(out.encode()) == size
     assert hashlib.sha256(out.encode()).hexdigest() == digest

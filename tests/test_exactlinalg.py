@@ -265,15 +265,103 @@ def test_residues_are_read_only():
             a[0, 0] = 5
 
 
-def test_gf41_equality_and_hash_across_constructors():
-    rng = random.Random(4)
-    listed = _rand_gf_matrix(rng, 6)
-    stored = la.from_residues(np.array([[e.value for e in row] for row in listed.data]) + 41)
-    assert listed == stored and stored == listed
-    assert hash(listed) == hash(stored)
-    assert len({listed, stored, ExactMatrix(RING_GF41, listed.data)}) == 1
-    changed = la.residues(stored).copy()
-    changed[5, 0] += 1
-    assert la.from_residues(changed) != listed
-    assert stored.data == listed.data    # decoded on first read
+def _rand_cyc_fractions(rng, n):
+    return ExactMatrix(RING_CYC, [[cyclo.CycNum([rng.randint(-9, 9) for _ in range(8)],
+                                                rng.choice([1, 3, 10]))
+                                   for _ in range(n)] for _ in range(n)])
+
+
+def _equal_by_construction(ring, rng):
+    """A matrix built from scalar lists, matrices equal to it built in the
+    other ways, and one that differs from it in a single entry."""
+    listed = _rand_gf_matrix(rng, 6) if ring == RING_GF41 else _rand_cyc_fractions(rng, 6)
+    rebuilt = ExactMatrix(ring, listed.data)
+    if ring == RING_GF41:
+        array = la.residues(listed)
+        others, changed = [la.from_residues(array + 41)], array.copy()
+        changed[5, 0] += 1
+        return listed, others + [rebuilt], la.from_residues(changed)
+    c, d = listed.coeffs, listed.den
+    others = [ExactMatrix.from_coeffs(c, d), ExactMatrix.from_coeffs(7 * c, 7 * d)]
+    changed = c.copy()
+    changed[5, 0, 3] += 1
+    return listed, others + [rebuilt], ExactMatrix.from_coeffs(changed, d)
+
+
+@pytest.mark.parametrize("ring", [RING_GF41, RING_CYC])
+def test_equality_and_hash_across_constructors(ring):
+    listed, others, changed = _equal_by_construction(ring, random.Random(4))
+    for other in others:
+        assert listed == other and other == listed
+        assert hash(listed) == hash(other)
+        assert other.data == listed.data    # decoded on first read
+    assert len({listed, *others}) == 1
+    assert changed != listed
     assert ExactMatrix.identity(6, RING_GF41) != ExactMatrix.identity(6, RING_CYC)
+
+
+def test_cyc_beyond_int64_equals_its_reparse():
+    big = cyclo.CycNum([2 ** 70, 0, 0, -3, 0, 0, 0, 1], 9)
+    m = ExactMatrix(RING_CYC, [[big, cyclo.FIFTH], [cyclo.ZERO, cyclo.I]])
+    again = la.parse_matrix(la.format_matrix(m))
+    assert again == m and hash(again) == hash(m) and len({m, again}) == 1
+    assert again.data == m.data and again.den == 45
+    assert ExactMatrix(RING_CYC, [[big + cyclo.ONE, cyclo.FIFTH], [cyclo.ZERO, cyclo.I]]) != m
+    for matrix in (m, again):
+        with pytest.raises(zkernel.KernelOverflowError):
+            matrix.coeffs
+
+
+@pytest.mark.parametrize("ring", [RING_GF41, RING_CYC])
+def test_array_views_match_the_entries(ring):
+    # transpose and the shape tests read the array; compare with the scalars
+    rng = random.Random(9)
+    make = _rand_gf_matrix if ring == RING_GF41 else _rand_cyc_matrix
+    one, zero = ExactMatrix.identity(1, ring).data[0][0], ExactMatrix.zeros(1, 1, ring).data[0][0]
+    cases = [make(rng, 4), ExactMatrix.identity(4, ring), ExactMatrix.zeros(2, 3, ring)]
+    # a single 1 in each row i, in column cols[i]
+    cases += [ExactMatrix(ring, [[one if j == c else zero for j in range(4)] for c in cols])
+              for cols in ([2, 0, 3, 1], [2, 0, 2, 1], [1, 0, 2, 3])]
+    for m in cases + [la.transpose(m) for m in cases]:
+        entries = m.data
+        t = la.transpose(m)
+        assert t.data == [list(col) for col in zip(*entries)]
+        assert t == ExactMatrix(ring, t.data) and hash(t) == hash(ExactMatrix(ring, t.data))
+        assert la.transpose(t) == m
+        nonzero = [[not e.is_zero() for e in row] for row in entries]
+        assert m.is_diagonal() == all(not nz for i, row in enumerate(nonzero)
+                                      for j, nz in enumerate(row) if i != j)
+        assert m.is_monomial() == (m.is_square() and all(sum(row) == 1 for row in nonzero)
+                                   and all(sum(col) == 1 for col in zip(*nonzero)))
+
+
+def _fresh_eprime():
+    g = generators.build_all.__wrapped__()
+    return ExactMatrix.from_coeffs(g.eprime.coeffs, g.eprime.den)
+
+
+def _gens_output(monkeypatch):
+    fresh = generators.build_all.__wrapped__()
+    monkeypatch.setattr(generators, "build_all", lambda: fresh)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.run(["gens"]) == 0
+
+
+@pytest.mark.parametrize("work", [
+    _gens_output,
+    lambda _: _fresh_eprime() == _fresh_eprime(),
+    lambda _: hash(_fresh_eprime()),
+    lambda _: la.transpose(_fresh_eprime()),
+    lambda _: _fresh_eprime().is_diagonal(),
+    lambda _: _fresh_eprime().is_monomial(),
+    lambda _: la.format_matrix(_fresh_eprime()),
+    lambda _: la.reduce_matrix_mod41(_fresh_eprime()),
+], ids=["gens", "==", "hash", "transpose", "is_diagonal", "is_monomial", "format_matrix",
+        "reduce_matrix_mod41"])
+def test_cyc_matrices_make_no_scalar_objects(monkeypatch, work):
+    calls = []
+    init = cyclo.CycNum.__init__
+    monkeypatch.setattr(cyclo.CycNum, "__init__",
+                        lambda self, *args: calls.append(None) or init(self, *args))
+    work(monkeypatch)
+    assert calls == []

@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cyc_reference
-from tits27 import certificates, cyclo, exactlinalg as la, gf41, orbits as ob, zkernel
+from tits27 import certificates, cyclo, exactlinalg as la, generators, gf41, orbits as ob
+from tits27 import zkernel
 
 
 def _decode(row):
@@ -146,6 +147,22 @@ def test_group_order_certificates(chain_all, chain_psl):
     assert chain_all.order() // chain_psl.order() == 2304
     # |PSL2(25)| by the classical formula
     assert 25 * 24 * 26 // 2 == 7800
+
+
+def test_orbit_rows_fail_on_an_orbit_of_another_size(monkeypatch):
+    # with -eprime the orbit has 4608 points, yet |G| / |H| is still
+    # 35,942,400 / 15,600 = 2304, so only the orbit size can fail these rows
+    g = generators.build_all.__wrapped__()
+    negated = dataclasses.replace(g, eprime=la.ExactMatrix.from_coeffs(-g.eprime.coeffs, 5))
+    monkeypatch.setattr(generators, "build_all", lambda: negated)
+    verdicts = {}
+    for name, ok in certificates.rows(seed=3):
+        verdicts[name] = ok
+        if name == "index is 2304":
+            break
+    assert not verdicts["orbit of (1,1,1;0^24) has 2304 points"]
+    assert not verdicts["degree-2304 action is transitive"]
+    assert not verdicts["index is 2304"]
 
 
 def test_orbit_stabilizer_consistency(orbit2304, chain_all, chain_psl):
