@@ -16,10 +16,17 @@ value forced by 9 * 16^-1, so the constant verifies itself.
 
 Matrices over GF(41) as int64 arrays
     `matmul`, `rref`, `rank`, `nullspace` and `inverse` reduce their input
-    mod 41.  A product entry sums n terms below 40^2 and an elimination
-    update subtracts one, so each call checks n * 40^2 < 2^63 for n columns
-    (43,200 for n = 27) or raises KernelOverflowError.  `reduce_rows`
-    reduces vectors in the Z^216 layout of `zkernel` with one contraction.
+    mod 41 and return int64 residues.  An entry of a product sums n terms,
+    each a product of two residues, below 40^2.  `matmul` forms it in
+    float64 by BLAS after checking n * 40^2 < 2^53 (43,200 for n = 27),
+    or raises KernelOverflowError; every partial sum is then an integer
+    below 2^53, so the product is exact in any summation order, as for the
+    products of `zkernel` (its "Exactness guards"), and is cast back to
+    int64 before it is reduced.  `rref` eliminates in int64: per pivot it
+    scales the pivot row to 1, subtracts one outer product (each entry
+    below 40^2) from the whole matrix and reduces once, after checking
+    n * 40^2 < 2^63 for n columns.  `reduce_rows` reduces vectors in the
+    Z^216 layout of `zkernel` with one contraction.
 """
 
 from __future__ import annotations
@@ -195,8 +202,9 @@ def lift_table() -> dict:
 def matmul(a, b):
     """a @ b over GF(41); either operand may be a stack or a vector."""
     a = np.asarray(a, dtype=np.int64) % P
-    check_range(a.shape[-1], P - 1, P - 1)
-    return a @ (np.asarray(b, dtype=np.int64) % P) % P
+    check_range(a.shape[-1], P - 1, P - 1, bits=53)  # exact in float64 (module docstring)
+    b = np.asarray(b, dtype=np.int64) % P
+    return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64) % P
 
 
 def rref(a):
@@ -206,15 +214,16 @@ def rref(a):
     pivots = []
     r = 0
     for col in range(a.shape[1]):
-        nonzero = np.flatnonzero(a[r:, col])
+        nonzero = a[r:, col].nonzero()[0]
         if not nonzero.size:
             continue
-        a[[r, r + nonzero[0]]] = a[[r + nonzero[0], r]]
-        a[r] = a[r] * pow(int(a[r, col]), -1, P) % P
-        factors = a[:, col].copy()
-        factors[r] = 0
-        a -= np.outer(factors, a[r])
+        p = r + int(nonzero[0])
+        pivot = a[p] * pow(int(a[p, col]), -1, P) % P
+        # clears column col in every row, row p included, since pivot[col] == 1
+        a -= a[:, col, None] * pivot
         a %= P
+        a[p] = a[r]  # row p is now zero: move row r there, and the pivot row to r
+        a[r] = pivot
         pivots.append(col)
         r += 1
         if r == a.shape[0]:

@@ -62,7 +62,13 @@ Seeds and characters
 Numbering
     BFS visits point i and then the generators in order, and numbers each
     new image when it is first met, so the numbering is deterministic for a
-    fixed seed and generator order.  A point's key is the bytes of its row.
+    fixed seed and generator order.  A point's key is the 216 bytes of its
+    row cast to int8 when every entry fits in int8 (-128..127), and the
+    1,728 bytes of its int64 row otherwise.  The key depends only on the
+    row, and two keys are equal only for equal rows: keys of different
+    lengths are never equal, and each cast is one-to-one on the rows it is
+    used for.  The stored entries of both paper orbits lie within +-25, so
+    every lookup in them copies and hashes 216 bytes, not 1,728.
     The BFS looks up the key of the image of every point under every
     generator, so it records the permutations of the point indices as it
     goes; `perm_images` reads them for the generators that built the orbit
@@ -173,6 +179,8 @@ _ROT_F64 = ROT.astype(np.float64)
 # a block times _ROTS is its 20 rotations in turn, 8 coefficients each
 _ROTS = _ROT_F64.transpose(1, 0, 2).reshape(8, 20 * 8)
 _BLOCK = np.dtype((np.void, 8 * 8))  # one 8-coefficient int64 block as a single key
+_KEY8 = np.dtype((np.void, DIM))  # a row's int8 bytes as one key
+_KEY64 = np.dtype((np.void, 8 * DIM))  # a row's int64 bytes as one key
 _SIGN_BIT = np.int64(-2 ** 63)  # x ^ _SIGN_BIT orders as uint64 as x does as int64
 
 
@@ -263,9 +271,16 @@ def _canonical(rows, mode):
 
 
 def _row_keys(rows) -> list:
-    buf = rows.tobytes()
-    step = DIM * rows.itemsize
-    return [buf[i:i + step] for i in range(0, len(buf), step)]
+    """The key of each int64 row (see Numbering): its 216 bytes as int8 if
+    every entry fits in int8, else its 1,728 bytes as int64."""
+    rows = np.ascontiguousarray(rows)
+    narrow = rows.astype(np.int8)
+    keys = narrow.view(_KEY8).ravel().tolist()
+    if max_abs(rows) > 127:
+        fits = (narrow == rows).all(axis=1).tolist()
+        wide = rows.view(_KEY64).ravel().tolist()
+        keys = [k if f else w for k, w, f in zip(keys, wide, fits)]
+    return keys
 
 
 @dataclass(eq=False)
@@ -273,8 +288,9 @@ class Orbit:
     """An indexed orbit, closed under the generators that built it.
 
     `coords[i]` is point i as SCALE times its 216 power-basis coefficients;
-    `index` maps the bytes of a row to its point number; `images[k, i]` is
-    the number of the image of point i under `gens[k]`.
+    `index` maps the key of a row (its int8 bytes if every entry fits in
+    int8, else its int64 bytes; see Numbering) to its point number;
+    `images[k, i]` is the number of the image of point i under `gens[k]`.
     """
 
     coords: np.ndarray
@@ -329,7 +345,7 @@ def enumerate_orbit(seed: Seed, gens, cap: int = 10000) -> Orbit:
     actions = [IntegerAction.of(g) for g in gens]
     frontier = _canonical(seed.row, seed.mode)
     levels = [frontier]
-    index = {frontier.tobytes(): 0}
+    index = {_row_keys(frontier)[0]: 0}
     targets = []  # in (point, generator) order: frontier points are numbered in turn
     while actions and len(frontier):
         images = np.empty((len(actions), *frontier.shape), dtype=np.int64)

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from tits27 import cyclo, exactlinalg, gf41, zkernel
 from tits27.gf41 import OMEGA, OMEGA_INV, Gf41, evaluate_at, gf, lift_table, reduce_cyc
+from test_basisfinder import reference_rref
 
 small_cyc = st.builds(
     cyclo.CycNum,
@@ -141,3 +143,65 @@ def test_kernel_nullspace(rows, cols, rnd):
     basis = gf41.nullspace(m)
     assert basis.shape == (cols - gf41.rank(m), cols)
     assert not gf41.matmul(m, basis.T).any()
+
+
+def _reference_matmul(a, b):
+    """a @ b mod 41 in Python integers (numpy object arrays)."""
+    return np.matmul(np.array(a, dtype=object), np.array(b, dtype=object)) % 41
+
+
+_entries = st.one_of(st.integers(-100, 100), st.integers(-2 ** 62, 2 ** 62),
+                     st.sampled_from([40, -1, 41]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_kernel_matmul_matches_python_integers(data):
+    n, k, m = (data.draw(st.integers(1, 6)) for _ in range(3))
+    a = data.draw(arrays(np.int64, data.draw(st.sampled_from([(n, k), (3, n, k), (k,)])),
+                         elements=_entries))
+    b = data.draw(arrays(np.int64, data.draw(st.sampled_from([(k, m), (3, k, m), (k,)])),
+                         elements=_entries))
+    got = gf41.matmul(a, b)
+    assert np.asarray(got).dtype == np.int64
+    assert np.array_equal(got, _reference_matmul(a, b))
+
+
+@pytest.mark.parametrize("inner", [1, 27, 54])
+def test_kernel_matmul_all_forty(inner):
+    a, b = np.full((3, inner), 40), np.full((inner, 2), 40)
+    assert np.array_equal(gf41.matmul(a, b), _reference_matmul(a, b))
+    assert np.array_equal(gf41.matmul(a[None], b), _reference_matmul(a[None], b))
+    assert np.array_equal(gf41.matmul(a, b[:, 0]), _reference_matmul(a, b[:, 0]))
+
+
+def test_kernel_matmul_past_float32():
+    # odd sums beyond 2^24 that float32 would round: 11,101 terms of 39 * 39
+    v = np.full(11_101, 39)
+    assert 1521 * 11_101 > 2 ** 24
+    assert gf41.matmul(v, v) == 1521 * 11_101 % 41
+    assert np.array_equal(gf41.matmul(np.stack([v, -v]), v), [1521 * 11_101 % 41, -1521 * 11_101 % 41])
+
+
+def test_kernel_matmul_guard_is_float64(monkeypatch):
+    seen = []
+    monkeypatch.setattr(gf41, "check_range", lambda *args, **kw: seen.append((args, kw)))
+    gf41.matmul(np.ones((2, 27), dtype=np.int64), np.ones((27, 3), dtype=np.int64))
+    assert seen == [((27, 40, 40), {"bits": 53})]
+    edge = -(-2 ** 53 // 1600)             # the least inner size with edge * 40^2 >= 2^53
+    monkeypatch.undo()
+    gf41.check_range(edge - 1, 40, 40, bits=53)
+    with pytest.raises(gf41.KernelOverflowError, match="2\\^53"):
+        gf41.check_range(edge, 40, 40, bits=53)
+
+
+@pytest.mark.parametrize("rows", [
+    [[0, 1, 2], [0, 3, 4], [5, 6, 7]],                          # pivots below row r
+    [[0, 0, 3, 1], [0, 2, 4, 6], [0, 1, 2, 3], [0, 2, 7, 7]],    # rank 2, a zero column
+    [[4, 8, 12], [2, 4, 6], [1, 3, 5]],                         # rank 2, pivot row last
+])
+def test_kernel_rref_matches_reference_with_swaps(rows):
+    red, pivots = gf41.rref(np.array(rows))
+    ref_rows, ref_pivots = reference_rref([[gf(v) for v in row] for row in rows])
+    assert pivots == ref_pivots
+    assert red.tolist() == [[e.value for e in row] for row in ref_rows]

@@ -75,6 +75,35 @@ def test_orbit_independent_of_generator_order(gens, gens5, orbit2304):
     assert set(other.index) == set(orbit2304.index)
 
 
+# -- row keys ------------------------------------------------------------------
+
+def test_row_keys_tell_a_wide_entry_from_its_int8_wrap():
+    rows = np.zeros((4, 216), dtype=np.int64)
+    rows[:, 5] = 200, -56, -128, 128    # 200 and -56 share their int8 byte
+    keys = ob._row_keys(rows)
+    assert [len(k) for k in keys] == [1728, 216, 216, 1728]
+    assert len(set(keys)) == 4
+    # a key depends only on its row, not on the rows keyed with it
+    assert keys == [ob._row_keys(r[None])[0] for r in rows]
+    assert ob._row_keys(rows[1:3]) == keys[1:3]
+
+
+def test_orbit_with_keys_of_both_widths(gens5, orbit2304):
+    # 6 (1,1,1;0^24): its points are 6 times those of orbit2304, whose stored
+    # entries reach 25, so some rows hold 150 and some stay within int8
+    six = cyclo.CycNum.from_int(6)
+    orbit = ob.enumerate_orbit(ob.Seed.of((six,) * 3 + (cyclo.ZERO,) * 24, ob.VECTOR), gens5)
+    assert {len(k) for k in orbit.index} == {216, 1728}
+    assert len(orbit) == 2304
+    assert np.array_equal(orbit.coords, 6 * orbit2304.coords)
+    assert np.array_equal(orbit.images, orbit2304.images)
+
+
+@pytest.mark.parametrize("which", ["orbit2304", "orbit1755"])
+def test_paper_orbits_have_narrow_keys(request, which):
+    assert {len(k) for k in request.getfixturevalue(which).index} == {216}
+
+
 def test_kernel_images_match_cycnum_matvec(orbit2304, gens5, perms_all):
     # the exact CycNum product is the reference for the integer kernel
     for i in range(0, len(orbit2304), 97):
