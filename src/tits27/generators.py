@@ -239,11 +239,15 @@ def _same(a, b):
 def row_norms_are_one(m: ExactMatrix) -> bool:
     """Whether every row of m has norm sum_j m_ij conj(m_ij) = 1.
 
-    The norms are the diagonal of m m*, decided on the kernel: row i of the
-    images of the unit vectors under the adjoint is D m* e_i, and row i of
-    the image of D m on those is D^2 m m* e_i, whose block i must be D^2.
+    The norms are the diagonal of m m*, decided on the kernel.  D m* e_i is
+    the conjugate of row i of D m, read off the coefficient array as each
+    block times CONJ, so no adjoint action is formed here (`verify_relations`
+    forms each generator's once).  Its entries are 8-term sums of +-1 times
+    a coefficient, exact in int64: the compile has already refused any m
+    with 216 * 8 * max|coefficient| >= 2^53.  Row i of the image of D m on
+    those rows is D^2 m m* e_i, whose block i must be D^2.
     """
     act = zkernel.IntegerAction.of(m)
-    star = act.adjoint().raw(np.eye(27, dtype=np.int64))
+    star = (m.coeffs @ zkernel.CONJ).reshape(27, zkernel.DIM)
     diag = act.raw(star).reshape(27, 27, 8)[np.arange(27), np.arange(27)]
     return _same((diag, act.den ** 2), (np.tile(np.eye(1, 8, dtype=np.int64), (27, 1)), 1))

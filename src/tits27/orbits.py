@@ -1,4 +1,4 @@
-"""Orbit enumeration and exact group-order certification.
+"""Orbit enumeration, permutation images and their certified base.
 
 Points and generators
     An orbit stores its points as one n x 216 int64 array at the fixed scale
@@ -75,37 +75,10 @@ Numbering
     and applies any other matrix to the whole orbit, one key lookup per
     point.
 
-Stabilizer chain
-    A deterministic Schreier-Sims computation certifies the exact order of
-    the permutation group:
-
-  * base points are chosen as the smallest point moved by the residue that
-    creates each level;
-  * each strong generator is stored with its inverse, formed once when the
-    generator is added;
-  * each level keeps the orbit of its base point under all strong generators
-    assigned at its depth or deeper, as `pos[x]` (the BFS visit number of
-    point x, -1 off the orbit), the BFS tree (`steps`: each layer's points,
-    their parents and the generators that reached them) and the table
-    `uinv`, whose row r is the inverse of u_e for the r-th point e visited,
-    where u_e = s_k u_d if generator s_k first reached e from d; sifting maps
-    arbitrary images through `uinv`, so it is kept for every point;
-  * u itself is formed only on the test points (see Known base), from the
-    tree, while the level's Schreier generators u_e^-1 s u_d are sifted, and
-    again whenever a new base point joins the test points; the one full row
-    u_d that a residue needs is the inverse of row d of `uinv`;
-  * every Schreier generator of a level is sifted through the deeper levels,
-    and nontrivial residues are appended where they escape.
-
-The group order is the product of the transversal sizes.  All arithmetic is
-on integer arrays and exact.
-
-Known base
-    A sift only has to decide whether a residue is the identity, so it
-    carries the images of a set Q of test points, not whole permutations.  Q
-    is a known base (a set whose pointwise stabilizer is trivial) together
-    with the chain's base points, whose images pick the transversal rows.
-    `perm_images` certifies a known base for a vector orbit, once per
+Certified base
+    A stabilizer chain needs only the images of a known base, a set of
+    points whose pointwise stabilizer is trivial (see Known base in
+    `permgroup`).  `perm_images` certifies one for a vector orbit, once per
     orbit (`Orbit.certified_base`, formed on first use): it reduces its
     first 64 vectors mod 41 and, if they have rank 27, takes the 27 pivot
     points (the first 33 points suffice for the 2304-point orbit).
@@ -115,37 +88,7 @@ Known base
     group; if it fixes those 27 points, that matrix fixes a basis, so it is
     the identity, and so is the permutation.  A projective orbit, or a
     vector orbit whose first 64 points have rank below 27 mod 41, gets no
-    certified base, and Q is then every point: the chain is the same, only
-    slower to build.  Whole permutations are sifted only for the input
-    generators and for each residue that becomes a strong generator.
-
-Levels that do not change
-    Write S(i) for the strong generators at depth i or deeper.  A residue
-    found while level i is processed lies in <S(i)>: it is a Schreier
-    generator u_e^-1 s u_d of level i, all of whose factors lie in <S(i)>,
-    times inverse transversal elements of deeper levels, whose generators
-    lie in S(i) as well.  Adding it at a level j > i therefore leaves <S(k)>
-    and the orbit of every level k <= i as they were, so only levels i+1..j
-    are rebuilt, and level i keeps the transversal and generators that its
-    Schreier generators were formed from.  Residues land strictly deeper
-    than the level being processed, so one top-down pass closes the chain.
-
-Batches
-    The Schreier generators of a level, in (point, generator) order, are
-    sifted in batches against the chain as it stands.  The chain changes
-    only when a residue is added, so every row before the first one with a
-    nontrivial residue sifts to the identity exactly as it would one at a
-    time.  That row is then formed in full, sifted and added, and the next
-    batch starts at the row after it, against the new chain.  This holds
-    for batches of any size, so the base and the strong generators, in
-    their order, are those of sifting one Schreier generator at a time,
-    whatever the sizes are.  A batch starts at 64 rows and doubles after
-    each batch that sifts clean, up to 2^20 // |Q| rows, which bounds the
-    temporaries; after a residue it starts again at 64.  Residues come
-    early and close together (the 7 of the 2304-point level all come within
-    its first 107 of 11,520 rows), and every row after the first escape in
-    a batch is formed again, so small batches there and large ones later
-    form each row about once.
+    certified base, and its chain then tests every point.
 
 The degree-2304 orbit and order 17,971,200 with a transitive action and a
 point stabilizer of order 7,800 are recorded here as the certificate that
@@ -155,17 +98,16 @@ properties with 2F4(2)' is classical and not re-proved.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from . import cyclo, gf41
-from . import exactlinalg as la
+from . import cyclo, exactlinalg as la, gf41
 from .exactlinalg import CapExceededError
-# KernelOverflowError and ScaleError are re-exported: callers of the orbit
-# functions catch them from this module.
+# Re-exported: certificates and cli call build_stab_chain and transitivity_check as
+# orbits.* (perfbench/layers.py wraps them here), and orbit callers catch the two errors here.
+from .permgroup import PermSet, build_stab_chain, transitivity_check  # noqa: F401
 from .zkernel import (DIM, ROT, IntegerAction, KernelOverflowError, ScaleError,  # noqa: F401
                       check_range, max_abs)
 
@@ -305,7 +247,7 @@ class Orbit:
     @cached_property
     def certified_base(self):
         """The 27 pivot points of the first 64 vectors mod 41, or None (see
-        Known base); `perm_images` forms it on first use."""
+        Certified base); `perm_images` forms it on first use."""
         if self.mode != VECTOR:
             return None
         _, pivots = gf41.rref(gf41.reduce_rows(self.coords[:64], SCALE).T)
@@ -315,25 +257,6 @@ class Orbit:
         """Point i as 27 exact scalars."""
         row = self.coords[i].tolist()
         return tuple(cyclo.CycNum(row[8 * j:8 * j + 8], SCALE) for j in range(27))
-
-
-@dataclass(frozen=True)
-class PermSet:
-    """Permutations of 0..degree-1, one per generator.
-
-    `certified_base`, set only by `perm_images`, lists points that only the
-    identity of the generated group fixes pointwise; None means every point.
-    """
-
-    degree: int
-    perms: tuple
-    certified_base: tuple = field(default=None, init=False, compare=False)
-
-    def __post_init__(self):
-        full = set(range(self.degree))
-        for p in self.perms:
-            if len(p) != self.degree or set(p) != full:
-                raise ValueError("not a permutation of 0..degree-1")
 
 
 def enumerate_orbit(seed: Seed, gens, cap: int = 10000) -> Orbit:
@@ -410,154 +333,3 @@ def scalar_character(seed: Seed, word) -> int:
             f"the word scales the seed by no power of zeta: every D zeta^k v "
             f"(D = {den}) differs from the image in {misses.min()} or more coordinates")
     return int(misses.argmin())
-
-
-def transitivity_check(p: PermSet) -> bool:
-    """Whether the generated group has a single orbit on 0..degree-1."""
-    pos, _ = _bfs(np.array(p.perms, dtype=np.intp).reshape(len(p.perms), p.degree), 0)
-    return bool((pos >= 0).all())
-
-
-def _bfs(gens, beta):
-    """BFS from beta under the rows of `gens`, each point then each generator:
-    every point's visit number (-1: unreached) and, per layer after the first,
-    the visit numbers of its points and of their parents, and the generators."""
-    pos = np.full(gens.shape[1], -1, dtype=np.intp)
-    pos[beta] = 0
-    frontier, steps = np.array([beta]), []
-    while frontier.size:
-        img = gens[:, frontier].T.ravel()
-        fresh = np.flatnonzero(pos[img] < 0)
-        hits = fresh[np.sort(np.unique(img[fresh], return_index=True)[1])]
-        new = pos.max() + 1 + np.arange(hits.size)
-        steps.append((new, pos[frontier[hits // len(gens)]], hits % len(gens)))
-        frontier = img[hits]
-        pos[frontier] = new
-    return pos, steps
-
-
-class _Level:
-    """A base point, its strong generators with their inverses, and its
-    transversal: `pos`, `points`, the BFS `steps` and the `uinv` table."""
-
-    def __init__(self, beta):
-        self.beta, self.gens, self.ginvs = beta, [], []
-
-    def build(self, gens, ginvs):
-        """Rebuild the orbit and `uinv` under `gens` by one BFS, layer by layer."""
-        self.pos, self.steps = _bfs(np.array(gens), self.beta)
-        self.points = np.flatnonzero(self.pos >= 0)
-        self.uinv = np.empty((len(self.points), len(self.pos)), dtype=gens[0].dtype)
-        self.uinv[0] = np.arange(len(self.pos))
-        for new, parent, label in self.steps:  # u_e^-1 = u_d^-1 s_k^-1 for e = s_k(d)
-            for k, ginv in enumerate(ginvs):
-                pick = label == k
-                self.uinv[new[pick]] = np.take(self.uinv[parent[pick]], ginv, axis=1)
-
-    def u_on(self, gens, cols):
-        """Row r: the images of the points `cols` under u_e, e the r-th point
-        visited, filled along the BFS tree (u_e = s_k u_d)."""
-        u = np.empty((len(self.points), len(cols)), dtype=cols.dtype)
-        u[0] = cols
-        for new, parent, label in self.steps:
-            for k, g in enumerate(gens):
-                pick = label == k
-                u[new[pick]] = g[u[parent[pick]]]
-        return u
-
-
-def _gather(table, rows, a):
-    """table[rows[k], a[k, c]] for every k and c."""
-    return np.take(table, rows[:, None] * table.shape[1] + a)
-
-
-def _sift(levels, a, cols, start):
-    """Sift rows of images of the points x (column cols[x]) through levels[start:]:
-    the residues, and the level where each row left (len(levels): none).  A row
-    that has left is sifted on by row 0, the identity, so it stays put."""
-    stop = np.full(len(a), len(levels))
-    for j in range(start, len(levels)):
-        r = levels[j].pos[a[:, cols[levels[j].beta]]]
-        stop[(r < 0) & (stop == len(levels))] = j
-        a = _gather(levels[j].uinv, np.where(stop < len(levels), 0, r), a)
-    return a, stop
-
-
-class StabChain:
-    """A base, strong generating set and transversals; order is certified."""
-
-    def __init__(self, levels, degree):
-        self.degree, self._levels = degree, levels
-        self.base = tuple(lv.beta for lv in levels)
-        self.transversal_sizes = tuple(len(lv.points) for lv in levels)
-        self.strong_gens = tuple(tuple(g.tolist()) for lv in levels for g in lv.gens)
-
-    def order(self) -> int:
-        return math.prod(self.transversal_sizes)
-
-    def contains(self, perm) -> bool:
-        """Membership by sifting; False for anything but a permutation of 0..degree-1."""
-        try:
-            h = np.array(PermSet(self.degree, (tuple(perm),)).perms, dtype=np.intp)
-        except (TypeError, ValueError):
-            return False
-        (h,), (j,) = _sift(self._levels, h, np.arange(self.degree), 0)
-        return bool(j == len(self._levels) and (h == np.arange(self.degree)).all())
-
-
-def _schreier(lv, gens, d, s, ud):
-    """Images under u_e^-1 s u_d, e = s(d), one row per (d, s), of the points
-    whose images under u_d are the row's entries of `ud`."""
-    return _gather(lv.uinv, lv.pos[gens[s, d]], _gather(gens, s, ud))
-
-
-def build_stab_chain(pset: PermSet) -> StabChain:
-    """Deterministic Schreier-Sims, sifting only the images of the test points."""
-    ident = np.arange(pset.degree, dtype=np.int16 if pset.degree <= 2 ** 15 else np.int32)
-    levels = []
-    # the test points, an ordered set, and col[x]: the column of x among them
-    test = dict.fromkeys(pset.certified_base or range(pset.degree))
-    col = np.empty(pset.degree, dtype=np.intp)
-
-    def add(h, lowest):
-        """Sift h from level `lowest`, and add a nontrivial residue where it exits."""
-        (h,), (j,) = _sift(levels, h[None], ident, lowest)
-        if j == len(levels):
-            moved = np.flatnonzero(h != ident)
-            if not moved.size:
-                return
-            levels.append(_Level(int(moved[0])))
-            test[int(moved[0])] = None
-        hinv = np.empty_like(h)
-        hinv[h] = ident
-        levels[j].gens.append(h)
-        levels[j].ginvs.append(hinv)
-        for k in range(lowest, j + 1):
-            levels[k].build([g for lv in levels[k:] for g in lv.gens],
-                            [g for lv in levels[k:] for g in lv.ginvs])
-
-    for p in pset.perms:
-        add(np.array(p, dtype=ident.dtype), 0)
-    for i, lv in enumerate(levels):  # also walks the levels that `add` appends
-        # every residue exits below level i, so its generators and transversal stay
-        gens = np.array([g for deeper in levels[i:] for g in deeper.gens])
-        d = np.repeat(lv.points, len(gens))
-        s = np.tile(np.arange(len(gens)), len(lv.points))
-        row, size, pts = 0, 64, ()
-        while row < len(d):
-            if len(pts) != len(test):  # first pass, or a residue added a base point
-                pts = np.array(list(test), dtype=ident.dtype)
-                col[pts] = np.arange(len(pts))
-                u = lv.u_on(gens, pts)
-            end = min(len(d), row + min(size, max(1, 2 ** 20 // len(pts))))
-            a = _schreier(lv, gens, d[row:end], s[row:end], u[lv.pos[d[row:end]]])
-            a, stop = _sift(levels, a, col, i + 1)
-            escaped = np.flatnonzero((stop < len(levels)) | (a != pts).any(axis=1))
-            if not escaped.size:
-                row, size = end, 2 * size
-                continue
-            row, size = row + int(escaped[0]) + 1, 64
-            ud = np.empty_like(ident)  # u_d in full, the inverse of its uinv row
-            ud[lv.uinv[lv.pos[d[row - 1]]]] = ident
-            add(_schreier(lv, gens, d[row - 1:row], s[row - 1:row], ud[None])[0], i + 1)
-    return StabChain(levels, pset.degree)

@@ -12,7 +12,7 @@ import sys
 
 import pytest
 
-from tits27 import exactlinalg, generators, gf41
+from tits27 import certificates, exactlinalg, generators, gf41, orbits
 
 LAYERS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
 
@@ -66,3 +66,24 @@ def test_strong_generator_count_is_reported(layers, chain_all):
     tracer._note("orbits.build_stab_chain.group", chain_all)
     assert len(chain_all.strong_gens) == 11
     assert tracer.facts["orbits.stab_chain.strong_gens"] == 11
+
+
+def test_certificates_call_the_wrapped_chain_names(layers, monkeypatch):
+    # the spans orbits.build_stab_chain.{group,subgroup}, orbits.transitivity_check
+    # and the fact orbits.stab_chain.strong_gens see only the calls that the
+    # certificates make through these module attributes
+    calls = []
+    for name in ("build_stab_chain", "transitivity_check"):
+        def wrapper(*args, fn=getattr(orbits, name), name=name):
+            result = fn(*args)
+            calls.append((name, args, result))
+            return result
+
+        monkeypatch.setattr(orbits, name, wrapper)
+    rows = list(certificates.rows(seed=3))
+    assert len(rows) == 44 and all(ok for _, ok in rows)
+    chains = [(args, result) for name, args, result in calls if name == "build_stab_chain"]
+    tracer = layers.Tracer()
+    assert [layers._chain_kind(tracer, args) for args, _ in chains] == ["group", "subgroup"]
+    assert len(chains[0][1].strong_gens) == 11
+    assert [name for name, _, _ in calls].count("transitivity_check") == 1

@@ -302,6 +302,20 @@ def test_fast_certificates_make_no_scalar_products(monkeypatch):
     assert calls == []
 
 
+def test_fast_certificates_form_each_adjoint_once(monkeypatch):
+    # one adjoint per generator, for its unitarity row; "eprime row norms
+    # all 1" reads eprime's conjugate rows off its coefficients instead
+    asked = []
+    adjoint = zkernel.IntegerAction.adjoint
+    monkeypatch.setattr(zkernel.IntegerAction, "adjoint",
+                        lambda act: asked.append(act) or adjoint(act))
+    fresh = generators.build_all.__wrapped__()
+    monkeypatch.setattr(generators, "build_all", lambda: fresh)
+    assert all(ok for _, ok in certificates.rows(fast=True))
+    assert len(asked) == 5
+    assert asked == [zkernel.IntegerAction.of(m) for m in fresh.in_order()]
+
+
 def _verdicts_with_eprime(monkeypatch, change):
     """The eprime rows of `verify --fast` with eprime's 5 * coefficients
     changed in place by `change`."""
