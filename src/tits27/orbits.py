@@ -8,24 +8,36 @@ Points and generators
     integral at that scale (the largest stored value is 25).  Each generator
     is compiled once into its `zkernel.IntegerAction`, kept on the matrix,
     and breadth-first search applies it to a whole BFS level as one exact
-    float64 product of the level's rows with its 216x216 integer matrix.
+    float product of the level's rows with its 216x216 integer matrix.  The
+    seed row is cast once to the narrowest float type that holds it
+    (`zkernel.float_rows`), and the frontier and its images then stay in the
+    float type the kernel chose for each product, float32 for both paper
+    orbits, from level to level; `coords` becomes int64 once, at the end.
+    `perm_images` applies a matrix that did not build the orbit to the same
+    float rows, through the same kernel call.
 
 Exactness guards
     All products run through `zkernel`, which never rounds, has no other
     arithmetic path and raises KernelOverflowError before any product whose
-    partial sums could reach 2^53, so each float64 product equals the
-    integer one and is cast back to int64 before any key or verdict is
-    formed.  Every image must divide exactly by the generator's denominator
-    lcm (skipped when it is 1), so it is again integral at scale 25, or the
-    kernel raises ScaleError, as `Seed.of` does for a seed that is not
-    integral at scale 25.  Each entry of a rotated projective point, and of
-    each candidate rotation of a leading block, is a sum of at most 8 terms
-    of +-1 (an entry of ROT) times a stored entry, so one check_range of 8
-    times the largest stored entry against 2^53, made before any product,
-    keeps every such sum exact in float64: in the product that forms the 20
-    candidates of each distinct leading block, and in the one batched
-    product that rotates every row by its own 8x8 matrix ROT[k].  Both are
-    cast back to int64 before any comparison or key.
+    partial sums could reach 2^53.  It multiplies in float32 when 216 *
+    max|B| * max|v| < 2^24 and D < 2^24, and in float64 otherwise, so each
+    product, and its division by D, equals the integer one: for the paper
+    orbits 216 * 2 * 25 = 10,800.  Every image must divide exactly by the
+    generator's denominator lcm (skipped when it is 1), so it is again
+    integral at scale 25, or the kernel raises ScaleError, as `Seed.of` does
+    for a seed that is not integral at scale 25.  Each entry of a rotated
+    projective point, and of each candidate rotation of a leading block, is
+    a sum of at most 8 terms of +-1 (an entry of ROT) times a stored entry.
+    Float rows are rotated in float32 when 8 times their largest entry is
+    below 2^24, and otherwise, as integer rows are, in float64 after one
+    check_range of 8 times the largest entry against 2^53, made before any
+    product; so every such sum is exact: in the product that forms the 20
+    candidates of each distinct leading block (always float64, cast to
+    int64 before it is compared), and in the one batched product that
+    rotates every row by its own 8x8 matrix ROT[k].  A float row holds
+    integers below 2^53, and reaches int8 for its key only when every entry
+    of its batch is at most 127; otherwise it is cast to int64 first (see
+    Numbering), so no float is cast out of the range of its target type.
 
 Projective points
     A 1-space is stored as the rotation zeta^k v (0 <= k < 20) of any
@@ -41,7 +53,7 @@ Projective points
     line.  The exponent k depends only on the leading block, and the images
     of a BFS level share few of them (63 distinct leading blocks among the
     8,775 images of the 1755-point orbit), so k is chosen once per distinct
-    leading block (np.unique of the blocks taken as 64-byte keys) and
+    leading block (np.unique of the blocks taken as byte keys) and
     indexed back to the rows; every row is then rotated by its ROT[k] in
     one product.  The least rotation is an argmin over byte strings: with
     each coefficient's sign bit flipped and its bytes big-endian, bytewise
@@ -64,10 +76,10 @@ Numbering
     new image when it is first met, so the numbering is deterministic for a
     fixed seed and generator order.  A point's key is the 216 bytes of its
     row cast to int8 when every entry fits in int8 (-128..127), and the
-    1,728 bytes of its int64 row otherwise.  The key depends only on the
-    row, and two keys are equal only for equal rows: keys of different
-    lengths are never equal, and each cast is one-to-one on the rows it is
-    used for.  The stored entries of both paper orbits lie within +-25, so
+    1,728 bytes of its int64 row otherwise, whether the row is held as
+    integers or as floats.  The key depends only on the row's values, and
+    two keys are equal only for equal rows: keys of different lengths are
+    never equal, and each cast is one-to-one on the rows it is used for.  The stored entries of both paper orbits lie within +-25, so
     every lookup in them copies and hashes 216 bytes, not 1,728.
     The BFS looks up the key of the image of every point under every
     generator, so it records the permutations of the point indices as it
@@ -109,7 +121,7 @@ from .exactlinalg import CapExceededError
 # orbits.* (perfbench/layers.py wraps them here), and orbit callers catch the two errors here.
 from .permgroup import PermSet, build_stab_chain, transitivity_check  # noqa: F401
 from .zkernel import (DIM, ROT, IntegerAction, KernelOverflowError, ScaleError,  # noqa: F401
-                      check_range, max_abs)
+                      check_range, exact_float, float_rows, max_abs)
 
 VECTOR = "vector"
 PROJECTIVE = "projective"
@@ -117,10 +129,8 @@ PROJECTIVE = "projective"
 #: Stored orbit rows are SCALE times the power-basis coefficients.
 SCALE = 25
 
-_ROT_F64 = ROT.astype(np.float64)
 # a block times _ROTS is its 20 rotations in turn, 8 coefficients each
-_ROTS = _ROT_F64.transpose(1, 0, 2).reshape(8, 20 * 8)
-_BLOCK = np.dtype((np.void, 8 * 8))  # one 8-coefficient int64 block as a single key
+_ROTS = ROT.astype(np.float64).transpose(1, 0, 2).reshape(8, 20 * 8)
 _KEY8 = np.dtype((np.void, DIM))  # a row's int8 bytes as one key
 _KEY64 = np.dtype((np.void, 8 * DIM))  # a row's int64 bytes as one key
 _SIGN_BIT = np.int64(-2 ** 63)  # x ^ _SIGN_BIT orders as uint64 as x does as int64
@@ -193,7 +203,8 @@ def seed_proj_conjugate() -> Seed:
 
 
 def _canonical(rows, mode):
-    """Rows in the canonical form of `mode` (projective: least rotation)."""
+    """Rows in the canonical form of `mode` (projective: least rotation),
+    float rows in the narrowest float type that is exact, int rows as int64."""
     if mode == VECTOR:
         return rows
     if mode != PROJECTIVE:
@@ -202,27 +213,32 @@ def _canonical(rows, mode):
     nonzero = rows != 0
     if not nonzero.any(axis=1).all():
         raise ValueError("projective point must be nonzero")
-    check_range(8, 1, max_abs(rows), bits=53)  # exact in float64: ROT is 0 and +-1
+    floats = rows.dtype.kind == "f"
+    rot = ROT.astype(exact_float(8, 1, max_abs(rows), narrow=floats))  # ROT is 0 and +-1
     blocks = rows.reshape(n, 27, 8)
     first = blocks[np.arange(n), nonzero.argmax(axis=1) // 8]  # a C-ordered copy: viewable
-    lead, which = np.unique(first.view(_BLOCK).ravel(), return_inverse=True)
-    cands = (lead.view(np.int64).reshape(-1, 8) @ _ROTS).astype(np.int64)
+    lead, which = np.unique(first.view((np.void, first.itemsize * 8)).ravel(), return_inverse=True)
+    cands = (lead.view(rows.dtype).reshape(-1, 8) @ _ROTS).astype(np.int64)
     # the least rotation in lex order, as the least byte string (see Projective points)
     k = (cands ^ _SIGN_BIT).astype(">i8").view("S64").argmin(axis=1)[which]
-    return np.matmul(blocks.astype(np.float64), _ROT_F64[k]).reshape(n, DIM).astype(np.int64)
+    out = np.matmul(blocks.astype(rot.dtype, copy=False), rot[k]).reshape(n, DIM)
+    return out if floats else out.astype(np.int64)
 
 
 def _row_keys(rows) -> list:
-    """The key of each int64 row (see Numbering): its 216 bytes as int8 if
-    every entry fits in int8, else its 1,728 bytes as int64."""
+    """The key of each row (see Numbering): its 216 bytes as int8 if every
+    entry fits in int8, else its 1,728 bytes as int64.  Float rows hold
+    integers below 2^53, and reach int8 only when every entry of the batch
+    lies within +-127; otherwise they pass through int64."""
     rows = np.ascontiguousarray(rows)
+    if max_abs(rows) <= 127:
+        return rows.astype(np.int8).view(_KEY8).ravel().tolist()
+    rows = rows.astype(np.int64, copy=False)
     narrow = rows.astype(np.int8)
+    fits = (narrow == rows).all(axis=1).tolist()
     keys = narrow.view(_KEY8).ravel().tolist()
-    if max_abs(rows) > 127:
-        fits = (narrow == rows).all(axis=1).tolist()
-        wide = rows.view(_KEY64).ravel().tolist()
-        keys = [k if f else w for k, w, f in zip(keys, wide, fits)]
-    return keys
+    wide = rows.view(_KEY64).ravel().tolist()
+    return [k if f else w for k, w, f in zip(keys, wide, fits)]
 
 
 @dataclass(eq=False)
@@ -266,14 +282,13 @@ def enumerate_orbit(seed: Seed, gens, cap: int = 10000) -> Orbit:
         raise CapExceededError(f"orbit exceeds cap {cap}")
     gens = tuple(gens)
     actions = [IntegerAction.of(g) for g in gens]
-    frontier = _canonical(seed.row, seed.mode)
+    # float rows from here on, in the type each product is exact in
+    frontier = _canonical(float_rows(seed.row), seed.mode)
     levels = [frontier]
     index = {_row_keys(frontier)[0]: 0}
     targets = []  # in (point, generator) order: frontier points are numbered in turn
     while actions and len(frontier):
-        images = np.empty((len(actions), *frontier.shape), dtype=np.int64)
-        for k, act in enumerate(actions):
-            images[k] = _canonical(act(frontier), seed.mode)
+        images = [_canonical(act(frontier), seed.mode) for act in actions]
         keys = [_row_keys(w) for w in images]
         new = []
         for i in range(len(frontier)):
@@ -287,9 +302,12 @@ def enumerate_orbit(seed: Seed, gens, cap: int = 10000) -> Orbit:
                     new.append((gi, i))
                 targets.append(j)
         picks = np.array(new, dtype=np.intp).reshape(-1, 2)
-        frontier = images[picks[:, 0], picks[:, 1]]
+        frontier = np.empty((len(picks), DIM), np.result_type(*images))
+        for gi, w in enumerate(images):  # gathers only the new rows of each image
+            mine = picks[:, 0] == gi
+            frontier[mine] = w[picks[mine, 1]]
         levels.append(frontier)
-    return Orbit(np.concatenate(levels), index, seed.mode, gens,
+    return Orbit(np.concatenate(levels).astype(np.int64), index, seed.mode, gens,
                  np.array(targets, dtype=np.intp).reshape(len(index), len(gens)).T)
 
 
@@ -300,13 +318,15 @@ def perm_images(orbit: Orbit, gens) -> PermSet:
     A generator that is one of the matrices that built the orbit (the same
     object) takes the permutation the BFS recorded; any other is applied.
     """
-    perms = []
+    perms, rows = [], None
     for g in gens:
         k = next((k for k, h in enumerate(orbit.gens) if h is g), None)
         if k is not None:
             perms.append(tuple(orbit.images[k].tolist()))
             continue
-        images = _canonical(IntegerAction.of(g)(orbit.coords), orbit.mode)
+        if rows is None:
+            rows = float_rows(orbit.coords)  # as the BFS applies its generators
+        images = _canonical(IntegerAction.of(g)(rows), orbit.mode)
         try:
             perms.append(tuple(orbit.index[key] for key in _row_keys(images)))
         except KeyError:

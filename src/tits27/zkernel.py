@@ -10,8 +10,9 @@ reads m as the int64 coefficients of D * m, D its common denominator
 moment it is built, in lowest terms), and compiles them
 once into the 216x216 integer matrix B whose block (j, i) right-multiplies
 block j of a row into block i; nothing compiles a matrix before its action
-is first asked for.  It applies B to n x 216 int64 rows, one vector v per
-row, as the single product rows @ B, giving the rows of D * (m v).  On
+is first asked for.  It applies B to n x 216 integer rows, one vector v per
+row, as the single product rows @ B, giving the rows of D * (m v); the rows
+are int64, or floats that hold integers (see Exactness guards).  On
 n x 27 rows of rational integers (coefficient 0 of each block only) it uses
 the 27 rows B[0::8].  The action of m^T is B with its 8x8 blocks transposed
 as blocks, and the action of m* moves them the same way and conjugates each
@@ -48,17 +49,26 @@ Relations and unitarity
 
 Exactness guards
     The kernel never rounds and has no other arithmetic path.  The product
-    is formed in float64 by BLAS, and it is exact: every integer of
-    magnitude at most 2^53 is a float64.  Before each application `raw`
-    checks 216 * max|B| * max|V| < 2^53 and raises KernelOverflowError
-    otherwise.  Then every entry of B and of the rows, and every product of
-    one entry of each, is such an integer.  An entry of the result is a sum
-    of at most 216 of those products; in any summation order, and with or
-    without fused multiply-add, each partial sum is an integer bounded by
-    the sum of the absolute values of its terms, below 2^53, so no
-    operation rounds.  The result is cast back to int64, and every verdict
-    is taken on those integers.  When the matrix is compiled, 216 * 8 * c
-    < 2^53 is checked, with c the largest coefficient of D * m.  The
+    is formed by BLAS in a float type, and it is exact: every integer of
+    magnitude at most 2^53 is a float64, and every one at most 2^24 a
+    float32.  Before each application `raw` checks 216 * max|B| * max|V| <
+    2^53 and raises KernelOverflowError otherwise.  Then every entry of B
+    and of the rows, and every product of one entry of each, is such an
+    integer.  An entry of the result is a sum of at most 216 of those
+    products; in any summation order, and with or without fused
+    multiply-add, each partial sum is an integer bounded by the sum of the
+    absolute values of its terms, below 2^53, so no operation rounds.  The
+    same argument with 24 bits makes a float32 product exact when 216 *
+    max|B| * max|V| < 2^24 (with max|B| and max|V| at least 1, so that B
+    and the rows are float32 exactly too).  Integer rows are always
+    multiplied in float64 and the result is cast back to int64, and every
+    verdict on them is taken on those integers.  Float rows, which must hold
+    integers (a cast of integer rows by `float_rows`, or the kernel's own
+    images of such rows), are multiplied in float32 when that bound and D <
+    2^24 hold, with a float32 copy of B formed on first use, and in float64
+    otherwise; the result stays in that type, each entry an exact integer,
+    for the caller to key or compare.  When the matrix is compiled, 216 * 8
+    * c < 2^53 is checked, with c the largest coefficient of D * m.  The
     coefficients arrive as int64, and none has wrapped: a matrix built from
     scalars forms them as Python integers and holds them as int64 only if
     all fit; `ExactMatrix.coeffs` refuses the rest.  An entry of B sums 8
@@ -66,16 +76,20 @@ Exactness guards
     max|B| <= 8c.  `adjoint` forms CONJ B_ij CONJ in float64 too, after
     checking 64 * max|B| < 2^53, which bounds every partial sum of its two
     products of 8 terms.  D < 2^53 is checked too, so ``act(rows)`` can
-    divide in float64, and skips the division when D = 1: for |p| < 2^53 and
-    1 < D < 2^53, p / D rounded to a float64 is an integer iff D divides p,
-    since it is then exact, and otherwise it lies within 2^(e-53) < 1/D of
-    p / D, with 2^e <= |p / D| < 2^53 / D, while every integer is at least
-    1/D away.  A kernel of this kind, exact floating-point products under
-    a bound on their sums, is the approach of Dumas, Gautier and Pernet,
-    "Finite field linear algebra subroutines" (ISSAC 2002).
+    divide in the float type of the product (float64 for integer rows), and
+    skips the division when D = 1.  With t = 53 for float64 and t = 24 for
+    float32, where |p| < 2^t and 1 < D < 2^t: p / D rounded to the type is an
+    integer iff D divides p, since it is then exact, and otherwise it lies
+    within 2^(e-t) < 1/D of p / D, with 2^e <= |p / D| < 2^t / D, while
+    every integer is at least 1/D away.  A kernel of this kind, exact
+    floating-point products under a bound on their sums, is the approach of
+    Dumas, Gautier and Pernet, "Finite field linear algebra subroutines"
+    (ISSAC 2002).
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -102,7 +116,7 @@ class ScaleError(ValueError):
 
 class IntegerAction:
     """A 27x27 cyclotomic matrix as an exact integer map on n x 216 rows:
-    D times its 216x216 rational matrix, applied as one float64 product."""
+    D times its 216x216 rational matrix, applied as one float product."""
 
     def __init__(self, m: ExactMatrix):
         if m.ring != RING_CYC or m.rows != 27 or m.cols != 27:
@@ -144,22 +158,49 @@ class IntegerAction:
         act.max_b = max_abs(act.dense)
         return act
 
+    @cached_property
+    def dense32(self):
+        """B in float32, formed on the first product that fits 2^24."""
+        return self.dense.astype(np.float32)
+
     def raw(self, rows):
         """The rows of D * (m v), with no division.
 
         `rows` is n x 216, or n x 27 for vectors whose entries are rational
         integers (coefficient 0 of each block only); the result is n x 216.
+        Integer rows give int64, from a float64 product.  Float rows, which
+        hold integers, give the narrowest float type the product is exact in
+        (see Exactness guards): float32 when it fits 2^24, else float64.
         """
-        check_range(DIM, self.max_b, max_abs(rows), bits=53)
-        dense = self.dense if rows.shape[1] == DIM else self.dense[0::8]
-        return (rows.astype(np.float64) @ dense).astype(np.int64)
+        floats = rows.dtype.kind == "f"
+        ftype = exact_float(DIM, self.max_b, max_abs(rows), narrow=floats and self.den < 2 ** 24)
+        dense = self.dense32 if ftype is np.float32 else self.dense
+        if rows.shape[1] != DIM:
+            dense = dense[0::8]
+        out = rows.astype(ftype, copy=False) @ dense
+        return out if floats else out.astype(np.int64)
 
     def __call__(self, rows):
-        """The rows of m v; the division by D must be exact."""
+        """The rows of m v, in the type `raw` gives; the division by D must be exact."""
         out = self.raw(rows)
         if self.den == 1:
             return out
-        quot = out / self.den  # exact when D divides, never integral otherwise
-        if (quot != np.trunc(quot)).any():
+        quot = out / self.den  # in the float type of the product, or float64 for int64
+        if (quot != np.trunc(quot)).any():  # exact when D divides, never integral otherwise
             raise ScaleError("an image is not integral at the scale of its preimage")
-        return quot.astype(np.int64)
+        return quot if out.dtype.kind == "f" else quot.astype(np.int64)
+
+
+def exact_float(inner, max_b, max_v, narrow=True):
+    """The float type that forms sums of `inner` products of integers bounded
+    by max_b and max_v exactly: float32 if `narrow` and every operand and
+    partial sum stays below 2^24, else float64, refused past 2^53."""
+    if narrow and inner * max(max_b, 1) * max(max_v, 1) < 2 ** 24:
+        return np.float32
+    check_range(inner, max_b, max_v, bits=53)
+    return np.float64
+
+
+def float_rows(rows):
+    """Integer rows in the narrowest float type that holds them exactly."""
+    return rows.astype(exact_float(1, 1, max_abs(rows)))

@@ -6,6 +6,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -84,6 +85,18 @@ def test_row_keys_tell_a_wide_entry_from_its_int8_wrap():
     # a key depends only on its row, not on the rows keyed with it
     assert keys == [ob._row_keys(r[None])[0] for r in rows]
     assert ob._row_keys(rows[1:3]) == keys[1:3]
+
+
+def test_row_keys_of_float_rows_are_those_of_int_rows():
+    # no float reaches int8 out of its range: 200 would wrap to the key of -56,
+    # and 2^40 * 200 would warn; every entry here is exact in float32
+    rows = np.zeros((4, 216), dtype=np.int64)
+    rows[:, 5] = 200, -56, -128, 128
+    with warnings.catch_warnings(), np.errstate(invalid="raise"):
+        warnings.simplefilter("error")
+        for batch in (rows, rows[1:3], 2 ** 40 * rows):
+            for dtype in (np.float32, np.float64):
+                assert ob._row_keys(batch.astype(dtype)) == ob._row_keys(batch)
 
 
 def test_orbit_with_keys_of_both_widths(gens5, orbit2304):
@@ -380,6 +393,42 @@ def test_orbit_bytes_are_pinned(request, which):
     assert (hashlib.sha256(orbit.coords.tobytes()).hexdigest(),
             hashlib.sha256(orbit.images.astype(np.int64).tobytes()).hexdigest()) \
         == PINNED_ORBITS[which]
+
+
+def test_bfs_applies_every_matrix_to_float32_rows(monkeypatch, gens5):
+    # entries of both paper orbits lie within +-25, so 216 * max|B| * 25 is far
+    # below 2^24: every product, in the BFS and in perm_images, is in float32,
+    # no cast leaves its range, and the stored rows are int64 as pinned
+    seen = []
+    raw = zkernel.IntegerAction.raw
+    monkeypatch.setattr(zkernel.IntegerAction, "raw",
+                        lambda self, rows: seen.append(rows.dtype) or raw(self, rows))
+    copies = [la.ExactMatrix(m.ring, m.data) for m in gens5]  # applied, not recorded
+    with warnings.catch_warnings(), np.errstate(invalid="raise"):
+        warnings.simplefilter("error")
+        built = {"orbit2304": ob.enumerate_orbit(ob.seed_fixed_vector(), gens5),
+                 "orbit1755": ob.enumerate_orbit(ob.seed_proj_1755(), gens5)}
+        applied = {name: ob.perm_images(orbit, copies) for name, orbit in built.items()}
+    assert len(seen) > 2 * len(copies) and set(seen) == {np.dtype(np.float32)}
+    for name, orbit in built.items():
+        assert orbit.coords.dtype == np.int64
+        assert (hashlib.sha256(orbit.coords.tobytes()).hexdigest(),
+                hashlib.sha256(orbit.images.astype(np.int64).tobytes()).hexdigest()) \
+            == PINNED_ORBITS[name]
+        assert applied[name].perms == tuple(map(tuple, orbit.images.tolist()))
+
+
+def test_canonical_keeps_float_rows_in_an_exact_type(orbit1755):
+    # rotations sum 8 entries: float32 while 8 * max|v| < 2^24, float64 after
+    rows = orbit1755.coords[::7].copy()
+    assert zkernel.max_abs(rows) == 25
+    expected = ob._canonical(rows, ob.PROJECTIVE)
+    assert expected.dtype == np.int64
+    assert ob._canonical(rows.astype(np.float32), ob.PROJECTIVE).dtype == np.float32
+    top = (2 ** 24 - 1) // 8
+    for scale, dtype in ((top // 25, np.float32), (top // 25 + 1, np.float64)):
+        got = ob._canonical((scale * rows).astype(np.float32), ob.PROJECTIVE)
+        assert got.dtype == dtype and (got == scale * expected).all()
 
 
 def test_projective_orbit_does_not_import_numpy_ma():

@@ -103,10 +103,16 @@ def test_dense_kernel_refuses_large_rows(gens):
         act.raw(np.full((1, 27), -limit - 1, dtype=np.int64))
 
 
-def _rows_under_the_guard(rnd, act, n, width):
-    """Mixed-sign rows with max|v| the largest value the guard accepts for act,
-    one of them signed like a column of B so that its image is as large as it gets."""
-    top = (2 ** 53 - 1) // (DIM * act.max_b)
+def _top(act, bits):
+    """The largest max|v| with 216 * max|B| * max|v| < 2^bits."""
+    return (2 ** bits - 1) // (DIM * act.max_b)
+
+
+def _rows_under_the_guard(rnd, act, n, width, top=None):
+    """Mixed-sign rows with max|v| = top, by default the largest value the
+    2^53 guard accepts for act, one of them signed like a column of B so that
+    its image is as large as it gets."""
+    top = _top(act, 53) if top is None else top
     rows = np.array([[rnd.choice((-1, 1)) * rnd.randint(top // 2, top) for _ in range(width)]
                      for _ in range(n)], dtype=np.int64)
     rows[0, 0] = top
@@ -134,6 +140,59 @@ def test_kernel_is_exact_just_under_the_guard(seed):
         # D m (D w) = D (D m w) divides by D; truncation keeps max|v|
         multiples = np.sign(rows) * (np.abs(rows) // act.den * act.den)
         assert (act(multiples) == reference_dense(m, multiples) // act.den).all()
+
+
+@pytest.mark.parametrize("name", generators.NAMES)
+def test_float32_kernel_is_exact_up_to_its_guard(gens, name):
+    # float rows take float32 while 216 * max|B| * max|v| < 2^24, and float64
+    # from the first max|v| past it; both equal the product in Python integers
+    m = getattr(gens, name)
+    act = IntegerAction(m)
+    rnd = random.Random(name)
+    top = _top(act, 24)
+    for width in (DIM, 27):
+        for max_v, dtype in ((top, np.float32), (top + 1, np.float64)):
+            rows = _rows_under_the_guard(rnd, act, 4, width, max_v)
+            out = act.raw(rows.astype(np.float32))
+            assert out.dtype == dtype and (out == reference_dense(m, rows)).all()
+        # rows of D times an integer, at the largest such max|v| under the bound
+        # and the first past it: the image divides by D, in the type of the product
+        for max_w, dtype in ((top // act.den, np.float32), (top // act.den + 1, np.float64)):
+            rows = act.den * _rows_under_the_guard(rnd, act, 4, width, max_w)
+            quot = act(rows.astype(np.float32))
+            assert quot.dtype == dtype
+            assert (quot == reference_dense(m, rows) // act.den).all()
+    if act.den > 1:
+        # eprime: images of rows at the bound that D does not divide are refused
+        rows = _rows_under_the_guard(rnd, act, 4, DIM, top)
+        assert (reference_dense(m, rows) % act.den != 0).any()
+        assert act.raw(rows.astype(np.float32)).dtype == np.float32
+        with pytest.raises(ScaleError):
+            act(rows.astype(np.float32))
+
+
+def test_float_rows_past_the_float64_guard_are_refused(gens):
+    act = IntegerAction(gens.eprime)
+    with pytest.raises(KernelOverflowError, match=r"2\^53"):
+        act.raw(np.full((1, DIM), _top(act, 53) + 1, dtype=np.float64))
+    with pytest.raises(KernelOverflowError, match=r"2\^53"):
+        zkernel.float_rows(np.full((1, DIM), 2 ** 53, dtype=np.int64))
+    assert zkernel.float_rows(np.full((1, DIM), 2 ** 24 - 1, dtype=np.int64)).dtype == np.float32
+    assert zkernel.float_rows(np.full((1, DIM), -2 ** 24, dtype=np.int64)).dtype == np.float64
+
+
+def test_fast_certificates_keep_the_int64_path(monkeypatch):
+    # the relations, unitarity and the cubic form pass int64 rows and get
+    # int64 back, so a verify --fast run forms no float32 copy of B
+    fresh = generators.build_all.__wrapped__()
+    monkeypatch.setattr(generators, "build_all", lambda: fresh)
+    seen = set()
+    raw = IntegerAction.raw
+    monkeypatch.setattr(IntegerAction, "raw",
+                        lambda self, rows: seen.add(rows.dtype) or raw(self, rows))
+    assert all(ok for _, ok in certificates.rows(fast=True))
+    assert seen == {np.dtype(np.int64)}
+    assert all("dense32" not in vars(m.action) for m in fresh.in_order())
 
 
 @pytest.mark.parametrize("name", [*generators.NAMES, "eprime.ac.f1", "random"])
