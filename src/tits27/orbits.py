@@ -28,10 +28,10 @@ Exactness guards
     for a seed that is not integral at scale 25.  Each entry of a rotated
     projective point, and of each candidate rotation of a leading block, is
     a sum of at most 8 terms of +-1 (an entry of ROT) times a stored entry.
-    Float rows are rotated in float32 when 8 times their largest entry is
-    below 2^24, and otherwise, as integer rows are, in float64 after one
-    check_range of 8 times the largest entry against 2^53, made before any
-    product; so every such sum is exact: in the product that forms the 20
+    Rows are rotated in float32 when 8 times their largest entry is below
+    2^24, and otherwise in float64 after one check_range of 8 times the
+    largest entry against 2^53, made before any product; so every such sum
+    is exact: in the product that forms the 20
     candidates of each distinct leading block (always float64, cast to
     int64 before it is compared), and in the one batched product that
     rotates every row by its own 8x8 matrix ROT[k].  A float row holds
@@ -79,8 +79,9 @@ Numbering
     1,728 bytes of its int64 row otherwise, whether the row is held as
     integers or as floats.  The key depends only on the row's values, and
     two keys are equal only for equal rows: keys of different lengths are
-    never equal, and each cast is one-to-one on the rows it is used for.  The stored entries of both paper orbits lie within +-25, so
-    every lookup in them copies and hashes 216 bytes, not 1,728.
+    never equal, and each cast is one-to-one on the rows it is used for.
+    The stored entries of both paper orbits lie within +-25, so every
+    lookup in them copies and hashes 216 bytes, not 1,728.
     The BFS looks up the key of the image of every point under every
     generator, so it records the permutations of the point indices as it
     goes; `perm_images` reads them for the generators that built the orbit
@@ -203,8 +204,8 @@ def seed_proj_conjugate() -> Seed:
 
 
 def _canonical(rows, mode):
-    """Rows in the canonical form of `mode` (projective: least rotation),
-    float rows in the narrowest float type that is exact, int rows as int64."""
+    """Rows in the canonical form of `mode` (projective: least rotation), in
+    the narrowest float type that is exact."""
     if mode == VECTOR:
         return rows
     if mode != PROJECTIVE:
@@ -213,8 +214,7 @@ def _canonical(rows, mode):
     nonzero = rows != 0
     if not nonzero.any(axis=1).all():
         raise ValueError("projective point must be nonzero")
-    floats = rows.dtype.kind == "f"
-    rot = ROT.astype(exact_float(8, 1, max_abs(rows), narrow=floats))  # ROT is 0 and +-1
+    rot = ROT.astype(exact_float(8, 1, max_abs(rows)))  # ROT is 0 and +-1
     blocks = rows.reshape(n, 27, 8)
     first = blocks[np.arange(n), nonzero.argmax(axis=1) // 8]  # a C-ordered copy: viewable
     lead, which = np.unique(first.view((np.void, first.itemsize * 8)).ravel(), return_inverse=True)
@@ -222,7 +222,7 @@ def _canonical(rows, mode):
     # the least rotation in lex order, as the least byte string (see Projective points)
     k = (cands ^ _SIGN_BIT).astype(">i8").view("S64").argmin(axis=1)[which]
     out = np.matmul(blocks.astype(rot.dtype, copy=False), rot[k]).reshape(n, DIM)
-    return out if floats else out.astype(np.int64)
+    return out
 
 
 def _row_keys(rows) -> list:
