@@ -59,17 +59,23 @@ def rows(fast: bool = False, seed: int = 12345):
     if fast:
         return
 
+    # the orbit is dropped once both permutation sets are read off it, and each
+    # chain once its order is read, so neither is alive during the next search
     gens5 = list(g.in_order())
     orbit = orbits.enumerate_orbit(orbits.seed_fixed_vector(), gens5)
-    yield ("orbit of (1,1,1;0^24) has 2304 points", len(orbit) == 2304)
+    degree = len(orbit)
+    yield ("orbit of (1,1,1;0^24) has 2304 points", degree == 2304)
     p5 = orbits.perm_images(orbit, gens5)
-    chain = orbits.build_stab_chain(p5)
-    yield ("certified order is 17971200", chain.order() == 17_971_200)
-    yield ("degree-2304 action is transitive", p5.degree == 2304 and orbits.transitivity_check(p5))
     psub = orbits.perm_images(orbit, [g.f1, g.f2, g.ac, g.eprime])
-    sub_chain = orbits.build_stab_chain(psub)
-    yield ("point stabilizer has order 7800", sub_chain.order() == 7800)
-    yield ("index is 2304", chain.order() // sub_chain.order() == len(orbit) == 2304)
+    del orbit
+    order = orbits.build_stab_chain(p5).order()
+    yield ("certified order is 17971200", order == 17_971_200)
+    yield ("degree-2304 action is transitive", p5.degree == 2304 and orbits.transitivity_check(p5))
+    sub_order = orbits.build_stab_chain(psub).order()
+    # the four generators fix point 0, the seed, so they lie in its stabilizer
+    yield ("point stabilizer has order 7800",
+           sub_order == 7800 and all(p[0] == 0 for p in psub.perms))
+    yield ("index is 2304", order // sub_order == degree == 2304)
 
     line = orbits.seed_proj_1755()
     proj = orbits.enumerate_orbit(line, gens5)
@@ -78,8 +84,7 @@ def rows(fast: bool = False, seed: int = 12345):
     yield ("(ac)^3 scales the projective seed by a power of i",
            orbits.scalar_character(line, [g.ac] * 3) in (5, 15))
     yield ("d fixes the projective seed", orbits.scalar_character(line, [g.d]) == 0)
-    yield ("1755-point stabilizer has order 10240",
-           chain.order() // len(proj) == 10240)
+    yield ("1755-point stabilizer has order 10240", order // len(proj) == 10240)
 
     for k in range(5):
         checks = basisfinder.scramble_roundtrip(seed + k)

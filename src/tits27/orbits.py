@@ -7,9 +7,13 @@ Points and generators
     2304-point vector orbit and of the 1755-point projective orbit is
     integral at that scale (the largest stored value is 25).  Each generator
     is compiled once into its `zkernel.IntegerAction`, kept on the matrix,
-    and breadth-first search applies it to a whole BFS level as one exact
-    float product of the level's rows with its 216x216 integer matrix.  The
-    seed row is cast once to the narrowest float type that holds it
+    and breadth-first search stacks the k generators' 216x216 integer
+    matrices side by side (`IntegerAction.stack`) and applies them to a
+    whole BFS level as one exact float product.  Row i of the product holds
+    the images of point i under each generator in turn, so viewed as n * k
+    rows of 216 it lists the level's images in (point, generator) order, and
+    they go through one canonical form and one key pass.  The seed row is
+    cast once to the narrowest float type that holds it
     (`zkernel.float_rows`), and the frontier and its images then stay in the
     float type the kernel chose for each product, float32 for both paper
     orbits, from level to level; `coords` becomes int64 once, at the end.
@@ -74,14 +78,18 @@ Seeds and characters
 Numbering
     BFS visits point i and then the generators in order, and numbers each
     new image when it is first met, so the numbering is deterministic for a
-    fixed seed and generator order.  A point's key is the 216 bytes of its
-    row cast to int8 when every entry fits in int8 (-128..127), and the
-    1,728 bytes of its int64 row otherwise, whether the row is held as
-    integers or as floats.  The key depends only on the row's values, and
-    two keys are equal only for equal rows: keys of different lengths are
-    never equal, and each cast is one-to-one on the rows it is used for.
-    The stored entries of both paper orbits lie within +-25, so every
-    lookup in them copies and hashes 216 bytes, not 1,728.
+    fixed seed and generator order.  A level's keys are numbered in that
+    order in one pass of `index.setdefault`, a new key taking the next
+    number; so an image is new exactly where its number exceeds every number
+    before it in the level, and the next frontier is one gather of those
+    rows.  The cap is checked once a level is numbered.  A point's key is
+    the 216 bytes of its row cast to int8 when every entry fits in int8
+    (-128..127), and the 1,728 bytes of its int64 row otherwise, whether the
+    row is held as integers or as floats.  The key depends only on the row's
+    values, and two keys are equal only for equal rows: keys of different
+    lengths are never equal, and each cast is one-to-one on the rows it is
+    used for.  The stored entries of both paper orbits lie within +-25, so
+    every lookup in them copies and hashes 216 bytes, not 1,728.
     The BFS looks up the key of the image of every point under every
     generator, so it records the permutations of the point indices as it
     goes; `perm_images` reads them for the generators that built the orbit
@@ -281,34 +289,27 @@ def enumerate_orbit(seed: Seed, gens, cap: int = 10000) -> Orbit:
     if cap < 1:
         raise CapExceededError(f"orbit exceeds cap {cap}")
     gens = tuple(gens)
-    actions = [IntegerAction.of(g) for g in gens]
+    stack = IntegerAction.stack([IntegerAction.of(g) for g in gens]) if gens else None
     # float rows from here on, in the type each product is exact in
     frontier = _canonical(float_rows(seed.row), seed.mode)
     levels = [frontier]
     index = {_row_keys(frontier)[0]: 0}
-    targets = []  # in (point, generator) order: frontier points are numbered in turn
-    while actions and len(frontier):
-        images = [_canonical(act(frontier), seed.mode) for act in actions]
-        keys = [_row_keys(w) for w in images]
-        new = []
-        for i in range(len(frontier)):
-            for gi, gkeys in enumerate(keys):
-                key = gkeys[i]
-                j = index.get(key)
-                if j is None:
-                    if len(index) >= cap:
-                        raise CapExceededError(f"orbit exceeds cap {cap}")
-                    j = index[key] = len(index)
-                    new.append((gi, i))
-                targets.append(j)
-        picks = np.array(new, dtype=np.intp).reshape(-1, 2)
-        frontier = np.empty((len(picks), DIM), np.result_type(*images))
-        for gi, w in enumerate(images):  # gathers only the new rows of each image
-            mine = picks[:, 0] == gi
-            frontier[mine] = w[picks[mine, 1]]
+    targets = []  # per level, in (point, generator) order (see Numbering)
+    while gens and len(frontier):
+        # row i * len(gens) + k: the image of frontier point i under gens[k]
+        images = _canonical(stack(frontier).reshape(-1, DIM), seed.mode)
+        start = len(index)
+        level = np.array([index.setdefault(key, len(index)) for key in _row_keys(images)],
+                         dtype=np.intp)
+        if len(index) > cap:
+            raise CapExceededError(f"orbit exceeds cap {cap}")
+        # a point is new where its number first exceeds every number before it
+        seen = np.maximum.accumulate(np.maximum(level, start - 1))
+        frontier = images[np.flatnonzero(np.diff(seen, prepend=start - 1))]
+        targets.append(level)
         levels.append(frontier)
     return Orbit(np.concatenate(levels).astype(np.int64), index, seed.mode, gens,
-                 np.array(targets, dtype=np.intp).reshape(len(index), len(gens)).T)
+                 np.concatenate(targets or [np.empty(0, np.intp)]).reshape(len(index), len(gens)).T)
 
 
 def perm_images(orbit: Orbit, gens) -> PermSet:

@@ -16,11 +16,18 @@ Stabilizer chain
     inverse is formed once, when its generator is added;
   * each level keeps the orbit of its base point under all strong generators
     assigned at its depth or deeper, as `pos[x]` (the BFS visit number of
-    point x, -1 off the orbit), the BFS tree (`steps`: each layer's points,
-    their parents and the generators that reached them) and the table
-    `uinv`, whose row r is the inverse of u_e for the r-th point e visited,
-    where u_e = s_k u_d if generator s_k first reached e from d; sifting maps
-    arbitrary images through `uinv`, so it is kept for every point;
+    point x, -1 off the orbit), the BFS tree (per point, the `parent` it was
+    reached from and the `label` of the generator that reached it, and the
+    `layers` of visit numbers) and the table `uinv`, whose row r is the
+    inverse of u_e for the r-th point e visited, where u_e = s_k u_d if
+    generator s_k first reached e from d;
+  * `uinv` is filled on first use, by a Schreier batch of its level or by a
+    sift of more than WALK_ROWS = 64 rows, and dropped when the level is
+    rebuilt; until then a sift maps a row through u_e^-1 by walking the tree
+    from e to the base point and applying s_k^-1 for each edge, the
+    Schreier-vector trade of time for space (Seress, "Permutation Group
+    Algorithms", 2003, section 4.1).  So sifting the input generators, each
+    of which rebuilds level 0, fills no table, and level 0 is filled once;
   * u is filled one BFS layer at a time by one gather, each row through
     its own generator; `uinv` is filled per layer and generator, by one take
     of the parents' rows through the inverse generator, since a gather of
@@ -79,6 +86,7 @@ Batches
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -105,54 +113,83 @@ class PermSet:
 
 def transitivity_check(p: PermSet) -> bool:
     """Whether the generated group has a single orbit on 0..degree-1."""
-    pos, _ = _bfs(np.array(p.perms, dtype=np.intp).reshape(len(p.perms), p.degree), 0)
+    pos = _bfs(np.array(p.perms, dtype=np.intp).reshape(len(p.perms), p.degree), 0)[0]
     return bool((pos >= 0).all())
 
 
 def _bfs(gens, beta):
     """BFS from beta under the rows of `gens`, each point then each generator:
-    every point's visit number (-1: unreached) and, per layer after the first,
-    the visit numbers of its points and of their parents, and the generators."""
+    every point's visit number (-1: unreached); per visit number, the visit
+    number of its parent and the generator that reached it (0 and 0 for
+    beta); and the visit numbers [lo, hi) of each layer after the first."""
     pos = np.full(gens.shape[1], -1, dtype=np.intp)
     pos[beta] = 0
-    frontier, steps = np.array([beta]), []
+    frontier, parent, label, layers = np.array([beta]), [[0]], [[0]], [(0, 1)]
     while frontier.size:
         img = gens[:, frontier].T.ravel()
         fresh = np.flatnonzero(pos[img] < 0)
         hits = fresh[np.sort(np.unique(img[fresh], return_index=True)[1])]
-        new = pos.max() + 1 + np.arange(hits.size)
-        steps.append((new, pos[frontier[hits // len(gens)]], hits % len(gens)))
+        parent.append(pos[frontier[hits // len(gens)]])
+        label.append(hits % len(gens))
         frontier = img[hits]
-        pos[frontier] = new
-    return pos, steps
+        lo = layers[-1][1]
+        pos[frontier] = lo + np.arange(hits.size)
+        layers.append((lo, lo + hits.size))
+    return pos, np.concatenate(parent), np.concatenate(label), layers[1:]
 
 
 class _Level:
-    """A base point and its transversal: `pos`, `points`, the BFS `steps`
-    and the `uinv` table."""
+    """A base point and its transversal: `pos`, `points`, the BFS tree
+    (`parent`, `label`, `layers`) and the `uinv` table, filled on first use."""
+
+    #: A sift of more rows than this fills the table; fewer walk the tree.
+    WALK_ROWS = 64
 
     def __init__(self, beta):
         self.beta = beta
 
     def build(self, gens, ginvs):
-        """Rebuild the orbit and `uinv` under the stacked `gens`, whose
-        inverses are `ginvs`, by one BFS, layer by layer."""
-        self.pos, self.steps = _bfs(gens, self.beta)
+        """Rebuild the orbit and its tree under the stacked `gens`, whose
+        inverses are `ginvs`, by one BFS; `uinv` is dropped until next used."""
+        self.pos, self.parent, self.label, self.layers = _bfs(gens, self.beta)
         self.points = np.flatnonzero(self.pos >= 0)
-        self.uinv = np.empty((len(self.points), len(self.pos)), dtype=gens.dtype)
-        self.uinv[0] = np.arange(len(self.pos))
-        for new, parent, label in self.steps:  # u_e^-1 = u_d^-1 s_k^-1 for e = s_k(d)
-            for k, ginv in enumerate(ginvs):
-                pick = label == k
-                self.uinv[new[pick]] = np.take(self.uinv[parent[pick]], ginv, axis=1)
+        self.ginvs = ginvs
+        self.__dict__.pop("uinv", None)
+
+    @cached_property
+    def uinv(self):
+        """Row r: u_e^-1, e the r-th point visited, filled layer by layer
+        through the parents' rows."""
+        uinv = np.empty((len(self.points), len(self.pos)), dtype=self.ginvs.dtype)
+        uinv[0] = np.arange(len(self.pos))
+        for lo, hi in self.layers:  # u_e^-1 = u_d^-1 s_k^-1 for e = s_k(d)
+            for k, ginv in enumerate(self.ginvs):
+                pick = lo + np.flatnonzero(self.label[lo:hi] == k)
+                uinv[pick] = np.take(uinv[self.parent[pick]], ginv, axis=1)
+        return uinv
+
+    def unwind(self, r, a):
+        """Row k of `a` mapped through u_e^-1, e the r[k]-th point visited:
+        by the table once it is filled or for a batch of more than WALK_ROWS
+        rows, and otherwise by walking the tree from e to the base point,
+        applying s^-1 for each edge s(d) = e on the way."""
+        if "uinv" in self.__dict__ or len(a) > self.WALK_ROWS:
+            return _gather(self.uinv, r, a)
+        a = a.copy()
+        live = np.flatnonzero(r)
+        while live.size:
+            a[live] = _gather(self.ginvs, self.label[r[live]], a[live])
+            r = self.parent[r]
+            live = live[r[live] > 0]
+        return a
 
     def u_on(self, gens, cols):
         """Row r: the images of the points `cols` under u_e, e the r-th point
         visited, filled along the BFS tree (u_e = s_k u_d)."""
         u = np.empty((len(self.points), len(cols)), dtype=cols.dtype)
         u[0] = cols
-        for new, parent, label in self.steps:
-            u[new] = _gather(gens, label, u[parent])
+        for lo, hi in self.layers:
+            u[lo:hi] = _gather(gens, self.label[lo:hi], u[self.parent[lo:hi]])
         return u
 
 
@@ -169,7 +206,7 @@ def _sift(levels, a, cols, start):
     for j in range(start, len(levels)):
         r = levels[j].pos[a[:, cols[levels[j].beta]]]
         stop[(r < 0) & (stop == len(levels))] = j
-        a = _gather(levels[j].uinv, np.where(stop < len(levels), 0, r), a)
+        a = levels[j].unwind(np.where(stop < len(levels), 0, r), a)
     return a, stop
 
 

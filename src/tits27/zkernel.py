@@ -77,7 +77,15 @@ Exactness guards
     checking 64 * max|B| < 2^53, which bounds every partial sum of its two
     products of 8 terms.  D < 2^53 is checked too, so ``act(rows)`` can
     divide in the float type of the product (float64 for integer rows), and
-    skips the division when D = 1.  With t = 53 for float64 and t = 24 for
+    skips the division when D = 1.  A stack (`IntegerAction.stack`) places
+    the B of k actions side by side, one 216 x 216k matrix, so `raw` applies
+    them all to the same rows as one product.  Each entry of that product is
+    the entry of one block's product, a sum of 216 products of an entry of
+    that B and one of the rows, so the guards above hold with max|B| taken
+    over the stack, and the float32 test takes the largest D among the
+    blocks.  A call divides only the blocks whose D exceeds 1, each by its
+    own D, with the exactness test below and ScaleError; the blocks with
+    D = 1 are left as they are.  With t = 53 for float64 and t = 24 for
     float32, where |p| < 2^t and 1 < D < 2^t: p / D rounded to the type is an
     integer iff D divides p, since it is then exact, and otherwise it lies
     within 2^(e-t) < 1/D of p / D, with 2^e <= |p / D| < 2^t / D, while
@@ -118,6 +126,9 @@ class IntegerAction:
     """A 27x27 cyclotomic matrix as an exact integer map on n x 216 rows:
     D times its 216x216 rational matrix, applied as one float product."""
 
+    #: The denominators of a stack's blocks (see `stack`); None for one matrix.
+    dens = None
+
     def __init__(self, m: ExactMatrix):
         if m.ring != RING_CYC or m.rows != 27 or m.cols != 27:
             raise ValueError("the integer kernel needs a 27x27 cyclotomic matrix")
@@ -138,6 +149,18 @@ class IntegerAction:
         check_range(1, den, 1, bits=53)
         dense = np.einsum("ijk,krc->jric", coeffs.astype(np.float64), ROT[:8]).reshape(DIM, DIM)
         self.den, self.max_b, self.dense = den, max_abs(dense), dense
+
+    @classmethod
+    def stack(cls, actions):
+        """The actions side by side, one 216-column block each: `raw` gives
+        every block's product at once, and a call divides each block by its
+        own D (see Exactness guards)."""
+        act = cls.__new__(cls)
+        act.dens = tuple(a.den for a in actions)
+        act.den = max(act.dens)  # bounds every block's D for the float32 test
+        act.max_b = max(a.max_b for a in actions)
+        act.dense = np.hstack([a.dense for a in actions])
+        return act
 
     def transposed(self):
         """The action of m^T: every block moved to its mirror position."""
@@ -181,14 +204,20 @@ class IntegerAction:
         return out if floats else out.astype(np.int64)
 
     def __call__(self, rows):
-        """The rows of m v, in the type `raw` gives; the division by D must be exact."""
+        """The rows of m v, in the type `raw` gives; the division by D must be
+        exact, and a stack divides only its blocks whose D is above 1."""
         out = self.raw(rows)
-        if self.den == 1:
-            return out
-        quot = out / self.den  # in the float type of the product, or float64 for int64
-        if (quot != np.trunc(quot)).any():  # exact when D divides, never integral otherwise
-            raise ScaleError("an image is not integral at the scale of its preimage")
-        return quot if out.dtype.kind == "f" else quot.astype(np.int64)
+        for k, den in enumerate(self.dens or (self.den,)):
+            if den == 1:
+                continue
+            block = out[:, k * DIM:(k + 1) * DIM]
+            # in place in the float type of the product, or in float64 for int64
+            quot = np.divide(block, den, out=block if out.dtype.kind == "f" else None)
+            if (quot != np.trunc(quot)).any():  # exact when D divides, never integral otherwise
+                raise ScaleError("an image is not integral at the scale of its preimage")
+            if quot is not block:
+                block[...] = quot
+        return out
 
 
 def exact_float(inner, max_b, max_v, narrow=True):

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -416,6 +417,156 @@ def test_bfs_applies_every_matrix_to_float32_rows(monkeypatch, gens5):
                 hashlib.sha256(orbit.images.astype(np.int64).tobytes()).hexdigest()) \
             == PINNED_ORBITS[name]
         assert applied[name].perms == tuple(map(tuple, orbit.images.tolist()))
+
+
+# -- the stacked BFS against one product per generator -----------------------
+
+def _reference_bfs(seed, gens, cap=10000):
+    """The BFS as it ran before the generators were stacked: per level, one
+    kernel product, canonical form and key pass for each generator, and each
+    image numbered when first met, in (point, generator) order."""
+    if cap < 1:
+        raise ob.CapExceededError(f"orbit exceeds cap {cap}")
+    actions = [zkernel.IntegerAction.of(g) for g in gens]
+    frontier = ob._canonical(zkernel.float_rows(seed.row), seed.mode)
+    levels, index, targets = [frontier], {ob._row_keys(frontier)[0]: 0}, []
+    while actions and len(frontier):
+        images = [ob._canonical(act(frontier), seed.mode) for act in actions]
+        keys = [ob._row_keys(w) for w in images]
+        new = []
+        for i in range(len(frontier)):
+            for k, gkeys in enumerate(keys):
+                j = index.get(gkeys[i])
+                if j is None:
+                    if len(index) >= cap:
+                        raise ob.CapExceededError(f"orbit exceeds cap {cap}")
+                    j = index[gkeys[i]] = len(index)
+                    new.append(images[k][i])
+                targets.append(j)
+        frontier = np.array(new).reshape(-1, zkernel.DIM)
+        levels.append(frontier)
+    return (np.concatenate(levels).astype(np.int64), index,
+            np.array(targets, dtype=np.intp).reshape(len(index), len(gens)).T)
+
+
+def _assert_matches_reference(seed, gens, **kw):
+    orbit = ob.enumerate_orbit(seed, gens, **kw)
+    coords, index, images = _reference_bfs(seed, gens, **kw)
+    assert np.array_equal(orbit.coords, coords)
+    assert np.array_equal(orbit.images, images)
+    assert list(orbit.index.items()) == list(index.items())
+
+
+def _scaled_seed(s):
+    """s (1,1,1;0^24)."""
+    return ob.Seed.of((cyclo.CycNum.from_int(s),) * 3 + (cyclo.ZERO,) * 24, ob.VECTOR)
+
+
+@pytest.mark.parametrize("seed", [ob.seed_fixed_vector, ob.seed_proj_1755])
+def test_stacked_bfs_matches_the_per_generator_bfs(gens5, seed):
+    _assert_matches_reference(seed(), gens5)
+
+
+def test_stacked_bfs_in_float64(monkeypatch, gens5, orbit2304):
+    # stored entries reach 25 * 2^17, so 216 * max|B| * max|v| passes 2^24 and
+    # every product of the stack is formed in float64, and keys are int64 bytes
+    seen = []
+    raw = zkernel.IntegerAction.raw
+    monkeypatch.setattr(zkernel.IntegerAction, "raw",
+                        lambda self, rows: seen.append(raw(self, rows)) or seen[-1])
+    orbit = ob.enumerate_orbit(_scaled_seed(2 ** 17), gens5)
+    assert seen and {out.dtype for out in seen} == {np.dtype(np.float64)}
+    assert {len(k) for k in orbit.index} == {1728}
+    assert np.array_equal(orbit.coords, 2 ** 17 * orbit2304.coords)
+    assert np.array_equal(orbit.images, orbit2304.images)
+    monkeypatch.undo()
+    _assert_matches_reference(_scaled_seed(2 ** 17), gens5)
+
+
+def _outcome(fn, *args, **kw):
+    try:
+        return fn(*args, **kw)
+    except (ob.CapExceededError, ob.KernelOverflowError, ob.ScaleError) as err:
+        return type(err), str(err)
+
+
+def test_stack_refuses_what_the_per_generator_bfs_refuses(gens, gens5):
+    # the stack guards with max|B| over its blocks, and the per-generator BFS
+    # refuses as soon as one generator's product would pass 2^53, so the two
+    # refuse the same sets: at 25 s just under 2^53 / 216, the monomial
+    # generators (max|B| = 1) are accepted and eprime (max|B| = 2) is not
+    s = (2 ** 53 - 1) // (zkernel.DIM * ob.SCALE)
+    seventh = cyc_reference.scale_matrix(gens.f1, cyclo.CycNum.rational(1, 7))
+    big = _scalar(cyclo.CycNum.from_int(2 ** 22))
+    monomial = [gens.f1, gens.f2, gens.d, gens.ac]
+    cases = [
+        (ob.seed_fixed_vector(), gens5, {"cap": 100}, ob.CapExceededError),
+        (ob.seed_fixed_vector(), [seventh] + gens5[1:], {}, ob.ScaleError),
+        (ob.seed_fixed_vector(), [big], {}, ob.KernelOverflowError),
+        (ob.seed_fixed_vector(), gens5 + [big], {}, ob.KernelOverflowError),
+        (_scaled_seed(s), gens5, {}, ob.KernelOverflowError),
+        (_scaled_seed(s), monomial, {}, None),
+        (ob.seed_fixed_vector(), [gens.f1, gens.f2], {}, None),
+    ]
+    for seed, gs, kw, refusal in cases:
+        got = _outcome(ob.enumerate_orbit, seed, gs, **kw)
+        expected = _outcome(_reference_bfs, seed, gs, **kw)
+        if refusal is None:
+            assert isinstance(got, ob.Orbit)
+            assert np.array_equal(got.coords, expected[0])
+            assert np.array_equal(got.images, expected[2])
+        else:
+            assert got == expected and got[0] is refusal
+
+
+def test_point_stabilizer_row_needs_generators_that_fix_the_seed(monkeypatch):
+    # H conjugated by the transposition (0 1) has order 7800 and fixes point
+    # 1, so its generators do not all fix point 0: only the stricter row fails
+    perm_images = ob.perm_images
+
+    def conjugated(orbit, gens):
+        pset = perm_images(orbit, gens)
+        if len(gens) != 4:
+            return pset
+        swap = np.arange(pset.degree)
+        swap[[0, 1]] = 1, 0
+        return ob.PermSet(pset.degree, tuple(tuple(swap[np.array(p)[swap]].tolist())
+                                             for p in pset.perms))
+
+    monkeypatch.setattr(ob, "perm_images", conjugated)
+    verdicts = {}
+    for name, ok in certificates.rows(seed=3):
+        verdicts[name] = ok
+        if name == "index is 2304":
+            break
+    assert not verdicts["point stabilizer has order 7800"]
+    assert verdicts["certified order is 17971200"] and verdicts["index is 2304"]
+
+
+def test_certificates_drop_the_orbit_and_the_chain(monkeypatch):
+    # reference counting alone frees the 2304-point orbit before the chain of
+    # G is built, and that chain before the projective search
+    refs, dead = {}, []
+    enumerate_orbit, build_stab_chain = ob.enumerate_orbit, ob.build_stab_chain
+
+    def enumerated(seed, gens, **kw):
+        if seed.mode == ob.PROJECTIVE:
+            dead.append(("chain of G", refs["G"]() is None))
+        orbit = enumerate_orbit(seed, gens, **kw)
+        refs.setdefault("orbit", weakref.ref(orbit))
+        return orbit
+
+    def built(pset):
+        if len(pset.perms) == 5:
+            dead.append(("orbit", refs["orbit"]() is None))
+        chain = build_stab_chain(pset)
+        refs.setdefault("G", weakref.ref(chain))
+        return chain
+
+    monkeypatch.setattr(ob, "enumerate_orbit", enumerated)
+    monkeypatch.setattr(ob, "build_stab_chain", built)
+    assert all(ok for _, ok in certificates.rows(seed=3))
+    assert dead == [("orbit", True), ("chain of G", True)]
 
 
 def test_canonical_keeps_float_rows_in_an_exact_type(orbit1755):

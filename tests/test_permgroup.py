@@ -1,6 +1,7 @@
 """Permutation groups: the stabilizer chain, its known base and membership."""
 
 import collections
+import functools
 import hashlib
 import math
 import random
@@ -102,6 +103,32 @@ def test_level_zero_forms_each_schreier_row_at_most_twice(monkeypatch, perms_all
     assert 11_520 <= rows[level0] <= 2 * 11_520
 
 
+def _count_fills(monkeypatch):
+    """Count the `uinv` tables filled, per level."""
+    fills = collections.Counter()
+    fill = pg._Level.uinv.func
+
+    def counted(lv):
+        fills[lv] += 1
+        return fill(lv)
+
+    prop = functools.cached_property(counted)
+    prop.__set_name__(pg._Level, "uinv")
+    monkeypatch.setattr(pg._Level, "uinv", prop)
+    return fills
+
+
+@pytest.mark.parametrize("which", ["G", "H"])
+def test_level_zero_table_is_filled_once(request, monkeypatch, which):
+    # the input generators are sifted by walking level 0's tree, which is
+    # rebuilt for each of them; only its Schreier generators fill the table
+    fills = _count_fills(monkeypatch)
+    chain = pg.build_stab_chain(request.getfixturevalue("perms_all" if which == "G" else "perms_psl"))
+    assert _pinned(chain) == PINNED_CHAINS[which]
+    assert fills[chain._levels[0]] == 1
+    assert all(fills[lv] >= 1 for lv in chain._levels)
+
+
 def _closure(perms, degree):
     """The group generated by `perms`, by BFS over permutation tuples."""
     ident = tuple(range(degree))
@@ -116,16 +143,25 @@ def _closure(perms, degree):
 @settings(max_examples=20, deadline=None)
 @given(st.integers(2, 7).flatmap(lambda n: st.tuples(
     st.lists(st.permutations(range(n)), min_size=2, max_size=4),
-    st.lists(st.permutations(range(n)), min_size=20, max_size=20))))
-def test_chain_matches_brute_force_closure(case):
-    # a plain PermSet: every point is a test point, and residues restart the batches
+    st.lists(st.permutations(range(n)), min_size=20, max_size=20))), st.booleans())
+def test_chain_matches_brute_force_closure(case, walk):
+    # a plain PermSet: every point is a test point, and residues restart the
+    # batches; with `walk`, the tables are dropped and batches of at most
+    # WALK_ROWS rows are sifted along the trees, filling no table
     perms, others = ([tuple(p) for p in ps] for ps in case)
     degree = len(perms[0])
     group = _closure(perms, degree)
     chain = pg.build_stab_chain(pg.PermSet(degree, tuple(perms)))
     assert chain.order() == len(group)
-    assert chain.contains_many(list(group)).all()
+    size = len(group)
+    if walk:
+        for lv in chain._levels:
+            del lv.uinv
+        size = pg._Level.WALK_ROWS
+    members = list(group)
+    assert all(chain.contains_many(members[k:k + size]).all() for k in range(0, len(members), size))
     assert chain.contains_many(others).tolist() == [p in group for p in others]
+    assert all(("uinv" in vars(lv)) != walk for lv in chain._levels)
 
 
 # -- membership of non-permutations ---------------------------------------------

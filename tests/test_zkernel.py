@@ -103,6 +103,33 @@ def test_dense_kernel_refuses_large_rows(gens):
         act.raw(np.full((1, 27), -limit - 1, dtype=np.int64))
 
 
+def test_stack_is_each_action_side_by_side(monkeypatch, gens):
+    # raw gives every block's product; a call divides only eprime's block
+    # (D = 5), and an image there that 5 does not divide is still refused
+    acts = [IntegerAction(m) for m in gens.in_order()]
+    stack = IntegerAction.stack(acts)
+    assert stack.dens == (1, 1, 1, 1, 5) and stack.den == 5 and stack.max_b == 2
+    rnd = random.Random(28)
+    rows = 5 * _rows(rnd, 6, DIM)
+    divides = []
+    divide = np.divide
+    monkeypatch.setattr(zkernel.np, "divide", lambda *a, **kw: divides.append(1) or divide(*a, **kw))
+    # small float rows of either type are multiplied in float32
+    for cast, dtype in ((np.int64, np.int64), (np.float32, np.float32), (np.float64, np.float32)):
+        assert (stack.raw(rows.astype(cast)) == np.hstack([a.raw(rows) for a in acts])).all()
+        got = stack(rows.astype(cast))
+        assert got.dtype == dtype and (got == np.hstack([a(rows) for a in acts])).all()
+    assert len(divides) == 3 + 3  # eprime's block once per call, stacked and alone
+    short = 5 * _rows(rnd, 2, 27)  # rational integers: the stack's rows B[0::8]
+    assert (stack(short) == np.hstack([a(short) for a in acts])).all()
+    odd = rows.copy()
+    odd[:, 0] += 1  # adds row 0 of eprime's B to its block: 5 does not divide it
+    assert (reference_dense(gens.eprime, odd) % 5 != 0).any()
+    for cast in (np.int64, np.float32):
+        with pytest.raises(ScaleError):
+            stack(odd.astype(cast))
+
+
 def _top(act, bits):
     """The largest max|v| with 216 * max|B| * max|v| < 2^bits."""
     return (2 ** bits - 1) // (DIM * act.max_b)
