@@ -26,7 +26,6 @@ from . import cubicform
 from . import exactlinalg as la
 from . import generators
 from . import orbits
-from . import wordlang
 
 
 class _UsageError(Exception):
@@ -113,6 +112,7 @@ def _cmd_cubic(args):
 
 
 def _cmd_eval(args):
+    from . import wordlang  # imported only by the two commands that parse words
     env = {}
     for binding in args.bind or []:
         if "=" not in binding:
@@ -149,6 +149,7 @@ def _cmd_basis(args):
     b = la.load_matrix(os.path.join(args.indir, "b.mat"))
     if any(m.ring != la.RING_GF41 or (m.rows, m.cols) != (27, 27) for m in (a, b)):
         raise _UsageError("basis --in needs a.mat and b.mat as 27x27 gf41 matrices")
+    from . import wordlang
     env = {"a": a, "b": b}
     for name, text in wordlang.STANDARD_WORDS:
         expr = wordlang.parse_word(text, names=env.keys())

@@ -58,13 +58,16 @@ and T' is symmetric again; C(m x) = C(x) iff T' = T.  T is a 27 x 27 x 27
 array of +-1 and 0, all in coefficient slot 0 of the power basis.  The
 kernel action of D m^T, read off B by transposing its blocks, is applied to
 one slot at a time, with that slot moved next to the coefficient axis.  The
-first step applies it to the 27 integer coefficients of each 27 x 27 slab
-of T; the other two run on one 27 x 27 slab of the first step's result at
-a time, a (27 x 216) by (216 x 216) product each, so that only the first
-step's result is large.  The three steps give D^3 T' exactly, so m
+first step applies it once to all 729 rows of T, the 27 entries T_ijk of
+each pair (i, j), passed as float rows (`zkernel.float_rows`).  The other
+two run on SLABS = 3 slabs of the first step's result at a time, a
+(81 x 216) by (216 x 216) product each, 18 products in all, so that only
+the first step's result is large.  The kernel forms each product in
+float32 when its sums stay below 2^24, in float64 when they stay below
+2^53, and refuses it with KernelOverflowError otherwise; every entry is an
+exact integer either way.  The three steps give D^3 T' exactly, so m
 preserves C iff the result is D^3 T: 125 T for eprime, whose denominators
-are 5.  The kernel refuses, with KernelOverflowError, any product it could
-not form exactly.
+are 5, all of it in float32.
 
 A term t = {i, j, k} is flip-safe under m when (m x)_i (m x)_j (m x)_k =
 x_i x_j x_k.  The polynomial ring Q(zeta20)[x] is a unique factorization
@@ -263,38 +266,39 @@ def dickson_form() -> CubicForm:
 
 def _tensor_array(c: CubicForm) -> np.ndarray:
     """The fully symmetric coefficient tensor of c on label indices, a
-    27 x 27 x 27 int64 array: T[u, v, w] = sign for every ordering of each
+    27 x 27 x 27 int8 array: T[u, v, w] = sign for every ordering of each
     term, 270 nonzero entries for 45 terms, and C(x) = T(x, x, x)/6."""
     idx, signs = _term_arrays(c)
-    t = np.zeros((27, 27, 27), dtype=np.int64)
+    t = np.zeros((27, 27, 27), dtype=np.int8)
     for order in itertools.permutations(idx.T):
         t[order] = signs
     return t
 
 
+#: Slabs of T' per slot-i and slot-j product; their temporaries stay small.
+SLABS = 3
+
+
 def _dense_invariant(c: CubicForm, m: ExactMatrix) -> bool:
     """C(m x) = C(x) by the three-step tensor transform of the module docstring."""
     act = zkernel.IntegerAction.of(m).transposed()
-    # the image is compared with D^3 T, so D^3 must be an int64 too
-    d3 = act.den ** 3
-    zkernel.check_range(1, d3, 1)
+    # the image is compared with D^3 T, so D^3 must be an int64 too (T is int8)
+    zkernel.check_range(1, act.den ** 3, 1)
+    d3 = np.int64(act.den ** 3)
     t = _tensor_array(c)
-    # slot k first, on the integer coefficients of one slab of T at a time:
-    # first[i, j, a] = D * sum_k m_ka T_ijk
-    first = np.empty((27, 27, 27, 8), dtype=np.int64)
-    for i in range(27):
-        first[i] = act.raw(t[i]).reshape(27, 27, 8)
-
-    def slab_kept(a):
-        # slots i and j of one 27 x 27 slab, so that only `first` is large:
-        # put the untransformed slot last, then transform it
-        rows = first[:, :, a]
+    # slot k on all 729 rows of T at once: first[i, j, a] = D * sum_k m_ka T_ijk
+    first = act.raw(zkernel.float_rows(t.reshape(729, 27))).reshape(27, 27, 27, 8)
+    for a in range(0, 27, SLABS):
+        # slots i and j of SLABS slabs, each moved last in turn and transformed
+        rows = first[:, :, a:a + SLABS].transpose(1, 2, 0, 3)
         for _ in range(2):
-            rows = act.raw(rows.transpose(1, 0, 2).reshape(27, zkernel.DIM)).reshape(27, 27, 8)
-        # rows[b, e] = D^3 T'_bea
-        return np.array_equal(rows[..., 0], d3 * t[:, :, a]) and not rows[..., 1:].any()
-
-    return all(slab_kept(a) for a in range(27))
+            rows = act.raw(rows.reshape(-1, zkernel.DIM)).reshape(27, SLABS, 27, 8)
+            rows = rows.transpose(2, 1, 0, 3)
+        # rows[e, s, b] = D^3 T'_b,e,a+s
+        if not (np.array_equal(rows[..., 0], d3 * t[:, :, a:a + SLABS].transpose(1, 2, 0))
+                and not rows[..., 1:].any()):
+            return False
+    return True
 
 
 def invariance_report(c: CubicForm, m: ExactMatrix):

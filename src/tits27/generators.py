@@ -24,6 +24,9 @@ The reductions mod 41 are one `gf41.reduce_rows` per generator
 (`exactlinalg.reduce_matrix_mod41`), kept as residue arrays that
 `basisfinder` and the GF(41) matrix files read as they are.  Printing a
 generator reads its array too, so no scalar object is made on the way.
+Unitarity is decided as D^2 m m* = D^2 (`verify_relations`), with the
+rows of D m* read off the coefficient array: m m* = 1 iff m* m = 1 for a
+square matrix, so no adjoint is compiled.
 Per-scalar `CycNum`s stay where single cyclotomic values are read or
 computed: parsing cyc matrix files, the cyclotomic products and inverses of
 `eval`, and `gf41.lift_table`.
@@ -185,7 +188,8 @@ def verify_relations(g: GeneratorSet) -> tuple:
     conjugated by ac is f2" as f1 ac = ac f2, the same relation for an
     invertible ac (a singular ac fails both rows about ac before it).  ac
     has order 12 iff (ac)^12 = 1 and no smaller power is 1.  Unitarity is
-    m* m = 1, with D m* the adjoint of the compiled action of m.
+    decided as D^2 m m* = D^2 (`_times_adjoint`): for a square matrix a
+    one-sided inverse is two-sided, so m m* = 1 iff m* m = 1.
     """
     acts = dict(zip(NAMES, map(zkernel.IntegerAction.of, g.in_order())))
 
@@ -217,9 +221,8 @@ def verify_relations(g: GeneratorSet) -> tuple:
         ("eprime inverts ac", is_one("eprime ac eprime ac")),
         ("f1 conjugated by ac is f2", _same(image("f1 ac"), image("ac f2"))),
     ]
-    for name in NAMES:
-        rows, den = image(name)
-        checks.append((f"{name} unitary", _same((acts[name].adjoint().raw(rows), den * den), _ONE)))
+    for name, m in zip(NAMES, g.in_order()):
+        checks.append((f"{name} unitary", _same(_times_adjoint(m), _ONE)))
     return tuple(checks)
 
 
@@ -236,18 +239,23 @@ def _same(a, b):
     return np.array_equal(den_b * rows_a, den_a * rows_b)
 
 
-def row_norms_are_one(m: ExactMatrix) -> bool:
-    """Whether every row of m has norm sum_j m_ij conj(m_ij) = 1.
+def _times_adjoint(m: ExactMatrix):
+    """D^2 m m* as an image (rows, D^2): row i is D^2 m m* e_i.
 
-    The norms are the diagonal of m m*, decided on the kernel.  D m* e_i is
-    the conjugate of row i of D m, read off the coefficient array as each
-    block times CONJ, so no adjoint action is formed here (`verify_relations`
-    forms each generator's once).  Its entries are 8-term sums of +-1 times
-    a coefficient, exact in int64: the compile has already refused any m
-    with 216 * 8 * max|coefficient| >= 2^53.  Row i of the image of D m on
-    those rows is D^2 m m* e_i, whose block i must be D^2.
+    D m* e_i is the conjugate of row i of D m, read off the coefficient
+    array as each block times CONJ, so no adjoint is compiled.  Its entries
+    are 8-term sums of +-1 times a coefficient, exact in int64: the compile
+    of m has already refused any m with 216 * 8 * max|coefficient| >= 2^53.
+    The action of D m on those rows gives the rest, guarded like any `raw`.
     """
     act = zkernel.IntegerAction.of(m)
     star = (m.coeffs @ zkernel.CONJ).reshape(27, zkernel.DIM)
-    diag = act.raw(star).reshape(27, 27, 8)[np.arange(27), np.arange(27)]
-    return _same((diag, act.den ** 2), (np.tile(np.eye(1, 8, dtype=np.int64), (27, 1)), 1))
+    return act.raw(star), act.den ** 2
+
+
+def row_norms_are_one(m: ExactMatrix) -> bool:
+    """Whether every row of m has norm sum_j m_ij conj(m_ij) = 1: the
+    diagonal of m m*, block i of row i of `_times_adjoint`, must be 1."""
+    rows, den2 = _times_adjoint(m)
+    diag = rows.reshape(27, 27, 8)[np.arange(27), np.arange(27)]
+    return _same((diag, den2), (np.tile(np.eye(1, 8, dtype=np.int64), (27, 1)), 1))

@@ -15,8 +15,7 @@ row, as the single product rows @ B, giving the rows of D * (m v); the rows
 are int64, or floats that hold integers (see Exactness guards).  On
 n x 27 rows of rational integers (coefficient 0 of each block only) it uses
 the 27 rows B[0::8].  The action of m^T is B with its 8x8 blocks transposed
-as blocks, and the action of m* moves them the same way and conjugates each
-block, so neither needs a second compile.
+as blocks, so it needs no second compile.
 
 There are two ways to apply it:
 
@@ -34,18 +33,14 @@ Relations and unitarity
     rows of D_1 ... D_k * (w e_j) exactly, and no division is made: two sides
     with denominator products D and D' are equal iff D' times the rows of one
     equals D times the rows of the other, and `check_range` guards those two
-    products like every application.  The conjugate transpose m* is read
-    off B (`IntegerAction.adjoint`).  Conjugation is the automorphism
+    products like every application.  Conjugation is the automorphism
     zeta -> zeta^19, Q-linear on the power basis, so on a block of
     coefficients it is the fixed matrix CONJ whose row j holds the
-    coefficients of zeta^-j, all 0 or +-1.  Block (j, i) of B is the matrix
-    of multiplication by m_ij, and multiplication by conj(c) is CONJ times
-    the matrix of c times CONJ, so block (j, i) of the action of m* is
-    CONJ B_ij CONJ: each block moved to its mirror position and conjugated
-    on both sides, an integer block computed without rounding.  Unitarity
-    is D^2 m* m = D^2, and `raw` of m on the images of the unit vectors
-    under m* gives D^2 m m*, whose diagonal holds the row norms of m
-    (`generators.row_norms_are_one`).
+    coefficients of zeta^-j, all 0 or +-1.  D m* e_i, the image of a unit
+    vector under D m*, is the conjugate of row i of D m: its coefficient
+    array times CONJ, blockwise, with no compile.  `raw` of m on those 27
+    rows gives D^2 m m*, which is D^2 iff m is unitary, and whose diagonal
+    holds the row norms of m (`generators.row_norms_are_one`).
 
 Exactness guards
     The kernel never rounds and has no other arithmetic path.  The product
@@ -71,28 +66,27 @@ Exactness guards
     * c < 2^53 is checked, with c the largest coefficient of D * m.  The
     coefficients arrive as int64, and none has wrapped: a matrix built from
     scalars forms them as Python integers and holds them as int64 only if
-    all fit; `ExactMatrix.coeffs` refuses the rest.  An entry of B sums 8
-    coefficients times 0 or +-1, so B is formed exactly in float64 and
-    max|B| <= 8c.  `adjoint` forms CONJ B_ij CONJ in float64 too, after
-    checking 64 * max|B| < 2^53, which bounds every partial sum of its two
-    products of 8 terms.  D < 2^53 is checked too, so ``act(rows)`` can
-    divide in the float type of the product (float64 for integer rows), and
-    skips the division when D = 1.  A stack (`IntegerAction.stack`) places
-    the B of k actions side by side, one 216 x 216k matrix, so `raw` applies
-    them all to the same rows as one product.  Each entry of that product is
-    the entry of one block's product, a sum of 216 products of an entry of
-    that B and one of the rows, so the guards above hold with max|B| taken
-    over the stack, and the float32 test takes the largest D among the
-    blocks.  A call divides only the blocks whose D exceeds 1, each by its
-    own D, with the exactness test below and ScaleError; the blocks with
-    D = 1 are left as they are.  With t = 53 for float64 and t = 24 for
-    float32, where |p| < 2^t and 1 < D < 2^t: p / D rounded to the type is an
-    integer iff D divides p, since it is then exact, and otherwise it lies
-    within 2^(e-t) < 1/D of p / D, with 2^e <= |p / D| < 2^t / D, while
-    every integer is at least 1/D away.  A kernel of this kind, exact
-    floating-point products under a bound on their sums, is the approach of
-    Dumas, Gautier and Pernet, "Finite field linear algebra subroutines"
-    (ISSAC 2002).
+    all fit; `ExactMatrix.coeffs` refuses the rest.  B is one float64
+    product, the coefficients as a 729 x 8 matrix times ROT[0..7] as an
+    8 x 64 one, with its axes then permuted: an entry sums 8 coefficients
+    times 0 or +-1, so B is exact and max|B| <= 8c.  D < 2^53 is checked
+    too, so ``act(rows)`` can divide in the float type of the product
+    (float64 for integer rows), and skips the division when D = 1.  A stack
+    (`IntegerAction.stack`) places the B of k actions side by side, one
+    216 x 216k matrix, so `raw` applies them all to the same rows as one
+    product.  Each entry of that product is the entry of one block's
+    product, a sum of 216 products of an entry of that B and one of the
+    rows, so the guards above hold with max|B| taken over the stack, and the
+    float32 test takes the largest D among the blocks.  A call divides only
+    the blocks whose D exceeds 1, each by its own D, with the exactness test
+    below and ScaleError; the blocks with D = 1 are left as they are.  With
+    t = 53 for float64 and t = 24 for float32, where |p| < 2^t and 1 < D <
+    2^t: p / D rounded to the type is an integer iff D divides p, since it
+    is then exact, and otherwise it lies within 2^(e-t) < 1/D of p / D, with
+    2^e <= |p / D| < 2^t / D, while every integer is at least 1/D away.  A
+    kernel of this kind, exact floating-point products under a bound on
+    their sums, is the approach of Dumas, Gautier and Pernet, "Finite field
+    linear algebra subroutines" (ISSAC 2002).
 """
 
 from __future__ import annotations
@@ -143,11 +137,13 @@ class IntegerAction:
         return m.action
 
     def _compile(self, coeffs, den):
-        """Check the bounds of the module docstring, then form B in float64:
-        block (j, i) is sum_k coeffs[i, j, k] ROT[k], its sums of 8 terms exact."""
+        """Check the bounds of the module docstring, then form B as one float64
+        product: block (j, i) is sum_k coeffs[i, j, k] ROT[k], exact sums of 8 terms."""
         check_range(DIM, 8 * max_abs(coeffs), 1, bits=53)
         check_range(1, den, 1, bits=53)
-        dense = np.einsum("ijk,krc->jric", coeffs.astype(np.float64), ROT[:8]).reshape(DIM, DIM)
+        # row (i, j) of the product holds the 8 x 8 block of m_ij
+        blocks = coeffs.reshape(27 * 27, 8).astype(np.float64) @ ROT[:8].reshape(8, 64)
+        dense = blocks.reshape(27, 27, 8, 8).transpose(1, 2, 0, 3).reshape(DIM, DIM)
         self.den, self.max_b, self.dense = den, max_abs(dense), dense
 
     @classmethod
@@ -167,18 +163,6 @@ class IntegerAction:
         act = IntegerAction.__new__(IntegerAction)
         act.den, act.max_b = self.den, self.max_b
         act.dense = self.dense.reshape(27, 8, 27, 8).transpose(2, 1, 0, 3).reshape(DIM, DIM)
-        return act
-
-    def adjoint(self):
-        """The action of m*: every block moved to its mirror position and
-        conjugated as CONJ B CONJ."""
-        # two products with CONJ (entries 0 and +-1) of 8 terms each, in float64
-        check_range(8 * 8, 1, self.max_b, bits=53)
-        act = self.transposed()  # a copy: mirrored blocks are no view of B
-        # in place, one block row at a time, so the temporaries hold 27 blocks
-        for blocks in act.dense.reshape(27, 8, 27, 8):
-            blocks[:] = (CONJ @ blocks.transpose(1, 0, 2) @ CONJ).transpose(1, 0, 2)
-        act.max_b = max_abs(act.dense)
         return act
 
     @cached_property

@@ -5,6 +5,8 @@ import hashlib
 import io
 import os
 import random
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -161,6 +163,30 @@ def test_eval_round_trip(tmp_path, capsys):
                     "--bind", f"ac={tmp_path / 'ac.mat'}")
     assert code == 0
     assert la.parse_matrix(out) == g.f2
+
+
+def test_cli_import_leaves_the_word_parser_to_its_commands(tmp_path):
+    # only eval and basis --in parse words, so importing the CLI, or running
+    # verify, does not import wordlang; eval imports it when it runs
+    ac = generators.build_all().ac
+    la.save_matrix(ac, tmp_path / "ac.mat")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    bind = f"ac={tmp_path / 'ac.mat'}"
+    code = f"""
+import contextlib, io, sys
+from tits27 import cli
+assert 'tits27.wordlang' not in sys.modules, 'imported with the CLI'
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.run(['verify', '--fast']) == 0
+assert 'tits27.wordlang' not in sys.modules, 'imported by verify'
+assert cli.run(['eval', '--word', 'ac^2', '--bind', {bind!r}]) == 0
+"""
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert la.parse_matrix(done.stdout) == la.mat_mul(ac, ac)
 
 
 def test_eval_bad_word(capsys):

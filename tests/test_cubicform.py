@@ -357,9 +357,11 @@ def test_term_map_agrees_with_the_dense_path(monkeypatch, matrices, dickson):
             assert got[0] == cf._dense_invariant(form, m), name
             assert got == reference_report(form, m), name
             calls.clear()
-    # the dense matrices take the dense path: 27 first-slot products and 54 more
+    # the dense matrices take the dense path: one first-slot product on all
+    # 729 rows of T as floats, then one slot-i and one slot-j product per
+    # SLABS slabs of the result
     cf.invariance_report(dickson, matrices["eprime"])
-    assert len(calls) == 81
+    assert calls == [(729, 27)] + [(27 * cf.SLABS, zkernel.DIM)] * (2 * 27 // cf.SLABS)
 
 
 def _with_entry(m, i, j, value):
@@ -433,9 +435,9 @@ def _raw_calls_before_overflow(monkeypatch, m):
     return calls
 
 
-# the first slot is applied to the 27 slabs of T, then the second slot's first
+# the first slot is applied to the 729 rows of T, then the second slot's first
 # product is refused
-_FIRST_SLOT_THEN_REFUSED = [(27, 27)] * 27 + [(27, zkernel.DIM)]
+_FIRST_SLOT_THEN_REFUSED = [(729, 27), (27 * cf.SLABS, zkernel.DIM)]
 
 
 @pytest.mark.parametrize("exponent", [60, 43, 42])
@@ -474,11 +476,81 @@ def test_invariance_refuses_int64_overflow_of_zeta_power_products(monkeypatch, g
     # unlike the identity, eprime has a denominator and every power of zeta
     # up to 6.  5 * eprime has coefficients up to 2, so 2^52 and 2^42 eprime
     # fail the bound when compiled (216 * 8 * 2 * 2^42 >= 2^53), before any
-    # product; 2^41 and 2^30 eprime pass it and the first slot's products,
-    # and fail before the second
+    # product; 2^41 and 2^30 eprime pass it and the first slot's product, in
+    # float64, and fail before the second slot's first product
     big = cyc_reference.scale_matrix(gens.eprime, cyclo.CycNum.from_int(2 ** exponent))
     expected = [] if exponent > 41 else _FIRST_SLOT_THEN_REFUSED
     assert _raw_calls_before_overflow(monkeypatch, big) == expected
+
+
+#: A weight on the 27 coordinates whose sum over every term of the form is 0,
+#: so diag(t^w) keeps C for every nonzero t (a direction of the torus of E6).
+_TORUS_WEIGHT = np.array((2, 0, -2) + (-1,) * 8 + (1,) * 8 + (0,) * 8)
+
+
+def _torus_eprime(gens, t):
+    """diag(t^w) eprime, which keeps C: 5 t^2 times it has the coefficients
+    of 5 eprime times t^(w_i + 2) in row i, so its entries grow with t."""
+    scale = np.array([t ** int(w + 2) for w in _TORUS_WEIGHT], dtype=object)
+    return la.ExactMatrix.from_coeffs(gens.eprime.coeffs.astype(object) * scale[:, None, None],
+                                      5 * t ** 2)
+
+
+def _int64_invariant(c, m):
+    """The dense verdict in int64 arithmetic, one product per slot on the
+    whole tensor, each refused unless its sums stay below 2^63."""
+    b = zkernel.IntegerAction.of(m).transposed().dense.astype(np.int64)
+    t = rows = cf._tensor_array(c).astype(np.int64)  # the slot to transform comes last
+    for _ in range(3):
+        dense = b if rows.ndim == 4 else b[0::8]
+        zkernel.check_range(dense.shape[0], zkernel.max_abs(dense), zkernel.max_abs(rows))
+        rows = (rows.reshape(729, -1) @ dense).reshape(27, 27, 27, 8).transpose(2, 0, 1, 3)
+    d3 = zkernel.IntegerAction.of(m).den ** 3
+    return np.array_equal(rows[..., 0], d3 * t) and not rows[..., 1:].any()
+
+
+def test_torus_weight_keeps_every_term(dickson):
+    idx, _ = cf._term_arrays(dickson)
+    assert not _TORUS_WEIGHT[idx].sum(axis=1).any()
+
+
+@pytest.mark.parametrize("t, dtypes", [
+    (2, "fff"), (3, "ffd"),   # the slot-j product crosses 2^24
+    (4, "fdd"),               # the slot-i product crosses it
+    (14, "fdd"), (15, "ddd"),  # the first slot crosses it
+    (17, "ddd")])
+def test_dense_path_at_the_float32_edge(monkeypatch, gens, dickson, t, dtypes):
+    # diag(t^w) eprime keeps the form for every t, so a product rounded in
+    # float32 would break the equality with D^3 T; the kernel picks float32
+    # for a product only while its sums stay below 2^24, and each pair of
+    # cases puts one product one step of t under that edge and one past it
+    m = _torus_eprime(gens, t)
+    flipped = dickson.with_flipped((-3, 1, 4))
+    seen = []
+    raw = zkernel.IntegerAction.raw
+
+    def typed(self, rows):
+        out = raw(self, rows)
+        seen.append(out.dtype)
+        return out
+
+    monkeypatch.setattr(zkernel.IntegerAction, "raw", typed)
+    assert cf._dense_invariant(dickson, m) is _int64_invariant(dickson, m) is True
+    # the first slot, then the slot-i and slot-j products of the first slabs
+    assert "".join("f" if d == np.float32 else "d" for d in seen[:3]) == dtypes
+    assert cf._dense_invariant(flipped, m) is _int64_invariant(flipped, m) is False
+
+
+def test_dense_path_refuses_past_2_53(monkeypatch, gens, dickson):
+    # 17 is the largest t whose transform of the full form fits 2^53 in
+    # float64 (above); at 18 the first slot-j product is refused before it
+    # is formed
+    m = _torus_eprime(gens, 18)
+    zkernel.IntegerAction.of(m)  # compiled: 216 * 8 * 2 * 18^4 < 2^53
+    calls = _count_raw(monkeypatch)
+    with pytest.raises(zkernel.KernelOverflowError, match=r"2\^53"):
+        cf.invariance_report(dickson, m)
+    assert calls == [(729, 27)] + [(27 * cf.SLABS, zkernel.DIM)] * 2
 
 
 def test_kernel_errors_are_shared_with_orbits():

@@ -98,11 +98,14 @@ def test_singular_matrix():
 
 
 def test_conj_transpose(gens):
-    # f1 and d are unitary and eprime is Hermitian, decided on the kernel
+    # f1 and d are unitary, decided on the kernel, and eprime is Hermitian:
+    # its conjugate rows, read off the coefficients, are its columns
     rows = dict(generators.verify_relations(gens))
     assert rows["f1 unitary"] and rows["d unitary"]
-    act = zkernel.IntegerAction(gens.eprime)
-    assert (act.adjoint().dense == act.dense).all()
+    ep = gens.eprime.coeffs
+    assert (ep @ zkernel.CONJ == ep.transpose(1, 0, 2)).all()
+    assert cyc_reference.conj_transpose(gens.eprime) == gens.eprime
+    assert not (gens.f1.coeffs @ zkernel.CONJ == gens.f1.coeffs).all()
 
 
 def test_mat_order(gens):

@@ -138,6 +138,26 @@ def test_verify_relations_detects_swap(gens):
     assert "f1 conjugated by ac is f2" in _failures(rows)
 
 
+def test_unitary_rows_fail_on_non_unitary_generators(gens):
+    # 2 f1 has every row norm 4.  eprime with the entry (0, 7) and its mirror
+    # negated stays symmetric with every row norm 1, but row 0 is no longer
+    # orthogonal to the others: only the off-diagonal entries of m m* tell
+    coeffs = gens.eprime.coeffs.copy()
+    assert coeffs[0, 7].any()
+    coeffs[0, 7] *= -1
+    coeffs[7, 0] *= -1
+    flipped = ExactMatrix.from_coeffs(coeffs, gens.eprime.den)
+    assert flipped == la.transpose(flipped) and generators.row_norms_are_one(flipped)
+    doubled = cyc_reference.scale_matrix(gens.f1, CycNum.from_int(2))
+    gs = generators.GeneratorSet
+    for g, bad in ((gs(doubled, gens.f2, gens.d, gens.ac, gens.eprime), "f1 unitary"),
+                   (gs(gens.f1, gens.f2, gens.d, gens.ac, flipped), "eprime unitary")):
+        rows = dict(generators.verify_relations(g))
+        assert not rows[bad]
+        assert all(rows[f"{name} unitary"] for name in generators.NAMES if name not in bad)
+        assert generators.verify_relations(g) == reference_relations(g)
+
+
 def reference_relations(g):
     """The 13 verdicts of verify_relations, computed per scalar."""
     ident = ExactMatrix.identity(27, RING_CYC)
@@ -302,18 +322,23 @@ def test_fast_certificates_make_no_scalar_products(monkeypatch):
     assert calls == []
 
 
-def test_fast_certificates_form_each_adjoint_once(monkeypatch):
-    # one adjoint per generator, for its unitarity row; "eprime row norms
-    # all 1" reads eprime's conjugate rows off its coefficients instead
-    asked = []
-    adjoint = zkernel.IntegerAction.adjoint
-    monkeypatch.setattr(zkernel.IntegerAction, "adjoint",
-                        lambda act: asked.append(act) or adjoint(act))
+def test_fast_certificates_form_no_adjoint(monkeypatch):
+    # unitarity and the row norms read the conjugate rows off the
+    # coefficients, so the kernel has no adjoint, and the only actions a
+    # verify --fast run makes are the five compiled ones and the cubic
+    # transform's transposed eprime
+    assert not hasattr(zkernel.IntegerAction, "adjoint")
+    made = []
+    for name in ("_compile", "transposed"):
+        method = getattr(zkernel.IntegerAction, name)
+        monkeypatch.setattr(zkernel.IntegerAction, name,
+                            lambda self, *args, _m=method, _n=name:
+                            made.append((_n, self)) or _m(self, *args))
     fresh = generators.build_all.__wrapped__()
     monkeypatch.setattr(generators, "build_all", lambda: fresh)
     assert all(ok for _, ok in certificates.rows(fast=True))
-    assert len(asked) == 5
-    assert asked == [zkernel.IntegerAction.of(m) for m in fresh.in_order()]
+    assert made == [*(("_compile", m.action) for m in fresh.in_order()),
+                    ("transposed", fresh.eprime.action)]
 
 
 def _verdicts_with_eprime(monkeypatch, change):

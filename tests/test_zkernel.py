@@ -209,55 +209,42 @@ def test_float_rows_past_the_float64_guard_are_refused(gens):
 
 
 def test_fast_certificates_keep_the_int64_path(monkeypatch):
-    # the relations, unitarity and the cubic form pass int64 rows and get
-    # int64 back, so a verify --fast run forms no float32 copy of B
+    # the relations, unitarity and the Jordan rows pass int64 rows to the
+    # generators' own actions and get int64 back, so none of those actions
+    # forms a float32 copy of B; only the cubic transform of eprime runs on
+    # float rows, through its own temporary transposed action
     fresh = generators.build_all.__wrapped__()
     monkeypatch.setattr(generators, "build_all", lambda: fresh)
-    seen = set()
+    seen = []
     raw = IntegerAction.raw
     monkeypatch.setattr(IntegerAction, "raw",
-                        lambda self, rows: seen.add(rows.dtype) or raw(self, rows))
+                        lambda self, rows: seen.append((self, rows.dtype)) or raw(self, rows))
     assert all(ok for _, ok in certificates.rows(fast=True))
-    assert seen == {np.dtype(np.int64)}
-    assert all("dense32" not in vars(m.action) for m in fresh.in_order())
+    own = [m.action for m in fresh.in_order()]
+    assert {dtype for act, dtype in seen if any(act is a for a in own)} == {np.dtype(np.int64)}
+    assert all("dense32" not in vars(act) for act in own)
+    others = {id(act): act for act, _ in seen if not any(act is a for a in own)}
+    assert len(others) == 1
+    (other,) = others.values()
+    assert (other.dense == fresh.eprime.action.transposed().dense).all()
+    assert {dtype for act, dtype in seen if act is other} == {np.dtype(np.float32)}
 
 
 @pytest.mark.parametrize("name", [*generators.NAMES, "eprime.ac.f1", "random"])
 def test_adjoint_matches_the_conjugate_transpose(products, gens, name):
-    # neither eprime.ac.f1 nor the random matrix is Hermitian; the random one
-    # has coefficients on every power of zeta and denominators 1, 2 and 5
+    # unitarity reads the rows D m* e_i off the coefficients of m, each block
+    # times CONJ, and applies the action of m to them.  Neither eprime.ac.f1
+    # nor the random matrix is Hermitian; the random one has coefficients on
+    # every power of zeta and denominators 1, 2 and 5
     rnd = random.Random(name)
     m = _random_matrix(rnd) if name == "random" else {**gens.as_dict(), **products}[name]
-    act = IntegerAction(m).adjoint()
-    assert act.den == IntegerAction(m).den
-    assert act.max_b == zkernel.max_abs(act.dense)    # what its guard reads
-    for width in (DIM, 27):
-        rows = _rows(rnd, 6, width)
-        assert (act.raw(rows) == reference_dense(cyc_reference.conj_transpose(m), rows)).all()
-
-
-def test_adjoint_of_the_adjoint_is_the_action(products):
-    act = IntegerAction(products["eprime.ac.f1"])
-    rows = _rows(random.Random(1), 6, DIM)
-    assert (act.adjoint().adjoint().raw(rows) == act.raw(rows)).all()
-
-
-def test_adjoint_guard_boundary():
-    # the two products with CONJ sum 8 terms each: exact in float64 while
-    # 64 * max|B| < 2^53, refused from there on
-    limit = (2 ** 53 - 1) // 64
-    rnd = random.Random(2)
-    act = IntegerAction.__new__(IntegerAction)
-    act.den, act.max_b = 1, limit
-    act.dense = np.array([[rnd.choice((-limit, limit, rnd.randint(-limit, limit)))
-                           for _ in range(DIM)] for _ in range(DIM)], dtype=np.float64)
-    # the same blocks in int64, where 64 * limit cannot wrap
-    blocks = act.dense.astype(np.int64).reshape(27, 8, 27, 8).transpose(2, 0, 1, 3)
-    expected = (zkernel.CONJ @ blocks @ zkernel.CONJ).transpose(0, 2, 1, 3).reshape(DIM, DIM)
-    assert (act.adjoint().dense.astype(np.int64) == expected).all()
-    act.max_b = limit + 1
-    with pytest.raises(KernelOverflowError):
-        act.adjoint()
+    star = cyc_reference.conj_transpose(m)
+    assert math.lcm(*(e.den for row in star.data for e in row)) == m.den
+    columns = reference_dense(star, np.eye(27, dtype=np.int64))  # row i: D m* e_i
+    assert ((m.coeffs @ zkernel.CONJ).reshape(27, DIM) == columns).all()
+    rows, den2 = generators._times_adjoint(m)
+    assert den2 == m.den ** 2
+    assert (rows == reference_dense(m, columns)).all()  # row i: D^2 m m* e_i
 
 
 @pytest.mark.parametrize("name", ["eprime", "ac.eprime", "eprime.ac.f1"])
@@ -288,6 +275,7 @@ def test_each_generator_is_compiled_once_per_certificate_run(monkeypatch):
                         lambda self, coeffs, den: compiled.append(coeffs) or compile_(self, coeffs, den))
     assert all(ok for _, ok in certificates.rows(seed=3))
     # every compile goes through _compile: each generator's coefficients
-    # exactly once, and nothing else, since the adjoints are read off them
+    # exactly once, and nothing else: unitarity reads conjugate rows off the
+    # coefficients, and the cubic transform transposes a compiled action
     assert [sum(c is m.coeffs for c in compiled) for m in fresh.in_order()] == [1] * 5
     assert len(compiled) == 5
