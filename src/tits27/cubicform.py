@@ -59,8 +59,8 @@ array of +-1 and 0, all in coefficient slot 0 of the power basis.  The
 kernel action of D m^T, read off B by transposing its blocks, is applied to
 one slot at a time, with that slot moved next to the coefficient axis.  The
 first step applies it once to all 729 rows of T, the 27 entries T_ijk of
-each pair (i, j), passed as float rows (`zkernel.float_rows`).  The other
-two run on SLABS = 3 slabs of the first step's result at a time, a
+each pair (i, j), passed as the int8 rows they are.  The other two run on
+SLABS = 3 slabs of the first step's result at a time, a
 (81 x 216) by (216 x 216) product each, 18 products in all, so that only
 the first step's result is large.  The kernel forms each product in
 float32 when its sums stay below 2^24, in float64 when they stay below
@@ -287,7 +287,7 @@ def _dense_invariant(c: CubicForm, m: ExactMatrix) -> bool:
     d3 = np.int64(act.den ** 3)
     t = _tensor_array(c)
     # slot k on all 729 rows of T at once: first[i, j, a] = D * sum_k m_ka T_ijk
-    first = act.raw(zkernel.float_rows(t.reshape(729, 27))).reshape(27, 27, 27, 8)
+    first = act.raw(t.reshape(729, 27)).reshape(27, 27, 27, 8)
     for a in range(0, 27, SLABS):
         # slots i and j of SLABS slabs, each moved last in turn and transformed
         rows = first[:, :, a:a + SLABS].transpose(1, 2, 0, 3)

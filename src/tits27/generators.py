@@ -180,7 +180,7 @@ def verify_relations(g: GeneratorSet) -> tuple:
     has no other arithmetic path.  A word w, rightmost factor first, is applied to
     the 27 unit vectors, giving the rows of D * (w e_j) with D the product
     of the factors' denominators; two words are equal iff the rows of each
-    times the other's D agree.  `check_range` guards every application and
+    times the other's D agree, compared in int64 (`_same`).  `check_range` guards every application and
     both multiplications, so an unsafe generator set raises
     KernelOverflowError and gets no verdict; the `zkernel` docstring gives
     the argument.  For square matrices X ac = 1 makes X the inverse of ac,
@@ -231,12 +231,17 @@ _ONE = (np.kron(np.eye(27, dtype=np.int64), np.eye(1, 8, dtype=np.int64)), 1)
 
 
 def _same(a, b):
-    """Whether the images (rows, D) and (rows', D') agree: D' rows = D rows'."""
+    """Whether the images (rows, D) and (rows', D') agree: D' rows = D rows'.
+
+    The rows hold integers below 2^53, kernel products being float arrays,
+    so both sides are scaled in int64, after an exact cast: scaling float32
+    rows by D could round.
+    """
     (rows_a, den_a), (rows_b, den_b) = a, b
     # each D must itself be an int64, even against a zero image
     zkernel.check_range(1, den_b, max(1, zkernel.max_abs(rows_a)))
     zkernel.check_range(1, den_a, max(1, zkernel.max_abs(rows_b)))
-    return np.array_equal(den_b * rows_a, den_a * rows_b)
+    return np.array_equal(den_b * rows_a.astype(np.int64), den_a * rows_b.astype(np.int64))
 
 
 def _times_adjoint(m: ExactMatrix):

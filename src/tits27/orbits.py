@@ -12,19 +12,19 @@ Points and generators
     whole BFS level as one exact float product.  Row i of the product holds
     the images of point i under each generator in turn, so viewed as n * k
     rows of 216 it lists the level's images in (point, generator) order, and
-    they go through one canonical form and one key pass.  The seed row is
-    cast once to the narrowest float type that holds it
-    (`zkernel.float_rows`), and the frontier and its images then stay in the
-    float type the kernel chose for each product, float32 for both paper
-    orbits, from level to level; `coords` becomes int64 once, at the end.
-    `perm_images` applies a matrix that did not build the orbit to the same
-    float rows, through the same kernel call.
+    they go through one canonical form and one key pass.  The seed row goes
+    to the kernel as it is, int64, and the frontier and its images then stay
+    in the float type the kernel chose for each product, float32 for both
+    paper orbits, from level to level; `coords` becomes int64 once, at the
+    end.  `perm_images` applies a matrix that did not build the orbit to
+    `coords` as they are, through the same kernel call.
 
 Exactness guards
     All products run through `zkernel`, which never rounds, has no other
     arithmetic path and raises KernelOverflowError before any product whose
-    partial sums could reach 2^53.  It multiplies in float32 when 216 *
-    max|B| * max|v| < 2^24 and D < 2^24, and in float64 otherwise, so each
+    partial sums could reach 2^53.  Whether its rows are int64 or float, it
+    multiplies in float32 when 216 * max|B| * max|v| < 2^24 and D < 2^24,
+    and in float64 otherwise, and returns the product in that type, so each
     product, and its division by D, equals the integer one: for the paper
     orbits 216 * 2 * 25 = 10,800.  Every image must divide exactly by the
     generator's denominator lcm (skipped when it is 1), so it is again
@@ -72,8 +72,10 @@ Seeds and characters
     product of their denominator lcms; the 20 rotations of a nonzero v are
     distinct, so at most one k fits.  Each entry of a rotation sums at most
     8 terms of +-1 times an entry of v, so one check_range of 8 * D * max|v|
-    against 2^63 keeps D zeta^k v exact in int64.  Searching mu20 only is
-    exact for a word of finite order (see Projective points).
+    against 2^63 keeps D zeta^k v exact in int64, and the image, whose
+    entries are integers below 2^53, is compared with it as int64.
+    Searching mu20 only is exact for a word of finite order (see Projective
+    points).
 
 Numbering
     BFS visits point i and then the generators in order, and numbers each
@@ -130,7 +132,7 @@ from .exactlinalg import CapExceededError
 # orbits.* (perfbench/layers.py wraps them here), and orbit callers catch the two errors here.
 from .permgroup import PermSet, build_stab_chain, transitivity_check  # noqa: F401
 from .zkernel import (DIM, ROT, IntegerAction, KernelOverflowError, ScaleError,  # noqa: F401
-                      check_range, exact_float, float_rows, max_abs)
+                      check_range, exact_float, max_abs)
 
 VECTOR = "vector"
 PROJECTIVE = "projective"
@@ -290,8 +292,8 @@ def enumerate_orbit(seed: Seed, gens, cap: int = 10000) -> Orbit:
         raise CapExceededError(f"orbit exceeds cap {cap}")
     gens = tuple(gens)
     stack = IntegerAction.stack([IntegerAction.of(g) for g in gens]) if gens else None
-    # float rows from here on, in the type each product is exact in
-    frontier = _canonical(float_rows(seed.row), seed.mode)
+    # float rows after the seed, in the type each product is exact in
+    frontier = _canonical(seed.row, seed.mode)
     levels = [frontier]
     index = {_row_keys(frontier)[0]: 0}
     targets = []  # per level, in (point, generator) order (see Numbering)
@@ -319,15 +321,13 @@ def perm_images(orbit: Orbit, gens) -> PermSet:
     A generator that is one of the matrices that built the orbit (the same
     object) takes the permutation the BFS recorded; any other is applied.
     """
-    perms, rows = [], None
+    perms = []
     for g in gens:
         k = next((k for k, h in enumerate(orbit.gens) if h is g), None)
         if k is not None:
             perms.append(tuple(orbit.images[k].tolist()))
             continue
-        if rows is None:
-            rows = float_rows(orbit.coords)  # as the BFS applies its generators
-        images = _canonical(IntegerAction.of(g)(rows), orbit.mode)
+        images = _canonical(IntegerAction.of(g)(orbit.coords), orbit.mode)
         try:
             perms.append(tuple(orbit.index[key] for key in _row_keys(images)))
         except KeyError:
@@ -348,7 +348,7 @@ def scalar_character(seed: Seed, word) -> int:
         image, den = act.raw(image), den * act.den
     check_range(8, den, max_abs(seed.row))  # den * rotation, in int64: ROT is 0 and +-1
     scaled = den * np.matmul(seed.row.reshape(27, 8), ROT).reshape(20, DIM)
-    misses = (scaled != image).sum(axis=1)
+    misses = (scaled != image.astype(np.int64)).sum(axis=1)
     if misses.min():
         raise NotAnEigenvectorError(
             f"the word scales the seed by no power of zeta: every D zeta^k v "

@@ -12,7 +12,8 @@ once into the 216x216 integer matrix B whose block (j, i) right-multiplies
 block j of a row into block i; nothing compiles a matrix before its action
 is first asked for.  It applies B to n x 216 integer rows, one vector v per
 row, as the single product rows @ B, giving the rows of D * (m v); the rows
-are int64, or floats that hold integers (see Exactness guards).  On
+are integers or floats that hold integers, and the product is a float array
+of exact integers (see Exactness guards).  On
 n x 27 rows of rational integers (coefficient 0 of each block only) it uses
 the 27 rows B[0::8].  The action of m^T is B with its 8x8 blocks transposed
 as blocks, so it needs no second compile.
@@ -46,52 +47,52 @@ Exactness guards
     The kernel never rounds and has no other arithmetic path.  The product
     is formed by BLAS in a float type, and it is exact: every integer of
     magnitude at most 2^53 is a float64, and every one at most 2^24 a
-    float32.  Before each application `raw` checks 216 * max|B| * max|V| <
-    2^53 and raises KernelOverflowError otherwise.  Then every entry of B
-    and of the rows, and every product of one entry of each, is such an
-    integer.  An entry of the result is a sum of at most 216 of those
-    products; in any summation order, and with or without fused
-    multiply-add, each partial sum is an integer bounded by the sum of the
-    absolute values of its terms, below 2^53, so no operation rounds.  The
-    same argument with 24 bits makes a float32 product exact when 216 *
-    max|B| * max|V| < 2^24 (with max|B| and max|V| at least 1, so that B
-    and the rows are float32 exactly too).  Integer rows are always
-    multiplied in float64 and the result is cast back to int64, and every
-    verdict on them is taken on those integers.  Float rows, which must hold
-    integers (a cast of integer rows by `float_rows`, or the kernel's own
-    images of such rows), are multiplied in float32 when that bound and D <
-    2^24 hold, with a float32 copy of B formed on first use, and in float64
-    otherwise; the result stays in that type, each entry an exact integer,
-    for the caller to key or compare.  When the matrix is compiled, 216 * 8
-    * c < 2^53 is checked, with c the largest coefficient of D * m.  The
-    coefficients arrive as int64, and none has wrapped: a matrix built from
-    scalars forms them as Python integers and holds them as int64 only if
-    all fit; `ExactMatrix.coeffs` refuses the rest.  B is one float64
-    product, the coefficients as a 729 x 8 matrix times ROT[0..7] as an
-    8 x 64 one, with its axes then permuted: an entry sums 8 coefficients
-    times 0 or +-1, so B is exact and max|B| <= 8c.  D < 2^53 is checked
-    too, so ``act(rows)`` can divide in the float type of the product
-    (float64 for integer rows), and skips the division when D = 1.  A stack
-    (`IntegerAction.stack`) places the B of k actions side by side, one
-    216 x 216k matrix, so `raw` applies them all to the same rows as one
-    product.  Each entry of that product is the entry of one block's
-    product, a sum of 216 products of an entry of that B and one of the
-    rows, so the guards above hold with max|B| taken over the stack, and the
-    float32 test takes the largest D among the blocks.  A call divides only
-    the blocks whose D exceeds 1, each by its own D, with the exactness test
-    below and ScaleError; the blocks with D = 1 are left as they are.  With
-    t = 53 for float64 and t = 24 for float32, where |p| < 2^t and 1 < D <
-    2^t: p / D rounded to the type is an integer iff D divides p, since it
-    is then exact, and otherwise it lies within 2^(e-t) < 1/D of p / D, with
-    2^e <= |p / D| < 2^t / D, while every integer is at least 1/D away.  A
-    kernel of this kind, exact floating-point products under a bound on
-    their sums, is the approach of Dumas, Gautier and Pernet, "Finite field
-    linear algebra subroutines" (ISSAC 2002).
+    float32.  When the matrix is compiled, 216 * 8 * c < 2^53 is checked,
+    with c the largest coefficient of D * m.  The coefficients arrive as
+    int64, and none has wrapped: a matrix built from scalars forms them as
+    Python integers and holds them as int64 only if all fit;
+    `ExactMatrix.coeffs` refuses the rest.  B is one float64 product, the
+    coefficients as a 729 x 8 matrix times ROT[0..7] as an 8 x 64 one, with
+    its axes then permuted: an entry sums 8 coefficients times 0 or +-1, so
+    B is exact and max|B| <= 8c.  B is then held once, in float32 when
+    max|B| < 2^24 (every paper generator: max|B| is 1 or 2) and in float64
+    otherwise.  D < 2^53 is checked too.  Before each application `raw`
+    checks 216 * max|B| * max|V| < 2^53 and raises KernelOverflowError
+    otherwise.  Then every entry of B and of the rows, and every product of
+    one entry of each, is such an integer.  An entry of the result is a sum
+    of at most 216 of those products; in any summation order, and with or
+    without fused multiply-add, each partial sum is an integer bounded by
+    the sum of the absolute values of its terms, below 2^53, so no operation
+    rounds.  The same argument with 24 bits makes a float32 product exact
+    when 216 * max|B| * max|V| < 2^24 (with max|B| and max|V| at least 1, so
+    that B and the rows are float32 exactly too).  Rows of either kind,
+    integers or floats that hold integers (the kernel's own images), are
+    multiplied in float32 when that bound and D < 2^24 hold, and in float64
+    otherwise, with B cast up for that product if it is held in float32; a
+    float32 product needs max|B| < 2^24, so B is then float32 already.  The
+    result stays in the type of the product, each entry an exact integer
+    below 2^53, for the caller to key or compare; a caller that scales it
+    casts it to int64 first, which is exact (`generators._same`).
+    ``act(rows)`` divides in that type, in place, and skips the division
+    when D = 1.  A stack (`IntegerAction.stack`) places the B of k actions
+    side by side, one 216 x 216k matrix, held in float64 if any of them is,
+    so `raw` applies them all to the same rows as one product.  Each entry
+    of that product is the entry of one block's product, a sum of 216
+    products of an entry of that B and one of the rows, so the guards above
+    hold with max|B| taken over the stack, and the float32 test takes the
+    largest D among the blocks.  A call divides only the blocks whose D
+    exceeds 1, each by its own D, with the exactness test below and
+    ScaleError; the blocks with D = 1 are left as they are.  With t = 53 for
+    float64 and t = 24 for float32, where |p| < 2^t and 1 < D < 2^t: p / D
+    rounded to the type is an integer iff D divides p, since it is then
+    exact, and otherwise it lies within 2^(e-t) < 1/D of p / D, with 2^e <=
+    |p / D| < 2^t / D, while every integer is at least 1/D away.  A kernel
+    of this kind, exact floating-point products under a bound on their sums,
+    is the approach of Dumas, Gautier and Pernet, "Finite field linear
+    algebra subroutines" (ISSAC 2002).
 """
 
 from __future__ import annotations
-
-from functools import cached_property
 
 import numpy as np
 
@@ -144,7 +145,8 @@ class IntegerAction:
         # row (i, j) of the product holds the 8 x 8 block of m_ij
         blocks = coeffs.reshape(27 * 27, 8).astype(np.float64) @ ROT[:8].reshape(8, 64)
         dense = blocks.reshape(27, 27, 8, 8).transpose(1, 2, 0, 3).reshape(DIM, DIM)
-        self.den, self.max_b, self.dense = den, max_abs(dense), dense
+        self.den, self.max_b = den, max_abs(dense)
+        self.dense = dense.astype(exact_float(1, 1, self.max_b))  # held once (see Exactness guards)
 
     @classmethod
     def stack(cls, actions):
@@ -165,27 +167,18 @@ class IntegerAction:
         act.dense = self.dense.reshape(27, 8, 27, 8).transpose(2, 1, 0, 3).reshape(DIM, DIM)
         return act
 
-    @cached_property
-    def dense32(self):
-        """B in float32, formed on the first product that fits 2^24."""
-        return self.dense.astype(np.float32)
-
     def raw(self, rows):
         """The rows of D * (m v), with no division.
 
         `rows` is n x 216, or n x 27 for vectors whose entries are rational
         integers (coefficient 0 of each block only); the result is n x 216.
-        Integer rows give int64, from a float64 product.  Float rows, which
-        hold integers, give the narrowest float type the product is exact in
-        (see Exactness guards): float32 when it fits 2^24, else float64.
+        Rows of integers, or of floats that hold integers, give the narrowest
+        float type the product is exact in (see Exactness guards): float32
+        when it fits 2^24, else float64.
         """
-        floats = rows.dtype.kind == "f"
-        ftype = exact_float(DIM, self.max_b, max_abs(rows), narrow=floats and self.den < 2 ** 24)
-        dense = self.dense32 if ftype is np.float32 else self.dense
-        if rows.shape[1] != DIM:
-            dense = dense[0::8]
-        out = rows.astype(ftype, copy=False) @ dense
-        return out if floats else out.astype(np.int64)
+        ftype = exact_float(DIM, self.max_b, max_abs(rows), narrow=self.den < 2 ** 24)
+        dense = self.dense if rows.shape[1] == DIM else self.dense[0::8]
+        return rows.astype(ftype, copy=False) @ dense.astype(ftype, copy=False)
 
     def __call__(self, rows):
         """The rows of m v, in the type `raw` gives; the division by D must be
@@ -195,12 +188,9 @@ class IntegerAction:
             if den == 1:
                 continue
             block = out[:, k * DIM:(k + 1) * DIM]
-            # in place in the float type of the product, or in float64 for int64
-            quot = np.divide(block, den, out=block if out.dtype.kind == "f" else None)
-            if (quot != np.trunc(quot)).any():  # exact when D divides, never integral otherwise
+            np.divide(block, den, out=block)
+            if (block != np.trunc(block)).any():  # exact when D divides, never integral otherwise
                 raise ScaleError("an image is not integral at the scale of its preimage")
-            if quot is not block:
-                block[...] = quot
         return out
 
 
@@ -213,7 +203,3 @@ def exact_float(inner, max_b, max_v, narrow=True):
     check_range(inner, max_b, max_v, bits=53)
     return np.float64
 
-
-def float_rows(rows):
-    """Integer rows in the narrowest float type that holds them exactly."""
-    return rows.astype(exact_float(1, 1, max_abs(rows)))

@@ -260,6 +260,16 @@ def test_verify_relations_refuses_an_unsafe_power(gens, monkeypatch):
     assert calls == [(27, 27), (27, zkernel.DIM), (27, zkernel.DIM)]
 
 
+def test_same_is_not_fooled_by_float32_rounding():
+    # 5 * 8388609 = 41943045, which float32 rounds to 41943044: kernel images
+    # are float arrays, and scaling them by D must not decide the comparison
+    a = np.array([[8388609]], dtype=np.float32)
+    b = np.array([[41943044]], dtype=np.float32)
+    assert np.float32(5) * a == b
+    assert not generators._same((a, 1), (b, 5))
+    assert generators._same((a, 5), (5 * a.astype(np.int64), 25))
+
+
 def test_verify_relations_makes_no_scalar_products(gens, monkeypatch):
     calls = []
     mul = CycNum.__mul__

@@ -399,11 +399,17 @@ def test_orbit_bytes_are_pinned(request, which):
 def test_bfs_applies_every_matrix_to_float32_rows(monkeypatch, gens5):
     # entries of both paper orbits lie within +-25, so 216 * max|B| * 25 is far
     # below 2^24: every product, in the BFS and in perm_images, is in float32,
-    # no cast leaves its range, and the stored rows are int64 as pinned
+    # whatever the type of its rows, no cast leaves its range, and the stored
+    # rows are int64 as pinned
     seen = []
     raw = zkernel.IntegerAction.raw
-    monkeypatch.setattr(zkernel.IntegerAction, "raw",
-                        lambda self, rows: seen.append(rows.dtype) or raw(self, rows))
+
+    def spy(self, rows):
+        out = raw(self, rows)
+        seen.append(out.dtype)
+        return out
+
+    monkeypatch.setattr(zkernel.IntegerAction, "raw", spy)
     copies = [la.ExactMatrix(m.ring, m.data) for m in gens5]  # applied, not recorded
     with warnings.catch_warnings(), np.errstate(invalid="raise"):
         warnings.simplefilter("error")
@@ -428,7 +434,7 @@ def _reference_bfs(seed, gens, cap=10000):
     if cap < 1:
         raise ob.CapExceededError(f"orbit exceeds cap {cap}")
     actions = [zkernel.IntegerAction.of(g) for g in gens]
-    frontier = ob._canonical(zkernel.float_rows(seed.row), seed.mode)
+    frontier = ob._canonical(seed.row, seed.mode)
     levels, index, targets = [frontier], {ob._row_keys(frontier)[0]: 0}, []
     while actions and len(frontier):
         images = [ob._canonical(act(frontier), seed.mode) for act in actions]

@@ -114,11 +114,11 @@ def test_stack_is_each_action_side_by_side(monkeypatch, gens):
     divides = []
     divide = np.divide
     monkeypatch.setattr(zkernel.np, "divide", lambda *a, **kw: divides.append(1) or divide(*a, **kw))
-    # small float rows of either type are multiplied in float32
-    for cast, dtype in ((np.int64, np.int64), (np.float32, np.float32), (np.float64, np.float32)):
+    # small rows of any type are multiplied in float32
+    for cast in (np.int64, np.float32, np.float64):
         assert (stack.raw(rows.astype(cast)) == np.hstack([a.raw(rows) for a in acts])).all()
         got = stack(rows.astype(cast))
-        assert got.dtype == dtype and (got == np.hstack([a(rows) for a in acts])).all()
+        assert got.dtype == np.float32 and (got == np.hstack([a(rows) for a in acts])).all()
     assert len(divides) == 3 + 3  # eprime's block once per call, stacked and alone
     short = 5 * _rows(rnd, 2, 27)  # rational integers: the stack's rows B[0::8]
     assert (stack(short) == np.hstack([a(short) for a in acts])).all()
@@ -199,35 +199,92 @@ def test_float32_kernel_is_exact_up_to_its_guard(gens, name):
 
 
 def test_float_rows_past_the_float64_guard_are_refused(gens):
+    # rows of either kind: refused past the 2^53 guard, and multiplied in
+    # float32 up to the 2^24 one and in float64 from the first value past it
     act = IntegerAction(gens.eprime)
-    with pytest.raises(KernelOverflowError, match=r"2\^53"):
-        act.raw(np.full((1, DIM), _top(act, 53) + 1, dtype=np.float64))
-    with pytest.raises(KernelOverflowError, match=r"2\^53"):
-        zkernel.float_rows(np.full((1, DIM), 2 ** 53, dtype=np.int64))
-    assert zkernel.float_rows(np.full((1, DIM), 2 ** 24 - 1, dtype=np.int64)).dtype == np.float32
-    assert zkernel.float_rows(np.full((1, DIM), -2 ** 24, dtype=np.int64)).dtype == np.float64
+    for dtype in (np.float64, np.int64):
+        with pytest.raises(KernelOverflowError, match=r"2\^53"):
+            act.raw(np.full((1, DIM), _top(act, 53) + 1, dtype=dtype))
+    assert act.raw(np.full((1, DIM), _top(act, 24), dtype=np.int64)).dtype == np.float32
+    assert act.raw(np.full((1, DIM), -_top(act, 24) - 1, dtype=np.int64)).dtype == np.float64
 
 
-def test_fast_certificates_keep_the_int64_path(monkeypatch):
-    # the relations, unitarity and the Jordan rows pass int64 rows to the
-    # generators' own actions and get int64 back, so none of those actions
-    # forms a float32 copy of B; only the cubic transform of eprime runs on
-    # float rows, through its own temporary transposed action
+def _arrays(act):
+    """The names of the arrays an action holds."""
+    return [name for name, value in vars(act).items() if isinstance(value, np.ndarray)]
+
+
+def test_fast_certificates_run_every_product_in_float32(monkeypatch):
+    # each action holds exactly one B, float32 for the five generators, and
+    # no dense32 copy; the relations, unitarity and the Jordan rows pass
+    # their int64 rows to the generators' own actions as they are, the cubic
+    # transform its int8 tensor to eprime's temporary transposed action, and
+    # every product comes back float32
     fresh = generators.build_all.__wrapped__()
     monkeypatch.setattr(generators, "build_all", lambda: fresh)
     seen = []
     raw = IntegerAction.raw
-    monkeypatch.setattr(IntegerAction, "raw",
-                        lambda self, rows: seen.append((self, rows.dtype)) or raw(self, rows))
+
+    def spy(self, rows):
+        out = raw(self, rows)
+        seen.append((self, rows.dtype, out.dtype))
+        return out
+
+    monkeypatch.setattr(IntegerAction, "raw", spy)
     assert all(ok for _, ok in certificates.rows(fast=True))
     own = [m.action for m in fresh.in_order()]
-    assert {dtype for act, dtype in seen if any(act is a for a in own)} == {np.dtype(np.int64)}
-    assert all("dense32" not in vars(act) for act in own)
-    others = {id(act): act for act, _ in seen if not any(act is a for a in own)}
+    others = {id(act): act for act, _, _ in seen if not any(act is a for a in own)}
     assert len(others) == 1
     (other,) = others.values()
     assert (other.dense == fresh.eprime.action.transposed().dense).all()
-    assert {dtype for act, dtype in seen if act is other} == {np.dtype(np.float32)}
+    for act in own + [other]:
+        assert _arrays(act) == ["dense"] and act.dense.dtype == np.float32
+        assert not hasattr(act, "dense32")
+    assert {rows for act, rows, _ in seen if act is not other} == {np.dtype(np.int64),
+                                                                  np.dtype(np.float32)}
+    assert {rows for act, rows, _ in seen if act is other} == {np.dtype(np.int8),
+                                                              np.dtype(np.float32)}
+    assert {out for _, _, out in seen} == {np.dtype(np.float32)}
+
+
+def _scaled_identity(c, den):
+    """c I / den, whose B is c times the 216 x 216 identity."""
+    coeffs = np.zeros((27, 27, 8), dtype=np.int64)
+    coeffs[np.arange(27), np.arange(27), 0] = c
+    return la.ExactMatrix.from_coeffs(coeffs, den)
+
+
+@pytest.mark.parametrize("c, dtype", [(2 ** 24 - 1, np.float32), (2 ** 24, np.float64)])
+def test_stored_b_is_float32_below_2_to_the_24(c, dtype):
+    # B is held in float32 below 2^24 and in float64 from 2^24 on; either way
+    # every product is float64 (216 c > 2^24), equals the product in Python
+    # integers and divides by D = 11 exactly, and B keeps its stored type
+    m = _scaled_identity(c, 11)
+    act = IntegerAction(m)
+    assert act.den == 11 and act.max_b == c
+    assert _arrays(act) == ["dense"] and act.dense.dtype == dtype
+    rnd = random.Random(c)
+    for width in (DIM, 27):
+        rows = 11 * _rows(rnd, 6, width)
+        expected = reference_dense(m, rows)
+        out = act.raw(rows)
+        assert out.dtype == np.float64 and (out == expected).all()
+        assert (act(rows) == expected // 11).all()
+        with pytest.raises(ScaleError):
+            act(rows + 1)  # c is prime to 11
+    assert _arrays(act) == ["dense"] and act.dense.dtype == dtype
+
+
+def test_stack_of_a_float32_and_a_float64_b_is_float64_and_exact():
+    ms = [_scaled_identity(c, 11) for c in (2 ** 24 - 1, 2 ** 24)]
+    acts = [IntegerAction(m) for m in ms]
+    assert [a.dense.dtype for a in acts] == [np.float32, np.float64]
+    stack = IntegerAction.stack(acts)
+    assert stack.dense.dtype == np.float64 and stack.dens == (11, 11)
+    rows = 11 * _rows(random.Random(24), 6, DIM)
+    expected = np.hstack([reference_dense(m, rows) for m in ms])
+    assert (stack.raw(rows) == expected).all()
+    assert (stack(rows) == expected // 11).all()
 
 
 @pytest.mark.parametrize("name", [*generators.NAMES, "eprime.ac.f1", "random"])
