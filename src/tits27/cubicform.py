@@ -43,7 +43,7 @@ a term u of C and the block product is sign_t sign_u D^3 e_0: sigma is then
 injective from the 45 terms into the 45 terms, so onto them.  The column
 condition is needed: a singular m whose rows are single but share a column
 can send two terms onto one monomial, whose coefficient is their sum.  The
-block entries are integers below 2^53 (see `zkernel`), and each of the two
+block entries are integers below 2^24 (see `zkernel`), and each of the two
 int64 products of 8-term sums is refused by `check_range` unless 8 times
 the largest entries of its two factors stays below 2^63: for 2^k times the
 identity that admits k <= 19 (8 * 2^k * 2^2k < 2^63) and refuses k >= 20.
@@ -63,11 +63,10 @@ each pair (i, j), passed as the int8 rows they are.  The other two run on
 SLABS = 3 slabs of the first step's result at a time, a
 (81 x 216) by (216 x 216) product each, 18 products in all, so that only
 the first step's result is large.  The kernel forms each product in
-float32 when its sums stay below 2^24, in float64 when they stay below
-2^53, and refuses it with KernelOverflowError otherwise; every entry is an
-exact integer either way.  The three steps give D^3 T' exactly, so m
-preserves C iff the result is D^3 T: 125 T for eprime, whose denominators
-are 5, all of it in float32.
+float32 when its sums stay below 2^24 and refuses it with
+KernelOverflowError otherwise, so every entry is an exact integer.  The
+three steps give D^3 T' exactly, so m preserves C iff the result is D^3 T:
+125 T for eprime, whose denominators are 5.
 
 A term t = {i, j, k} is flip-safe under m when (m x)_i (m x)_j (m x)_k =
 x_i x_j x_k.  The polynomial ring Q(zeta20)[x] is a unique factorization
@@ -152,12 +151,6 @@ class CubicForm:
 
     def sign_of(self, coords):
         return self._signs.get(frozenset(coords))
-
-    def with_flipped(self, coords):
-        coords = frozenset(coords)
-        return CubicForm(
-            SignedTriple(t.coords, -t.sign if t.coords == coords else t.sign)
-            for t in self.terms)
 
     def __iter__(self):
         return iter(self.terms)

@@ -26,7 +26,6 @@ this form, one element per line.
 
 from __future__ import annotations
 
-import cmath
 from fractions import Fraction
 from functools import reduce
 from math import gcd
@@ -184,11 +183,6 @@ class CycNum:
     def coeffs(self):
         """The coefficients c0..c7 as Fractions."""
         return tuple(Fraction(n, self.den) for n in self.num)
-
-    def approx(self):
-        """Float embedding zeta -> exp(2 pi i/20); diagnostics only."""
-        z = cmath.exp(2j * cmath.pi / 20)
-        return sum(n * z ** k for k, n in enumerate(self.num)) / self.den
 
     # -- text form -----------------------------------------------------------
 

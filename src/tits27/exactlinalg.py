@@ -174,9 +174,6 @@ class ExactMatrix:
         """rows x cols booleans, True at the nonzero entries."""
         return (self._array != 0).reshape(self.rows, self.cols, -1).any(axis=2)
 
-    def is_diagonal(self):
-        return not (self._nonzero() & ~np.eye(self.rows, self.cols, dtype=bool)).any()
-
     def is_monomial(self):
         """Exactly one nonzero entry in every row and every column."""
         nonzero = self._nonzero()

@@ -233,9 +233,9 @@ _ONE = (np.kron(np.eye(27, dtype=np.int64), np.eye(1, 8, dtype=np.int64)), 1)
 def _same(a, b):
     """Whether the images (rows, D) and (rows', D') agree: D' rows = D rows'.
 
-    The rows hold integers below 2^53, kernel products being float arrays,
-    so both sides are scaled in int64, after an exact cast: scaling float32
-    rows by D could round.
+    The rows hold integers below 2^24, kernel products being float32
+    arrays, so both sides are scaled in int64, after an exact cast: scaling
+    float32 rows by D could round.
     """
     (rows_a, den_a), (rows_b, den_b) = a, b
     # each D must itself be an int64, even against a zero image
@@ -250,7 +250,7 @@ def _times_adjoint(m: ExactMatrix):
     D m* e_i is the conjugate of row i of D m, read off the coefficient
     array as each block times CONJ, so no adjoint is compiled.  Its entries
     are 8-term sums of +-1 times a coefficient, exact in int64: the compile
-    of m has already refused any m with 216 * 8 * max|coefficient| >= 2^53.
+    of m has already refused any m with 8 * max|coefficient| >= 2^24.
     The action of D m on those rows gives the rest, guarded like any `raw`.
     """
     act = zkernel.IntegerAction.of(m)

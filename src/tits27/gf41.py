@@ -49,7 +49,8 @@ class SingularMatrixError(ValueError):
 
 def check_range(inner, max_b, max_v, bits=63):
     """Refuse a product of `inner`-term sums whose partial sums could reach
-    2^bits: 2^63 for int64 arithmetic, 2^53 for float64 (see `zkernel`)."""
+    2^bits: 2^63 for int64 arithmetic, 2^53 for float64 (`matmul`), 2^24
+    for float32 (see `zkernel`)."""
     if inner * max_b * max_v >= 2 ** bits:
         raise KernelOverflowError(
             f"{inner} * {max_b} * {max_v} reaches 2^{bits}; the kernel "
@@ -168,7 +169,7 @@ def reduce_rows(rows, scale):
     of OMEGA evaluates every block, and 1/scale is a residue.
     """
     rows = np.asarray(rows, dtype=np.int64)
-    check_range(8, P - 1, int(np.abs(rows).max(initial=0)))
+    check_range(8, P - 1, max_abs(rows))
     return rows.reshape(len(rows), -1, 8) @ _OMEGA_POWERS % P * pow(scale, -1, P) % P
 
 

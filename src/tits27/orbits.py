@@ -14,34 +14,32 @@ Points and generators
     rows of 216 it lists the level's images in (point, generator) order, and
     they go through one canonical form and one key pass.  The seed row goes
     to the kernel as it is, int64, and the frontier and its images then stay
-    in the float type the kernel chose for each product, float32 for both
-    paper orbits, from level to level; `coords` becomes int64 once, at the
-    end.  `perm_images` applies a matrix that did not build the orbit to
-    `coords` as they are, through the same kernel call.
+    in float32, the kernel's one product type, from level to level; `coords`
+    becomes int64 once, at the end.  `perm_images` applies a matrix that did
+    not build the orbit to `coords` as they are, through the same kernel
+    call.
 
 Exactness guards
     All products run through `zkernel`, which never rounds, has no other
     arithmetic path and raises KernelOverflowError before any product whose
-    partial sums could reach 2^53.  Whether its rows are int64 or float, it
-    multiplies in float32 when 216 * max|B| * max|v| < 2^24 and D < 2^24,
-    and in float64 otherwise, and returns the product in that type, so each
-    product, and its division by D, equals the integer one: for the paper
-    orbits 216 * 2 * 25 = 10,800.  Every image must divide exactly by the
-    generator's denominator lcm (skipped when it is 1), so it is again
+    partial sums could reach 2^24.  Whether its rows are int64 or float, it
+    multiplies in float32, and only when 216 * max|B| * max|v| < 2^24, so
+    each product, and its division by D, equals the integer one: for the
+    paper orbits 216 * 2 * 25 = 10,800.  Every image must divide exactly by
+    the generator's denominator lcm (skipped when it is 1), so it is again
     integral at scale 25, or the kernel raises ScaleError, as `Seed.of` does
     for a seed that is not integral at scale 25.  Each entry of a rotated
     projective point, and of each candidate rotation of a leading block, is
     a sum of at most 8 terms of +-1 (an entry of ROT) times a stored entry.
-    Rows are rotated in float32 when 8 times their largest entry is below
-    2^24, and otherwise in float64 after one check_range of 8 times the
-    largest entry against 2^53, made before any product; so every such sum
-    is exact: in the product that forms the 20
-    candidates of each distinct leading block (always float64, cast to
-    int64 before it is compared), and in the one batched product that
-    rotates every row by its own 8x8 matrix ROT[k].  A float row holds
-    integers below 2^53, and reaches int8 for its key only when every entry
-    of its batch is at most 127; otherwise it is cast to int64 first (see
-    Numbering), so no float is cast out of the range of its target type.
+    `_canonical` checks 8 times the largest entry against 2^24 once, before
+    any product, and raises KernelOverflowError past it; then every such
+    sum is exact in float32: in the product that forms the 20 candidates of
+    each distinct leading block (cast to int64 before it is compared), and
+    in the one batched product that rotates every row by its own 8x8 matrix
+    ROT[k].  A float row holds integers below 2^24, and reaches int8 for its
+    key only when every entry of its batch is at most 127; otherwise it is
+    cast to int64 first (see Numbering), so no float is cast out of the
+    range of its target type.
 
 Projective points
     A 1-space is stored as the rotation zeta^k v (0 <= k < 20) of any
@@ -73,7 +71,7 @@ Seeds and characters
     distinct, so at most one k fits.  Each entry of a rotation sums at most
     8 terms of +-1 times an entry of v, so one check_range of 8 * D * max|v|
     against 2^63 keeps D zeta^k v exact in int64, and the image, whose
-    entries are integers below 2^53, is compared with it as int64.
+    entries are integers below 2^24, is compared with it as int64.
     Searching mu20 only is exact for a word of finite order (see Projective
     points).
 
@@ -132,7 +130,7 @@ from .exactlinalg import CapExceededError
 # orbits.* (perfbench/layers.py wraps them here), and orbit callers catch the two errors here.
 from .permgroup import PermSet, build_stab_chain, transitivity_check  # noqa: F401
 from .zkernel import (DIM, ROT, IntegerAction, KernelOverflowError, ScaleError,  # noqa: F401
-                      check_range, exact_float, max_abs)
+                      check_range, max_abs)
 
 VECTOR = "vector"
 PROJECTIVE = "projective"
@@ -140,8 +138,9 @@ PROJECTIVE = "projective"
 #: Stored orbit rows are SCALE times the power-basis coefficients.
 SCALE = 25
 
+_ROT = ROT.astype(np.float32)  # ROT is 0 and +-1
 # a block times _ROTS is its 20 rotations in turn, 8 coefficients each
-_ROTS = ROT.astype(np.float64).transpose(1, 0, 2).reshape(8, 20 * 8)
+_ROTS = _ROT.transpose(1, 0, 2).reshape(8, 20 * 8)
 _KEY8 = np.dtype((np.void, DIM))  # a row's int8 bytes as one key
 _KEY64 = np.dtype((np.void, 8 * DIM))  # a row's int64 bytes as one key
 _SIGN_BIT = np.int64(-2 ** 63)  # x ^ _SIGN_BIT orders as uint64 as x does as int64
@@ -214,8 +213,8 @@ def seed_proj_conjugate() -> Seed:
 
 
 def _canonical(rows, mode):
-    """Rows in the canonical form of `mode` (projective: least rotation), in
-    the narrowest float type that is exact."""
+    """Rows in the canonical form of `mode` (projective: least rotation, as
+    float32)."""
     if mode == VECTOR:
         return rows
     if mode != PROJECTIVE:
@@ -224,29 +223,28 @@ def _canonical(rows, mode):
     nonzero = rows != 0
     if not nonzero.any(axis=1).all():
         raise ValueError("projective point must be nonzero")
-    rot = ROT.astype(exact_float(8, 1, max_abs(rows)))  # ROT is 0 and +-1
-    blocks = rows.reshape(n, 27, 8)
+    check_range(8, max_abs(rows), 1, bits=24)  # 8-term sums of +-1 times an entry
+    blocks = rows.astype(np.float32, copy=False).reshape(n, 27, 8)
     first = blocks[np.arange(n), nonzero.argmax(axis=1) // 8]  # a C-ordered copy: viewable
     lead, which = np.unique(first.view((np.void, first.itemsize * 8)).ravel(), return_inverse=True)
-    cands = (lead.view(rows.dtype).reshape(-1, 8) @ _ROTS).astype(np.int64)
+    cands = (lead.view(np.float32).reshape(-1, 8) @ _ROTS).astype(np.int64)
     # the least rotation in lex order, as the least byte string (see Projective points)
     k = (cands ^ _SIGN_BIT).astype(">i8").view("S64").argmin(axis=1)[which]
-    out = np.matmul(blocks.astype(rot.dtype, copy=False), rot[k]).reshape(n, DIM)
-    return out
+    return np.matmul(blocks, _ROT[k]).reshape(n, DIM)
 
 
 def _row_keys(rows) -> list:
     """The key of each row (see Numbering): its 216 bytes as int8 if every
     entry fits in int8, else its 1,728 bytes as int64.  Float rows hold
-    integers below 2^53, and reach int8 only when every entry of the batch
-    lies within +-127; otherwise they pass through int64."""
+    integers (below 2^24 from the kernel), and reach int8 only when every
+    entry of the batch lies within +-127; otherwise they pass through int64."""
     rows = np.ascontiguousarray(rows)
     if max_abs(rows) <= 127:
         return rows.astype(np.int8).view(_KEY8).ravel().tolist()
     rows = rows.astype(np.int64, copy=False)
-    narrow = rows.astype(np.int8)
-    fits = (narrow == rows).all(axis=1).tolist()
-    keys = narrow.view(_KEY8).ravel().tolist()
+    small = rows.astype(np.int8)
+    fits = (small == rows).all(axis=1).tolist()
+    keys = small.view(_KEY8).ravel().tolist()
     wide = rows.view(_KEY64).ravel().tolist()
     return [k if f else w for k, w, f in zip(keys, wide, fits)]
 
@@ -278,11 +276,6 @@ class Orbit:
             return None
         _, pivots = gf41.rref(gf41.reduce_rows(self.coords[:64], SCALE).T)
         return tuple(pivots) if len(pivots) == 27 else None
-
-    def point(self, i) -> tuple:
-        """Point i as 27 exact scalars."""
-        row = self.coords[i].tolist()
-        return tuple(cyclo.CycNum(row[8 * j:8 * j + 8], SCALE) for j in range(27))
 
 
 def enumerate_orbit(seed: Seed, gens, cap: int = 10000) -> Orbit:

@@ -12,8 +12,8 @@ once into the 216x216 integer matrix B whose block (j, i) right-multiplies
 block j of a row into block i; nothing compiles a matrix before its action
 is first asked for.  It applies B to n x 216 integer rows, one vector v per
 row, as the single product rows @ B, giving the rows of D * (m v); the rows
-are integers or floats that hold integers, and the product is a float array
-of exact integers (see Exactness guards).  On
+are integers or floats that hold integers, and the product is a float32
+array of exact integers (see Exactness guards).  On
 n x 27 rows of rational integers (coefficient 0 of each block only) it uses
 the 27 rows B[0::8].  The action of m^T is B with its 8x8 blocks transposed
 as blocks, so it needs no second compile.
@@ -44,52 +44,44 @@ Relations and unitarity
     holds the row norms of m (`generators.row_norms_are_one`).
 
 Exactness guards
-    The kernel never rounds and has no other arithmetic path.  The product
-    is formed by BLAS in a float type, and it is exact: every integer of
-    magnitude at most 2^53 is a float64, and every one at most 2^24 a
-    float32.  When the matrix is compiled, 216 * 8 * c < 2^53 is checked,
-    with c the largest coefficient of D * m.  The coefficients arrive as
-    int64, and none has wrapped: a matrix built from scalars forms them as
+    The kernel never rounds and has no other arithmetic path.  Every product
+    is formed by BLAS in float32, and it is exact: every integer of
+    magnitude at most 2^24 is a float32.  When the matrix is compiled,
+    8 * c < 2^24 and D < 2^24 are checked, with c the largest coefficient of
+    D * m, and KernelOverflowError raised otherwise.  The coefficients arrive
+    as int64, and none has wrapped: a matrix built from scalars forms them as
     Python integers and holds them as int64 only if all fit;
-    `ExactMatrix.coeffs` refuses the rest.  B is one float64 product, the
+    `ExactMatrix.coeffs` refuses the rest.  B is one float32 product, the
     coefficients as a 729 x 8 matrix times ROT[0..7] as an 8 x 64 one, with
     its axes then permuted: an entry sums 8 coefficients times 0 or +-1, so
-    B is exact and max|B| <= 8c.  B is then held once, in float32 when
-    max|B| < 2^24 (every paper generator: max|B| is 1 or 2) and in float64
-    otherwise.  D < 2^53 is checked too.  Before each application `raw`
-    checks 216 * max|B| * max|V| < 2^53 and raises KernelOverflowError
-    otherwise.  Then every entry of B and of the rows, and every product of
-    one entry of each, is such an integer.  An entry of the result is a sum
-    of at most 216 of those products; in any summation order, and with or
-    without fused multiply-add, each partial sum is an integer bounded by
-    the sum of the absolute values of its terms, below 2^53, so no operation
-    rounds.  The same argument with 24 bits makes a float32 product exact
-    when 216 * max|B| * max|V| < 2^24 (with max|B| and max|V| at least 1, so
-    that B and the rows are float32 exactly too).  Rows of either kind,
+    each partial sum is at most 8c, B is exact and max|B| <= 8c (1 or 2 for
+    every paper generator).  Before each application `raw` checks
+    216 * max|B| * max|V| < 2^24, with max|B| and max|V| taken as at least 1,
+    and raises KernelOverflowError otherwise.  Then every entry of B and of
+    the rows, and every product of one entry of each, is an integer below
+    2^24.  An entry of the result is a sum of at most 216 of those products;
+    in any summation order, and with or without fused multiply-add, each
+    partial sum is an integer bounded by the sum of the absolute values of
+    its terms, below 2^24, so no operation rounds.  Rows of either kind,
     integers or floats that hold integers (the kernel's own images), are
-    multiplied in float32 when that bound and D < 2^24 hold, and in float64
-    otherwise, with B cast up for that product if it is held in float32; a
-    float32 product needs max|B| < 2^24, so B is then float32 already.  The
-    result stays in the type of the product, each entry an exact integer
-    below 2^53, for the caller to key or compare; a caller that scales it
-    casts it to int64 first, which is exact (`generators._same`).
-    ``act(rows)`` divides in that type, in place, and skips the division
-    when D = 1.  A stack (`IntegerAction.stack`) places the B of k actions
-    side by side, one 216 x 216k matrix, held in float64 if any of them is,
-    so `raw` applies them all to the same rows as one product.  Each entry
-    of that product is the entry of one block's product, a sum of 216
-    products of an entry of that B and one of the rows, so the guards above
-    hold with max|B| taken over the stack, and the float32 test takes the
-    largest D among the blocks.  A call divides only the blocks whose D
-    exceeds 1, each by its own D, with the exactness test below and
-    ScaleError; the blocks with D = 1 are left as they are.  With t = 53 for
-    float64 and t = 24 for float32, where |p| < 2^t and 1 < D < 2^t: p / D
-    rounded to the type is an integer iff D divides p, since it is then
-    exact, and otherwise it lies within 2^(e-t) < 1/D of p / D, with 2^e <=
-    |p / D| < 2^t / D, while every integer is at least 1/D away.  A kernel
-    of this kind, exact floating-point products under a bound on their sums,
-    is the approach of Dumas, Gautier and Pernet, "Finite field linear
-    algebra subroutines" (ISSAC 2002).
+    cast to float32 exactly, and the result is a float32 array of exact
+    integers for the caller to key or compare; a caller that scales it casts
+    it to int64 first, which is exact (`generators._same`).  ``act(rows)``
+    divides in float32, in place, and skips the division when D = 1.  A
+    stack (`IntegerAction.stack`) places the B of k actions side by side,
+    one 216 x 216k matrix, so `raw` applies them all to the same rows as one
+    product.  Each entry of that product is the entry of one block's
+    product, a sum of 216 products of an entry of that B and one of the
+    rows, so the guard above holds with max|B| taken over the stack.  A call
+    divides only the blocks whose D exceeds 1, each by its own D, with the
+    exactness test below and ScaleError; the blocks with D = 1 are left as
+    they are.  Where |p| < 2^24 and 1 < D < 2^24: p / D rounded to float32 is
+    an integer iff D divides p, since it is then exact, and otherwise it lies
+    within 2^(e-24) < 1/D of p / D, with 2^e <= |p / D| < 2^24 / D, while
+    every integer is at least 1/D away.  A kernel of this kind, exact
+    floating-point products under a bound on their sums, is the approach of
+    Dumas, Gautier and Pernet, "Finite field linear algebra subroutines"
+    (ISSAC 2002).
 """
 
 from __future__ import annotations
@@ -111,6 +103,8 @@ ROT = _ZETA_POW[(np.arange(20)[:, None] + np.arange(8)) % 20]
 # CONJ right-multiplies a block into the block of its complex conjugate: row j
 # is zeta^-j, the image of zeta^j under the automorphism zeta -> zeta^19.
 CONJ = _ZETA_POW[-np.arange(8) % 20]
+# ROT[0..7] side by side: a row of 8 coefficients times it is its 8 x 8 block
+_BLOCKS = ROT[:8].reshape(8, 64).astype(np.float32)
 
 
 class ScaleError(ValueError):
@@ -138,15 +132,14 @@ class IntegerAction:
         return m.action
 
     def _compile(self, coeffs, den):
-        """Check the bounds of the module docstring, then form B as one float64
+        """Check the bounds of the module docstring, then form B as one float32
         product: block (j, i) is sum_k coeffs[i, j, k] ROT[k], exact sums of 8 terms."""
-        check_range(DIM, 8 * max_abs(coeffs), 1, bits=53)
-        check_range(1, den, 1, bits=53)
+        check_range(1, 8 * max_abs(coeffs), 1, bits=24)
+        check_range(1, den, 1, bits=24)
         # row (i, j) of the product holds the 8 x 8 block of m_ij
-        blocks = coeffs.reshape(27 * 27, 8).astype(np.float64) @ ROT[:8].reshape(8, 64)
-        dense = blocks.reshape(27, 27, 8, 8).transpose(1, 2, 0, 3).reshape(DIM, DIM)
-        self.den, self.max_b = den, max_abs(dense)
-        self.dense = dense.astype(exact_float(1, 1, self.max_b))  # held once (see Exactness guards)
+        blocks = coeffs.reshape(27 * 27, 8).astype(np.float32) @ _BLOCKS
+        self.dense = blocks.reshape(27, 27, 8, 8).transpose(1, 2, 0, 3).reshape(DIM, DIM)
+        self.den, self.max_b = den, max_abs(self.dense)
 
     @classmethod
     def stack(cls, actions):
@@ -155,7 +148,7 @@ class IntegerAction:
         own D (see Exactness guards)."""
         act = cls.__new__(cls)
         act.dens = tuple(a.den for a in actions)
-        act.den = max(act.dens)  # bounds every block's D for the float32 test
+        act.den = max(act.dens)
         act.max_b = max(a.max_b for a in actions)
         act.dense = np.hstack([a.dense for a in actions])
         return act
@@ -168,21 +161,20 @@ class IntegerAction:
         return act
 
     def raw(self, rows):
-        """The rows of D * (m v), with no division.
+        """The rows of D * (m v), with no division, as a float32 array.
 
         `rows` is n x 216, or n x 27 for vectors whose entries are rational
         integers (coefficient 0 of each block only); the result is n x 216.
-        Rows of integers, or of floats that hold integers, give the narrowest
-        float type the product is exact in (see Exactness guards): float32
-        when it fits 2^24, else float64.
+        The rows are integers, or floats that hold integers, and the product
+        must fit the guard of the module docstring.
         """
-        ftype = exact_float(DIM, self.max_b, max_abs(rows), narrow=self.den < 2 ** 24)
+        check_range(DIM, max(self.max_b, 1), max(max_abs(rows), 1), bits=24)
         dense = self.dense if rows.shape[1] == DIM else self.dense[0::8]
-        return rows.astype(ftype, copy=False) @ dense.astype(ftype, copy=False)
+        return rows.astype(np.float32, copy=False) @ dense
 
     def __call__(self, rows):
-        """The rows of m v, in the type `raw` gives; the division by D must be
-        exact, and a stack divides only its blocks whose D is above 1."""
+        """The rows of m v, as float32; the division by D must be exact, and
+        a stack divides only its blocks whose D is above 1."""
         out = self.raw(rows)
         for k, den in enumerate(self.dens or (self.den,)):
             if den == 1:
@@ -192,14 +184,4 @@ class IntegerAction:
             if (block != np.trunc(block)).any():  # exact when D divides, never integral otherwise
                 raise ScaleError("an image is not integral at the scale of its preimage")
         return out
-
-
-def exact_float(inner, max_b, max_v, narrow=True):
-    """The float type that forms sums of `inner` products of integers bounded
-    by max_b and max_v exactly: float32 if `narrow` and every operand and
-    partial sum stays below 2^24, else float64, refused past 2^53."""
-    if narrow and inner * max(max_b, 1) * max(max_v, 1) < 2 ** 24:
-        return np.float32
-    check_range(inner, max_b, max_v, bits=53)
-    return np.float64
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from tits27 import cubicform, generators, orbits
+from tits27 import certificates, cubicform, generators, orbits
 
 
 @pytest.fixture(scope="session")
@@ -13,6 +13,12 @@ def gens():
 @pytest.fixture(scope="session")
 def gens5(gens):
     return list(gens.in_order())
+
+
+@pytest.fixture(scope="session")
+def certificate():
+    """The `verify --seed 1` table as (name, ok) rows."""
+    return list(certificates.rows(fast=False, seed=1))
 
 
 @pytest.fixture(scope="session")

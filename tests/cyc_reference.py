@@ -6,15 +6,22 @@ is a literal of the constants 0, +-1, sigma and tau of `cyclo`, and each
 block is placed with its scalar by one `CycNum` product per entry.  The
 exponent tables are `generators.F1_EXP` and `F2_EXP`; the eprime layout is
 restated here.  Also `scale_matrix`, the scalar multiple of a matrix entry
-by entry, and `conj_transpose`, the conjugate transpose entry by entry.
+by entry, and `conj_transpose`, the conjugate transpose entry by entry;
+and the test-side views `point`, `with_flipped`, `is_diagonal` and
+`approx`, which no program code reads.
 """
 
+import cmath
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from tits27 import cyclo, generators
+from tits27.cubicform import CubicForm, SignedTriple
 from tits27.cyclo import CycNum
 from tits27.exactlinalg import ExactMatrix, RING_CYC
+from tits27.orbits import SCALE
 
 _O = cyclo.ZERO
 _1 = cyclo.ONE
@@ -31,6 +38,30 @@ def conj_transpose(m: ExactMatrix) -> ExactMatrix:
     """The entrywise conjugate of the transpose, one CycNum at a time."""
     return ExactMatrix(RING_CYC, [[m.data[i][j].conj() for i in range(m.rows)]
                                   for j in range(m.cols)])
+
+
+def point(row) -> tuple:
+    """27 exact scalars from a 216-coefficient orbit row at SCALE."""
+    row = row.ravel().tolist()
+    return tuple(CycNum(row[8 * j:8 * j + 8], SCALE) for j in range(27))
+
+
+def with_flipped(form: CubicForm, coords) -> CubicForm:
+    """The form with the sign of its term on `coords` flipped."""
+    coords = frozenset(coords)
+    return CubicForm(SignedTriple(t.coords, -t.sign if t.coords == coords else t.sign)
+                     for t in form.terms)
+
+
+def is_diagonal(m: ExactMatrix) -> bool:
+    """Whether every nonzero entry of m is on its diagonal, read off its array."""
+    return not (m._nonzero() & ~np.eye(m.rows, m.cols, dtype=bool)).any()
+
+
+def approx(c: CycNum) -> complex:
+    """The complex value of c under zeta -> exp(2 pi i / 20)."""
+    z = cmath.exp(2j * cmath.pi / 20)
+    return sum(n * z ** k for k, n in enumerate(c.num)) / c.den
 
 
 def _cyc(entries):

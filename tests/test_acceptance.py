@@ -22,11 +22,6 @@ RELATIONS = ("f1^5 = 1", "f2^5 = 1", "f1 f2 = f2 f1", "d^2 = 1",
 FIXERS = ("f1", "f2", "ac", "eprime")
 
 
-@pytest.fixture(scope="session")
-def certificate():
-    return list(certificates.rows(fast=False, seed=1))
-
-
 def _assert_rows(certificate, names):
     verdicts = dict(certificate)
     assert [n for n in names if n not in verdicts] == []

@@ -1,20 +1,25 @@
-"""The names that the benchmark's per-layer instruments wrap must exist.
+"""The names that the benchmark reads must exist.
 
 `perfbench/layers.py` installs its wrappers by module and class attribute
 and reports a metric as null when a name is gone, so a rename in `src/`
-would silently blank benchmark metrics.  The file is loaded here read-only.
+would silently blank benchmark metrics.  `perfbench/run.py` counts a
+repetition as correct only if the table's row names equal
+`perfbench/expected/<workload>.txt`, so a renamed row would read pass_frac
+0.  Both files are read here, and nothing under `perfbench/` is written.
 """
 
 import importlib
 import importlib.util
 import pathlib
+import re
 import sys
 
 import pytest
 
 from tits27 import certificates, exactlinalg, generators, gf41, orbits
 
-LAYERS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+LAYERS = PERFBENCH / "layers.py"
 
 
 @pytest.fixture(scope="module")
@@ -28,6 +33,19 @@ def layers():
     finally:
         sys.dont_write_bytecode = dont_write
     return module
+
+
+def _gated_names(workload, seed):
+    """The check names the benchmark expects of `workload`, with `{seed+K}`
+    replaced by seed + K as perfbench/run.py replaces it."""
+    text = (PERFBENCH / "expected" / f"{workload}.txt").read_text()
+    return re.sub(r"\{seed\+(\d+)\}", lambda m: str(seed + int(m.group(1))), text).splitlines()
+
+
+def test_row_names_are_the_ones_the_benchmark_gates_on(certificate):
+    names = [name for name, _ in certificate]  # verify --seed 1
+    assert names == _gated_names("certify_full", 1)
+    assert names[:30] == _gated_names("certify_fast", 1)  # verify --fast
 
 
 def test_every_span_resolves(layers):

@@ -171,7 +171,7 @@ def test_flip_breaks_eprime_invariance(gens, dickson):
     ok, flip_safe = cf.invariance_report(dickson, gens.eprime)
     assert ok
     assert flip_safe == []
-    flipped = dickson.with_flipped((-3, 1, 4))
+    flipped = cyc_reference.with_flipped(dickson, (-3, 1, 4))
     assert not cf.invariance_report(flipped, gens.eprime)[0]
     # the diagonal generators cannot see signs at all
     assert cf.invariance_report(flipped, gens.f1)[0]
@@ -189,7 +189,7 @@ def test_signed_triple_validation():
 def test_form_evaluation(dickson):
     # with no matrices the Jordan check is the form value row alone
     assert cf.jordan_identity_check(dickson, {}) == (("form value on fixed vector is +1", True),)
-    flipped = dickson.with_flipped((-3, -2, -1))
+    flipped = cyc_reference.with_flipped(dickson, (-3, -2, -1))
     assert cf.jordan_identity_check(flipped, {}) == (("form value on fixed vector is +1", False),)
 
 
@@ -312,7 +312,7 @@ def test_kernel_matches_reference_expansion(matrices, dickson):
     # the flipped form has the same terms, so each term polynomial is
     # expanded once per matrix and shared by both forms
     polys = {name: {} for name in matrices}
-    for form in (dickson, dickson.with_flipped((-3, 1, 4))):
+    for form in (dickson, cyc_reference.with_flipped(dickson, (-3, 1, 4))):
         for name, m in matrices.items():
             # one full-form dense case pins the orientation m vs m^T on a
             # non-symmetric matrix
@@ -347,7 +347,7 @@ def _count_raw(monkeypatch):
 
 
 def test_term_map_agrees_with_the_dense_path(monkeypatch, matrices, dickson):
-    flipped = dickson.with_flipped((-3, 1, 4))
+    flipped = cyc_reference.with_flipped(dickson, (-3, 1, 4))
     calls = _count_raw(monkeypatch)
     for name in MONOMIAL:
         m = matrices[name]
@@ -427,10 +427,10 @@ def test_cubic_checks_make_no_scalar_products(gens, dickson, monkeypatch):
     assert calls == []
 
 
-def _raw_calls_before_overflow(monkeypatch, m):
+def _raw_calls_before_overflow(monkeypatch, m, match=None):
     """The kernel calls invariance_report makes before KernelOverflowError."""
     calls = _count_raw(monkeypatch)
-    with pytest.raises(zkernel.KernelOverflowError):
+    with pytest.raises(zkernel.KernelOverflowError, match=match):
         cf.invariance_report(CubicForm([triple(-3, -2, -1, +1)]), m)
     return calls
 
@@ -442,10 +442,9 @@ _FIRST_SLOT_THEN_REFUSED = [(729, 27), (27 * cf.SLABS, zkernel.DIM)]
 
 @pytest.mark.parametrize("exponent", [60, 43, 42])
 def test_invariance_refuses_int64_overflow(monkeypatch, exponent):
-    # 2^60 and 2^43 fail the bound when the matrix is compiled (216 * 8 *
-    # 2^43 >= 2^53); 2^42 passes it, but the identity is block-monomial, so
-    # the term map refuses its first block product (8 * 2^42 * 2^42 >= 2^63).
-    # No dense product is formed in any case
+    # each fails the bound when the matrix is compiled (8 * 2^42 >= 2^24), so
+    # no dense product is formed; the term map's own int64 refusal, for a
+    # matrix that compiles, is test_term_map_guard_boundary's
     big = cyc_reference.scale_matrix(la.ExactMatrix.identity(27, la.RING_CYC),
                                      cyclo.CycNum.from_int(2 ** exponent))
     assert _raw_calls_before_overflow(monkeypatch, big) == []
@@ -470,17 +469,19 @@ def test_term_map_guard_boundary(monkeypatch):
     assert _raw_calls_before_overflow(monkeypatch, refused) == []
 
 
-@pytest.mark.parametrize("exponent", [52, 42, 41, 30])
+@pytest.mark.parametrize("exponent", [52, 42, 41, 30, 20, 19, 16, 15])
 def test_invariance_refuses_int64_overflow_of_zeta_power_products(monkeypatch, gens,
                                                                   exponent):
     # unlike the identity, eprime has a denominator and every power of zeta
-    # up to 6.  5 * eprime has coefficients up to 2, so 2^52 and 2^42 eprime
-    # fail the bound when compiled (216 * 8 * 2 * 2^42 >= 2^53), before any
-    # product; 2^41 and 2^30 eprime pass it and the first slot's product, in
-    # float64, and fail before the second slot's first product
+    # up to 6.  5 * eprime has coefficients up to 2, so 2^k eprime fails the
+    # bound when compiled for k >= 20 (8 * 2 * 2^20 >= 2^24), before any
+    # product; 2^19 and 2^16 eprime pass it, and the first slot's product,
+    # 216 * 2 * 2^16 >= 2^24, is refused; 2^15 eprime passes that too, in
+    # float32, and fails before the second slot's first product
     big = cyc_reference.scale_matrix(gens.eprime, cyclo.CycNum.from_int(2 ** exponent))
-    expected = [] if exponent > 41 else _FIRST_SLOT_THEN_REFUSED
-    assert _raw_calls_before_overflow(monkeypatch, big) == expected
+    expected = ([] if exponent >= 20 else _FIRST_SLOT_THEN_REFUSED[:1] if exponent >= 16
+                else _FIRST_SLOT_THEN_REFUSED)
+    assert _raw_calls_before_overflow(monkeypatch, big, match=r"2\^24") == expected
 
 
 #: A weight on the 27 coordinates whose sum over every term of the form is 0,
@@ -520,37 +521,53 @@ def test_torus_weight_keeps_every_term(dickson):
     (14, "fdd"), (15, "ddd"),  # the first slot crosses it
     (17, "ddd")])
 def test_dense_path_at_the_float32_edge(monkeypatch, gens, dickson, t, dtypes):
-    # diag(t^w) eprime keeps the form for every t, so a product rounded in
-    # float32 would break the equality with D^3 T; the kernel picks float32
-    # for a product only while its sums stay below 2^24, and each pair of
-    # cases puts one product one step of t under that edge and one past it
+    # diag(t^w) eprime keeps the form for every t, so a rounded product would
+    # break the equality with D^3 T.  Each letter says on which side of the
+    # 2^24 edge one of the first three products falls: f inside it, where
+    # the product is formed in float32 and equals the int64 one, d past it,
+    # where float32 could round and the kernel refuses the product before it
+    # is formed, so nothing after it runs.  Each pair of cases puts one
+    # product one step of t under that edge and one past it
     m = _torus_eprime(gens, t)
-    flipped = dickson.with_flipped((-3, 1, 4))
-    seen = []
+    flipped = cyc_reference.with_flipped(dickson, (-3, 1, 4))
+    formed = []
     raw = zkernel.IntegerAction.raw
 
-    def typed(self, rows):
+    def checked(self, rows):
         out = raw(self, rows)
-        seen.append(out.dtype)
+        if len(formed) < 3:
+            dense = self.dense if rows.shape[1] == zkernel.DIM else self.dense[0::8]
+            assert out.dtype == np.float32
+            assert (out == rows.astype(np.int64) @ dense.astype(np.int64)).all()
+        formed.append(out)
         return out
 
-    monkeypatch.setattr(zkernel.IntegerAction, "raw", typed)
-    assert cf._dense_invariant(dickson, m) is _int64_invariant(dickson, m) is True
-    # the first slot, then the slot-i and slot-j products of the first slabs
-    assert "".join("f" if d == np.float32 else "d" for d in seen[:3]) == dtypes
-    assert cf._dense_invariant(flipped, m) is _int64_invariant(flipped, m) is False
+    monkeypatch.setattr(zkernel.IntegerAction, "raw", checked)
+    edge = dtypes.find("d")
+    if edge < 0:
+        assert cf._dense_invariant(dickson, m) is _int64_invariant(dickson, m) is True
+        assert cf._dense_invariant(flipped, m) is _int64_invariant(flipped, m) is False
+        return
+    with pytest.raises(zkernel.KernelOverflowError, match=r"2\^24"):
+        cf._dense_invariant(dickson, m)
+    assert len(formed) == edge
+    assert _int64_invariant(dickson, m) is True
 
 
 def test_dense_path_refuses_past_2_53(monkeypatch, gens, dickson):
-    # 17 is the largest t whose transform of the full form fits 2^53 in
-    # float64 (above); at 18 the first slot-j product is refused before it
-    # is formed
+    # 18 is the least t whose transform of the full form passes 2^53, and
+    # 15 the least whose first slot passes 2^24 (above): at 18 the first
+    # slot's product is refused before it is formed.  5 t^2 diag(t^w) eprime
+    # has coefficients up to 2 t^4, so compiling admits t = 31 and refuses
+    # t = 32, where 8 * 2 * 32^4 = 2^24
     m = _torus_eprime(gens, 18)
-    zkernel.IntegerAction.of(m)  # compiled: 216 * 8 * 2 * 18^4 < 2^53
     calls = _count_raw(monkeypatch)
-    with pytest.raises(zkernel.KernelOverflowError, match=r"2\^53"):
+    with pytest.raises(zkernel.KernelOverflowError, match=r"2\^24"):
         cf.invariance_report(dickson, m)
-    assert calls == [(729, 27)] + [(27 * cf.SLABS, zkernel.DIM)] * 2
+    assert calls == [(729, 27)]
+    assert zkernel.IntegerAction.of(_torus_eprime(gens, 31)).max_b == 2 * 31 ** 4
+    with pytest.raises(zkernel.KernelOverflowError, match=r"2\^24"):
+        zkernel.IntegerAction.of(_torus_eprime(gens, 32))
 
 
 def test_kernel_errors_are_shared_with_orbits():

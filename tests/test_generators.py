@@ -15,7 +15,7 @@ from tits27.exactlinalg import ExactMatrix, RING_CYC, RING_GF41
 
 def test_f1_f2_diagonal_tables(gens):
     z = cyclo.Z
-    assert gens.f1.is_diagonal() and gens.f2.is_diagonal()
+    assert cyc_reference.is_diagonal(gens.f1) and cyc_reference.is_diagonal(gens.f2)
     # spot values from the exponent tables
     assert gens.f1.data[6][6] == z ** 4        # label 4, first block
     for j in range(23, 27):                    # labels 21..24 of f2
@@ -241,7 +241,7 @@ def _raw_calls(monkeypatch):
 
 def test_verify_relations_refuses_unsafe_sets_before_any_product(gens, monkeypatch):
     calls = _raw_calls(monkeypatch)
-    # 216 * 8 * 2^43 reaches 2^53, so compiling the actions refuses it
+    # 8 * 2^43 reaches 2^24, so compiling the actions refuses it
     huge = cyc_reference.scale_matrix(gens.f1, CycNum.from_int(2 ** 43))
     with pytest.raises(zkernel.KernelOverflowError):
         generators.verify_relations(
@@ -250,14 +250,18 @@ def test_verify_relations_refuses_unsafe_sets_before_any_product(gens, monkeypat
 
 
 def test_verify_relations_refuses_an_unsafe_power(gens, monkeypatch):
-    # 2^16 f1 compiles, and f1 and f1^2 are applied, but the third
-    # application of f1^5 would reach 216 * 2^16 * 2^32 > 2^53
+    # the images of f1^5 under 2^k f1 have entries up to 2^jk after j
+    # applications, and the next is refused unless 216 * 2^k * 2^jk < 2^24:
+    # for 2^6 f1 the third is refused (216 * 2^18), for 2^5 f1 the third is
+    # formed (216 * 2^15) and the fourth refused
     calls = _raw_calls(monkeypatch)
-    big = cyc_reference.scale_matrix(gens.f1, CycNum.from_int(2 ** 16))
-    with pytest.raises(zkernel.KernelOverflowError):
-        generators.verify_relations(
-            generators.GeneratorSet(big, gens.f2, gens.d, gens.ac, gens.eprime))
-    assert calls == [(27, 27), (27, zkernel.DIM), (27, zkernel.DIM)]
+    for k, applied in ((6, 2), (5, 3)):
+        calls.clear()
+        big = cyc_reference.scale_matrix(gens.f1, CycNum.from_int(2 ** k))
+        with pytest.raises(zkernel.KernelOverflowError, match=r"2\^24"):
+            generators.verify_relations(
+                generators.GeneratorSet(big, gens.f2, gens.d, gens.ac, gens.eprime))
+        assert calls == [(27, 27)] + [(27, zkernel.DIM)] * applied
 
 
 def test_same_is_not_fooled_by_float32_rounding():
@@ -290,7 +294,7 @@ def test_monomials_normalize_the_diagonal_group(gens):
     for f in (gens.f1, gens.f2):
         for m in (gens.d, gens.ac):
             conj = la.mat_mul(la.mat_mul(la.mat_inv(m), f), m)
-            assert conj.is_diagonal()
+            assert cyc_reference.is_diagonal(conj)
             diag = conj.diagonal()
             assert sorted(e.to_text() for e in diag) in [
                 sorted(e.to_text() for e in t) for t in ref_tables]
@@ -298,7 +302,7 @@ def test_monomials_normalize_the_diagonal_group(gens):
 
 def test_gf41_reduction_of_generators(gens):
     reduced = generators.build_all_gf41()
-    assert reduced[0].is_diagonal()
+    assert cyc_reference.is_diagonal(reduced[0])
     from tits27.gf41 import gf
     assert reduced[4].data[0][0] == gf(25)   # 2/5 mod 41
     top = [e for e in reduced[4].data[0] if not e.is_zero()]

@@ -18,19 +18,13 @@ from tits27 import certificates, cyclo, exactlinalg as la, generators, gf41, orb
 from tits27 import zkernel
 
 
-def _decode(row):
-    """27 exact scalars from a 216-coefficient row at SCALE."""
-    row = row.ravel().tolist()
-    return tuple(cyclo.CycNum(row[8 * j:8 * j + 8], ob.SCALE) for j in range(27))
-
-
 def _scalar(c):
     """c times the 27x27 identity."""
     return cyc_reference.scale_matrix(la.ExactMatrix.identity(27, la.RING_CYC), c)
 
 
 def test_fixed_seed_is_fixed_by_psl_generators(gens):
-    v = _decode(ob.seed_fixed_vector().row)
+    v = cyc_reference.point(ob.seed_fixed_vector().row)
     assert v == (cyclo.ONE,) * 3 + (cyclo.ZERO,) * 24
     for m in (gens.f1, gens.f2, gens.ac, gens.eprime):
         assert la.matvec(m, v) == v
@@ -119,9 +113,9 @@ def test_paper_orbits_have_narrow_keys(request, which):
 def test_kernel_images_match_cycnum_matvec(orbit2304, gens5, perms_all):
     # the exact CycNum product is the reference for the integer kernel
     for i in range(0, len(orbit2304), 97):
-        p = orbit2304.point(i)
+        p = cyc_reference.point(orbit2304.coords[i])
         for g, perm in zip(gens5, perms_all.perms):
-            assert la.matvec(g, p) == orbit2304.point(perm[i])
+            assert la.matvec(g, p) == cyc_reference.point(orbit2304.coords[perm[i]])
 
 
 def test_kernel_rejects_non_integral_image(gens, gens5):
@@ -130,20 +124,21 @@ def test_kernel_rejects_non_integral_image(gens, gens5):
         ob.enumerate_orbit(ob.seed_fixed_vector(), [seventh] + gens5[1:])
 
 
-@pytest.mark.parametrize("exponent", [60, 50, 22])
+@pytest.mark.parametrize("exponent", [60, 50, 22, 21, 20, 11])
 def test_kernel_refuses_int64_overflow(monkeypatch, exponent):
-    # 2^60 and 2^50 fail the bound when the generator is compiled (216 * 8 *
-    # 2^50 >= 2^53), before any product; 2^22 passes it for the seed, whose
-    # stored entries are 25, and fails it one level later, where the next
-    # product would reach 216 * 2^22 * 25 * 2^22 > 2^53
+    # 2^k I on the seed, whose stored entries are 25; each refusal names 2^24
+    # and comes before the product it refuses.  Compiling refuses 8 * 2^21 >=
+    # 2^24 and more; 2^20 is compiled, but the seed's product would reach
+    # 216 * 2^20 * 25 >= 2^24; 216 * 2^11 * 25 < 2^24 passes for the seed,
+    # and one level later the product is refused
     calls = []
     raw = zkernel.IntegerAction.raw
     monkeypatch.setattr(zkernel.IntegerAction, "raw",
                         lambda self, rows: calls.append(1) or raw(self, rows))
     big = _scalar(cyclo.CycNum.from_int(2 ** exponent))
-    with pytest.raises(ob.KernelOverflowError):
+    with pytest.raises(ob.KernelOverflowError, match=r"2\^24"):
         ob.enumerate_orbit(ob.seed_fixed_vector(), [big])
-    assert len(calls) == (0 if exponent > 22 else 2)
+    assert len(calls) == {20: 1, 11: 2}.get(exponent, 0)
 
 
 @pytest.mark.parametrize("which, subset", [
@@ -238,7 +233,7 @@ def _first_nonzero_is_one(entries):
 
 def test_projective_points_are_distinct_lines(orbit1755):
     # the first-nonzero-is-1 rule is independent of the mu20 rotation rule
-    lines = {_first_nonzero_is_one(orbit1755.point(i)) for i in range(len(orbit1755))}
+    lines = {_first_nonzero_is_one(cyc_reference.point(row)) for row in orbit1755.coords}
     assert len(lines) == 1755
 
 
@@ -310,17 +305,31 @@ def test_scalar_character_with_a_denominator(gens):
 
 
 def test_scalar_character_refuses_inexact_products():
-    # stored entries of 50: the second product could reach
-    # 216 * 2^20 * (50 * 2^20) >= 2^53, so it is refused before it is formed
-    big = _scalar(cyclo.CycNum.from_int(2 ** 20))
+    # stored entries of 50: the first product of 2^10 I is exact, 216 * 2^10 *
+    # 50 < 2^24, and the second could reach 216 * 2^10 * (50 * 2^10) >= 2^24,
+    # so it is refused before it is formed
+    big = _scalar(cyclo.CycNum.from_int(2 ** 10))
     seed = ob.Seed.of([cyclo.CycNum.from_int(2)] + [cyclo.ZERO] * 26, ob.VECTOR)
     assert ob.scalar_character(seed, [_scalar(cyclo.MINUS_ONE)]) == 10
-    with pytest.raises(ob.KernelOverflowError, match=r"2\^53"):
+    with pytest.raises(ob.NotAnEigenvectorError):
+        ob.scalar_character(seed, [big])
+    with pytest.raises(ob.KernelOverflowError, match=r"2\^24"):
         ob.scalar_character(seed, [big] * 2)
-    # denominators 2^50 and 2^50: D zeta^k v would reach 2^63 in int64
-    tiny = _scalar(cyclo.CycNum.rational(1, 2 ** 50))
+    # -I on a row at the guard, 216 * top < 2^24, and one past it
+    top = (2 ** 24 - 1) // zkernel.DIM
+    for entry, refused in ((top, False), (top + 1, True)):
+        row = np.zeros((1, zkernel.DIM), dtype=np.int64)
+        row[0, 0] = entry
+        edge = ob.Seed(row, ob.VECTOR)
+        if refused:
+            with pytest.raises(ob.KernelOverflowError, match=r"2\^24"):
+                ob.scalar_character(edge, [_scalar(cyclo.MINUS_ONE)])
+        else:
+            assert ob.scalar_character(edge, [_scalar(cyclo.MINUS_ONE)]) == 10
+    # three denominators of 2^23: D zeta^k v would reach 2^63 in int64
+    tiny = _scalar(cyclo.CycNum.rational(1, 2 ** 23))
     with pytest.raises(ob.KernelOverflowError, match=r"2\^63"):
-        ob.scalar_character(seed, [tiny] * 2)
+        ob.scalar_character(seed, [tiny] * 3)
 
 
 def _reference_canonical(rows):
@@ -370,12 +379,13 @@ def test_canonical_refusals():
     rows[0, 5] = rows[2, 40] = 1
     with pytest.raises(ValueError, match="nonzero"):
         ob._canonical(rows, ob.PROJECTIVE)
-    rows[1, 100] = 2 ** 50  # 8 terms of 2^50 reach 2^53
-    with pytest.raises(ob.KernelOverflowError, match=r"2\^53"):
+    rows[1, 100] = 2 ** 21  # 8 terms of 2^21 reach 2^24
+    with pytest.raises(ob.KernelOverflowError, match=r"2\^24"):
         ob._canonical(rows, ob.PROJECTIVE)
-    rows[1, 100] = 2 ** 50 - 1  # just under the bound: every sum is still exact
-    rows[1, 101] = -(2 ** 50 - 1)
-    assert ob._canonical(rows, ob.PROJECTIVE).tolist() == _reference_canonical(rows)
+    rows[1, 100] = 2 ** 21 - 1  # just under the bound: every sum is still exact
+    rows[1, 101] = -(2 ** 21 - 1)
+    got = ob._canonical(rows, ob.PROJECTIVE)
+    assert got.dtype == np.float32 and got.tolist() == _reference_canonical(rows)
 
 
 # sha256 of coords.tobytes() and of images.astype(np.int64).tobytes(),
@@ -473,20 +483,24 @@ def test_stacked_bfs_matches_the_per_generator_bfs(gens5, seed):
     _assert_matches_reference(seed(), gens5)
 
 
-def test_stacked_bfs_in_float64(monkeypatch, gens5, orbit2304):
-    # stored entries reach 25 * 2^17, so 216 * max|B| * max|v| passes 2^24 and
-    # every product of the stack is formed in float64, and keys are int64 bytes
+def test_stacked_bfs_with_wide_keys_at_the_guard(monkeypatch, gens5, orbit2304):
+    # s = 1553 is the largest s with 216 * max|B| * 25 s < 2^24 (max|B| = 2):
+    # stored entries reach 25 s, every product of the stack is exact in
+    # float32, and keys are int64 bytes; at s + 1 the seed's product is refused
+    s = (2 ** 24 - 1) // (zkernel.DIM * 2 * ob.SCALE)
     seen = []
     raw = zkernel.IntegerAction.raw
     monkeypatch.setattr(zkernel.IntegerAction, "raw",
                         lambda self, rows: seen.append(raw(self, rows)) or seen[-1])
-    orbit = ob.enumerate_orbit(_scaled_seed(2 ** 17), gens5)
-    assert seen and {out.dtype for out in seen} == {np.dtype(np.float64)}
+    orbit = ob.enumerate_orbit(_scaled_seed(s), gens5)
+    assert seen and {out.dtype for out in seen} == {np.dtype(np.float32)}
     assert {len(k) for k in orbit.index} == {1728}
-    assert np.array_equal(orbit.coords, 2 ** 17 * orbit2304.coords)
+    assert np.array_equal(orbit.coords, s * orbit2304.coords)
     assert np.array_equal(orbit.images, orbit2304.images)
+    with pytest.raises(ob.KernelOverflowError, match=r"2\^24"):
+        ob.enumerate_orbit(_scaled_seed(s + 1), gens5)
     monkeypatch.undo()
-    _assert_matches_reference(_scaled_seed(2 ** 17), gens5)
+    _assert_matches_reference(_scaled_seed(s), gens5)
 
 
 def _outcome(fn, *args, **kw):
@@ -498,12 +512,14 @@ def _outcome(fn, *args, **kw):
 
 def test_stack_refuses_what_the_per_generator_bfs_refuses(gens, gens5):
     # the stack guards with max|B| over its blocks, and the per-generator BFS
-    # refuses as soon as one generator's product would pass 2^53, so the two
-    # refuse the same sets: at 25 s just under 2^53 / 216, the monomial
-    # generators (max|B| = 1) are accepted and eprime (max|B| = 2) is not
-    s = (2 ** 53 - 1) // (zkernel.DIM * ob.SCALE)
+    # refuses as soon as one generator's product would pass 2^24, so the two
+    # refuse the same sets: at 25 s just under 2^24 / 216, the monomial
+    # generators (max|B| = 1) are accepted and eprime (max|B| = 2) is not.
+    # 2^10 I passes its first product and is refused one level later, where
+    # eprime still takes the rows of 25 * 2^10
+    s = (2 ** 24 - 1) // (zkernel.DIM * ob.SCALE)
     seventh = cyc_reference.scale_matrix(gens.f1, cyclo.CycNum.rational(1, 7))
-    big = _scalar(cyclo.CycNum.from_int(2 ** 22))
+    big = _scalar(cyclo.CycNum.from_int(2 ** 10))
     monomial = [gens.f1, gens.f2, gens.d, gens.ac]
     cases = [
         (ob.seed_fixed_vector(), gens5, {"cap": 100}, ob.CapExceededError),
@@ -576,15 +592,17 @@ def test_certificates_drop_the_orbit_and_the_chain(monkeypatch):
 
 
 def test_canonical_keeps_float_rows_in_an_exact_type(orbit1755):
-    # rotations sum 8 entries: float32 while 8 * max|v| < 2^24, float64 after
+    # rotations sum 8 entries: float32 while 8 * max|v| < 2^24, refused after
     rows = orbit1755.coords[::7].copy()
     assert zkernel.max_abs(rows) == 25
     expected = ob._canonical(rows, ob.PROJECTIVE)
     assert ob._canonical(rows.astype(np.float32), ob.PROJECTIVE).dtype == np.float32
     top = (2 ** 24 - 1) // 8
-    for scale, dtype in ((top // 25, np.float32), (top // 25 + 1, np.float64)):
-        got = ob._canonical((scale * rows).astype(np.float32), ob.PROJECTIVE)
-        assert got.dtype == dtype and (got == scale * expected).all()
+    got = ob._canonical((top // 25 * rows).astype(np.float32), ob.PROJECTIVE)
+    assert got.dtype == np.float32 and (got == top // 25 * expected).all()
+    for dtype in (np.float32, np.int64):
+        with pytest.raises(ob.KernelOverflowError, match=r"2\^24"):
+            ob._canonical(((top // 25 + 1) * rows).astype(dtype), ob.PROJECTIVE)
 
 
 def test_projective_orbit_does_not_import_numpy_ma():
@@ -612,7 +630,8 @@ def test_certified_base_is_independent_mod_41(orbit2304, perms_all, perms_psl):
     # an independent proof of rank 27, through the scalar reduction
     base = perms_all.certified_base
     assert len(set(base)) == 27 and max(base) < 33
-    residues = [[gf41.reduce_cyc(e).value for e in orbit2304.point(i)] for i in base]
+    residues = [[gf41.reduce_cyc(e).value for e in cyc_reference.point(orbit2304.coords[i])]
+                for i in base]
     assert gf41.rank(np.array(residues)) == 27
     assert perms_psl.certified_base == base
 
@@ -621,7 +640,8 @@ def test_reduce_rows_matches_reduce_cyc(orbit2304):
     red = gf41.reduce_rows(orbit2304.coords, ob.SCALE)
     assert red.shape == (2304, 27)
     for i in range(0, len(orbit2304), 97):
-        assert red[i].tolist() == [gf41.reduce_cyc(e).value for e in orbit2304.point(i)]
+        assert red[i].tolist() == [gf41.reduce_cyc(e).value
+                                   for e in cyc_reference.point(orbit2304.coords[i])]
 
 
 def test_certified_base_is_formed_once_per_orbit(monkeypatch, orbit2304, gens5, perms_all):

@@ -89,17 +89,18 @@ def test_dense_division_is_exact_or_refused(gens):
 
 def test_dense_kernel_refuses_large_rows(gens):
     # 5 * eprime has coefficients 0, +-1 and +-2, and so does its 216x216
-    # matrix B, so rows up to max|v| pass while 216 * 2 * max|v| < 2^53;
-    # at the limit the float64 product still equals the integer one
+    # matrix B, so rows up to max|v| pass while 216 * 2 * max|v| < 2^24;
+    # at the limit the float32 product still equals the integer one
     act = IntegerAction(gens.eprime)
     assert act.max_b == 2
-    limit = (2 ** 53 - 1) // (DIM * 2)
+    limit = (2 ** 24 - 1) // (DIM * 2)
     rows = np.full((2, DIM), limit, dtype=np.int64)
     rows[1, ::3] *= -1
-    assert (act.raw(rows) == reference_dense(gens.eprime, rows)).all()
-    with pytest.raises(KernelOverflowError):
+    out = act.raw(rows)
+    assert out.dtype == np.float32 and (out == reference_dense(gens.eprime, rows)).all()
+    with pytest.raises(KernelOverflowError, match=r"2\^24"):
         act.raw(np.full((1, DIM), limit + 1, dtype=np.int64))
-    with pytest.raises(KernelOverflowError):
+    with pytest.raises(KernelOverflowError, match=r"2\^24"):
         act.raw(np.full((1, 27), -limit - 1, dtype=np.int64))
 
 
@@ -137,9 +138,9 @@ def _top(act, bits):
 
 def _rows_under_the_guard(rnd, act, n, width, top=None):
     """Mixed-sign rows with max|v| = top, by default the largest value the
-    2^53 guard accepts for act, one of them signed like a column of B so that
+    2^24 guard accepts for act, one of them signed like a column of B so that
     its image is as large as it gets."""
-    top = _top(act, 53) if top is None else top
+    top = _top(act, 24) if top is None else top
     rows = np.array([[rnd.choice((-1, 1)) * rnd.randint(top // 2, top) for _ in range(width)]
                      for _ in range(n)], dtype=np.int64)
     rows[0, 0] = top
@@ -167,28 +168,35 @@ def test_kernel_is_exact_just_under_the_guard(seed):
         # D m (D w) = D (D m w) divides by D; truncation keeps max|v|
         multiples = np.sign(rows) * (np.abs(rows) // act.den * act.den)
         assert (act(multiples) == reference_dense(m, multiples) // act.den).all()
+        # one step past the guard, the same rows are refused before any product
+        with pytest.raises(KernelOverflowError, match=r"2\^24"):
+            act.raw(rows + (rows == _top(act, 24)))
 
 
 @pytest.mark.parametrize("name", generators.NAMES)
 def test_float32_kernel_is_exact_up_to_its_guard(gens, name):
-    # float rows take float32 while 216 * max|B| * max|v| < 2^24, and float64
-    # from the first max|v| past it; both equal the product in Python integers
+    # float rows are multiplied in float32 while 216 * max|B| * max|v| < 2^24,
+    # equal to the product in Python integers, and refused from the first
+    # max|v| past it
     m = getattr(gens, name)
     act = IntegerAction(m)
     rnd = random.Random(name)
     top = _top(act, 24)
     for width in (DIM, 27):
-        for max_v, dtype in ((top, np.float32), (top + 1, np.float64)):
-            rows = _rows_under_the_guard(rnd, act, 4, width, max_v)
-            out = act.raw(rows.astype(np.float32))
-            assert out.dtype == dtype and (out == reference_dense(m, rows)).all()
+        rows = _rows_under_the_guard(rnd, act, 4, width, top)
+        out = act.raw(rows.astype(np.float32))
+        assert out.dtype == np.float32 and (out == reference_dense(m, rows)).all()
+        with pytest.raises(KernelOverflowError, match=r"2\^24"):
+            act.raw(_rows_under_the_guard(rnd, act, 4, width, top + 1).astype(np.float32))
         # rows of D times an integer, at the largest such max|v| under the bound
-        # and the first past it: the image divides by D, in the type of the product
-        for max_w, dtype in ((top // act.den, np.float32), (top // act.den + 1, np.float64)):
-            rows = act.den * _rows_under_the_guard(rnd, act, 4, width, max_w)
-            quot = act(rows.astype(np.float32))
-            assert quot.dtype == dtype
-            assert (quot == reference_dense(m, rows) // act.den).all()
+        # and the first past it: the image divides by D, in float32, or is refused
+        rows = act.den * _rows_under_the_guard(rnd, act, 4, width, top // act.den)
+        quot = act(rows.astype(np.float32))
+        assert quot.dtype == np.float32
+        assert (quot == reference_dense(m, rows) // act.den).all()
+        rows = act.den * _rows_under_the_guard(rnd, act, 4, width, top // act.den + 1)
+        with pytest.raises(KernelOverflowError, match=r"2\^24"):
+            act(rows.astype(np.float32))
     if act.den > 1:
         # eprime: images of rows at the bound that D does not divide are refused
         rows = _rows_under_the_guard(rnd, act, 4, DIM, top)
@@ -199,14 +207,19 @@ def test_float32_kernel_is_exact_up_to_its_guard(gens, name):
 
 
 def test_float_rows_past_the_float64_guard_are_refused(gens):
-    # rows of either kind: refused past the 2^53 guard, and multiplied in
-    # float32 up to the 2^24 one and in float64 from the first value past it
+    # rows of either kind are refused past 2^53, as they are from the first
+    # value past the 2^24 guard, and multiplied in float32 up to it
     act = IntegerAction(gens.eprime)
     for dtype in (np.float64, np.int64):
-        with pytest.raises(KernelOverflowError, match=r"2\^53"):
-            act.raw(np.full((1, DIM), _top(act, 53) + 1, dtype=dtype))
-    assert act.raw(np.full((1, DIM), _top(act, 24), dtype=np.int64)).dtype == np.float32
-    assert act.raw(np.full((1, DIM), -_top(act, 24) - 1, dtype=np.int64)).dtype == np.float64
+        for max_v in (_top(act, 53) + 1, _top(act, 24) + 1):
+            with pytest.raises(KernelOverflowError, match=r"2\^24"):
+                act.raw(np.full((1, DIM), max_v, dtype=dtype))
+        with pytest.raises(KernelOverflowError, match=r"2\^24"):
+            act.raw(np.full((1, DIM), -_top(act, 24) - 1, dtype=dtype))
+        rows = np.full((1, DIM), _top(act, 24), dtype=dtype)
+        out = act.raw(rows)
+        assert out.dtype == np.float32
+        assert (out == reference_dense(gens.eprime, rows.astype(np.int64))).all()
 
 
 def _arrays(act):
@@ -254,37 +267,57 @@ def _scaled_identity(c, den):
     return la.ExactMatrix.from_coeffs(coeffs, den)
 
 
-@pytest.mark.parametrize("c, dtype", [(2 ** 24 - 1, np.float32), (2 ** 24, np.float64)])
-def test_stored_b_is_float32_below_2_to_the_24(c, dtype):
-    # B is held in float32 below 2^24 and in float64 from 2^24 on; either way
-    # every product is float64 (216 c > 2^24), equals the product in Python
-    # integers and divides by D = 11 exactly, and B keeps its stored type
+@pytest.mark.parametrize("c", [2 ** 21 - 1, 2 ** 21])
+def test_stored_b_is_float32_below_2_to_the_24(c):
+    # compiling c I / 11 sums 8 terms of c at most: 8 c < 2^24 holds B once,
+    # in float32 and exact, and 8 c = 2^24 is refused before any product.
+    # A B this large admits no row (216 c >= 2^24)
     m = _scaled_identity(c, 11)
+    if 8 * c >= 2 ** 24:
+        with pytest.raises(KernelOverflowError, match=r"2\^24"):
+            IntegerAction(m)
+        return
     act = IntegerAction(m)
     assert act.den == 11 and act.max_b == c
-    assert _arrays(act) == ["dense"] and act.dense.dtype == dtype
-    rnd = random.Random(c)
-    for width in (DIM, 27):
-        rows = 11 * _rows(rnd, 6, width)
-        expected = reference_dense(m, rows)
-        out = act.raw(rows)
-        assert out.dtype == np.float64 and (out == expected).all()
-        assert (act(rows) == expected // 11).all()
-        with pytest.raises(ScaleError):
-            act(rows + 1)  # c is prime to 11
-    assert _arrays(act) == ["dense"] and act.dense.dtype == dtype
+    assert _arrays(act) == ["dense"] and act.dense.dtype == np.float32
+    assert (act.dense == c * np.eye(DIM)).all()
+    with pytest.raises(KernelOverflowError, match=r"2\^24"):
+        act.raw(np.eye(1, DIM, dtype=np.int64))
 
 
-def test_stack_of_a_float32_and_a_float64_b_is_float64_and_exact():
-    ms = [_scaled_identity(c, 11) for c in (2 ** 24 - 1, 2 ** 24)]
+def test_compile_refuses_a_denominator_of_2_to_the_24():
+    # D < 2^24 keeps p / D in float32 an integer exactly when D divides p:
+    # under D = 2^24 - 1 the largest row I / D admits is refused, not rounded
+    act = IntegerAction(_scaled_identity(1, 2 ** 24 - 1))
+    assert act.den == 2 ** 24 - 1
+    top = np.full((1, DIM), _top(act, 24), dtype=np.int64)
+    with pytest.raises(ScaleError):
+        act(top)
+    assert not act(0 * top).any()
+    with pytest.raises(KernelOverflowError, match=r"2\^24"):
+        IntegerAction(_scaled_identity(1, 2 ** 24))
+
+
+def test_stack_is_guarded_by_its_largest_b_and_exact():
+    # c = 7061 is the largest c with 216 c 11 < 2^24: a stack of c I / 11 and
+    # I / 11 takes rows of 11 times +-1, exactly, and refuses rows of 12,
+    # which I / 11 alone accepts
+    c = (2 ** 24 - 1) // (DIM * 11)
+    ms = [_scaled_identity(1, 11), _scaled_identity(c, 11)]
     acts = [IntegerAction(m) for m in ms]
-    assert [a.dense.dtype for a in acts] == [np.float32, np.float64]
     stack = IntegerAction.stack(acts)
-    assert stack.dense.dtype == np.float64 and stack.dens == (11, 11)
-    rows = 11 * _rows(random.Random(24), 6, DIM)
+    assert stack.dense.dtype == np.float32 and stack.dens == (11, 11) and stack.max_b == c
+    rows = 11 * np.sign(_rows(random.Random(24), 6, DIM))
+    rows[0, 0] = 11
     expected = np.hstack([reference_dense(m, rows) for m in ms])
     assert (stack.raw(rows) == expected).all()
     assert (stack(rows) == expected // 11).all()
+    with pytest.raises(ScaleError):
+        stack(rows - np.sign(rows))  # 10 / 11 and c 10 / 11 are not integers
+    twelve = np.full((1, DIM), 12, dtype=np.int64)
+    assert (acts[0].raw(twelve) == 12).all()
+    with pytest.raises(KernelOverflowError, match=r"2\^24"):
+        stack.raw(twelve)
 
 
 @pytest.mark.parametrize("name", [*generators.NAMES, "eprime.ac.f1", "random"])
