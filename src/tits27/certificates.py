@@ -47,7 +47,7 @@ def rows(fast: bool = False, seed: int = 12345):
     form = cubicform.dickson_form()
     yield ("cubic form has 45 terms", len(form) == 45)
     yield ("every term passes the eigenvalue test",
-           all(cubicform.eigenvalue_check(t) for t in form))
+           bool(cubicform.eigenvalue_check(form).all()))
     for name, m in g.as_dict().items():
         ok, flip_safe = cubicform.invariance_report(form, m)
         yield (f"cubic form invariant under {name}", ok)

@@ -92,9 +92,9 @@ def _cmd_order(args):
 
 def _cmd_cubic(args):
     form = cubicform.dickson_form()
-    for t in form:
-        u, v, w = t.sorted_coords
-        print(f"{'+' if t.sign > 0 else '-'} {u} {v} {w}")
+    for row, sign in zip(form.idx, form.signs):
+        u, v, w = (generators.LABELS[i] for i in row)
+        print(f"{'+' if sign > 0 else '-'} {u} {v} {w}")
     if args.check:
         g = generators.build_all()
         failed = False

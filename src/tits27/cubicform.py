@@ -1,10 +1,14 @@
 """The 45-term invariant cubic form on the 27 coordinates.
 
 A term is an unordered triple of distinct coordinate labels with a sign; the
-form is C(x) = sum sign * x_u x_v x_w.  The monomial generators d and ac
-permute the coordinates with unit scalars, so they map signed triples to
-signed triples, and the full form is the closure of four seed triples under
-their term maps (below):
+form is C(x) = sum sign * x_u x_v x_w.  A form is held as its symmetric
+coefficient tensor T on label indices (`CubicForm`), a 27 x 27 x 27 int8
+array with the term's sign at every ordering of its three indices and 0
+elsewhere, so that C(x) = T(x, x, x)/6; every check reads T or the terms'
+index rows derived from it.  The monomial generators d and ac permute the
+coordinates with unit scalars, so they map signed terms to signed terms,
+and the full form is the closure of four seed terms under their term maps
+(below):
 
     + (-3,-2,-1)    - (-3,1,4)    - (1,9,17)    + (1,10,24)
 
@@ -40,7 +44,9 @@ of distinct terms are distinct squarefree monomials, and
 
 has exactly one term per term of C.  So C(m x) = C(x) iff every sigma(t) is
 a term u of C and the block product is sign_t sign_u D^3 e_0: sigma is then
-injective from the 45 terms into the 45 terms, so onto them.  The column
+injective from the 45 terms into the 45 terms, so onto them.  sign_u is
+read as T at sigma(a), sigma(b), sigma(c) in that order, which T, being
+symmetric, allows; it is 0 when sigma(t) is not a term.  The column
 condition is needed: a singular m whose rows are single but share a column
 can send two terms onto one monomial, whose coefficient is their sum.  The
 block entries are integers below 2^24 (see `zkernel`), and each of the two
@@ -48,9 +54,8 @@ int64 products of 8-term sums is refused by `check_range` unless 8 times
 the largest entries of its two factors stays below 2^63: for 2^k times the
 identity that admits k <= 19 (8 * 2^k * 2^2k < 2^63) and refuses k >= 20.
 
-The dense path.  Other matrices are checked on the whole tensor.  With T
-the symmetric coefficient tensor, C(x) = T(x, x, x)/6, so C(m x) =
-T'(x, x, x)/6 with
+The dense path.  Other matrices are checked on the whole tensor.  As
+C(x) = T(x, x, x)/6, C(m x) = T'(x, x, x)/6 with
 
     T'_abc = sum_ijk T_ijk m_ia m_jb m_kc,
 
@@ -81,7 +86,6 @@ every matrix, block-monomial or not; no expansion is needed.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -104,75 +108,72 @@ class SignConflictError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class SignedTriple:
-    """An unordered triple of distinct labels with a sign +-1."""
-
-    coords: frozenset
-    sign: int
-
-    def __post_init__(self):
-        if len(self.coords) != 3:
-            raise ValueError("need 3 distinct coordinate labels")
-        if self.sign not in (1, -1):
-            raise ValueError("sign must be +-1")
-        if not self.coords <= set(LABELS):
-            raise ValueError(f"unknown labels in {set(self.coords)}")
-
-    @property
-    def sorted_coords(self):
-        return tuple(sorted(self.coords))
+def _labels(row) -> tuple:
+    return tuple(LABELS[i] for i in row)
 
 
-def triple(a, b, c, sign):
-    return SignedTriple(frozenset((a, b, c)), sign)
+def _terms(t):
+    """The rows u < v < w of the nonzero entries of t, in lexicographic
+    order, and their signs."""
+    idx = np.array(np.unravel_index(np.flatnonzero(t), t.shape)).T
+    idx = idx[(idx[:, 0] < idx[:, 1]) & (idx[:, 1] < idx[:, 2])]
+    return idx, t[tuple(idx.T)].astype(np.int64)
 
 
-#: The four seed triples with their signs.
-SEEDS = (
-    triple(-3, -2, -1, +1),
-    triple(-3, 1, 4, -1),
-    triple(1, 9, 17, -1),
-    triple(1, 10, 24, +1),
-)
+def _write(t, idx, signs):
+    """Write each sign at every ordering of its row of idx, and return the
+    mask of the rows that held 0; raise SignConflictError if a row held, or
+    is given, the other sign."""
+    idx = np.sort(idx, axis=1)
+    old = t[tuple(idx.T)].astype(np.int64)
+    for order in itertools.permutations(idx.T):
+        t[order] = signs
+    bad = (old == -signs) | (t[tuple(idx.T)] != signs)
+    if bad.any():
+        raise SignConflictError(f"conflicting signs on {_labels(idx[bad.argmax()])}")
+    return old == 0
 
 
 class CubicForm:
-    """An immutable set of signed triples, at most one sign per triple."""
+    """A cubic form held as its symmetric coefficient tensor T, a read-only
+    27 x 27 x 27 int8 array on label indices: T[u, v, w] is the sign of the
+    term on {u, v, w} for every ordering, and 0 off the terms, so that
+    C(x) = T(x, x, x)/6.  `idx` holds the terms' label indices, one
+    increasing row each, in lexicographic order, and `signs` their signs."""
 
-    def __init__(self, terms):
-        terms = sorted(terms, key=lambda t: t.sorted_coords)
-        signs = {}
-        for t in terms:
-            if signs.setdefault(t.coords, t.sign) != t.sign:
-                raise SignConflictError(f"conflicting signs on {t.sorted_coords}")
-        self.terms = tuple(terms)
-        self._signs = signs
+    def __init__(self, terms=()):
+        """The form of (labels, sign) pairs: three distinct labels and +-1."""
+        terms = [(tuple(labels), sign) for labels, sign in terms]
+        for labels, sign in terms:
+            if len(labels) != 3 or len(set(labels)) != 3:
+                raise ValueError("need 3 distinct coordinate labels")
+            if sign not in (1, -1):
+                raise ValueError("sign must be +-1")
+            if not set(labels) <= LABEL_INDEX.keys():
+                raise ValueError(f"unknown labels in {set(labels)}")
+        t = np.zeros((27, 27, 27), dtype=np.int8)
+        _write(t, np.array([[LABEL_INDEX[lab] for lab in labels] for labels, _ in terms],
+                           dtype=np.intp).reshape(-1, 3), np.array([s for _, s in terms]))
+        self._hold(t)
 
-    def sign_of(self, coords):
-        return self._signs.get(frozenset(coords))
-
-    def __iter__(self):
-        return iter(self.terms)
+    def _hold(self, t):
+        self.tensor = t
+        self.idx, self.signs = _terms(t)
+        for a in (self.tensor, self.idx, self.signs):
+            a.flags.writeable = False
 
     def __len__(self):
-        return len(self.terms)
+        return len(self.idx)
 
     def __eq__(self, other):
-        if not isinstance(other, CubicForm):
-            return NotImplemented
-        return self.terms == other.terms
+        return isinstance(other, CubicForm) and np.array_equal(self.tensor, other.tensor)
 
     def __repr__(self):
-        return f"<CubicForm {len(self.terms)} terms>"
+        return f"<CubicForm {len(self)} terms>"
 
 
-def _term_arrays(c):
-    """The label indices of the signed triples of c, one increasing row each,
-    and their signs."""
-    idx = [[LABEL_INDEX[lab] for lab in t.sorted_coords] for t in c]
-    return (np.array(idx, dtype=np.intp).reshape(-1, 3),
-            np.array([t.sign for t in c], dtype=np.int64))
+#: The four seed terms, as (labels, sign) pairs.
+SEEDS = (((-3, -2, -1), +1), ((-3, 1, 4), -1), ((1, 9, 17), -1), ((1, 10, 24), +1))
 
 
 def _term_map(m: ExactMatrix, idx):
@@ -204,23 +205,23 @@ def _term_map(m: ExactMatrix, idx):
 
 
 def close_terms(seeds, gens) -> CubicForm:
-    """Breadth-first closure of seed triples under the term maps of `gens`.
+    """Breadth-first closure of seed (labels, sign) pairs under the term maps
+    of `gens`.
 
     Each level of new terms goes through the term map of each matrix once:
     t goes to sigma(t) with sign sign_t * s, where s D^3 e_0 is its block
-    product.  A matrix that is not block-monomial raises NotMonomialError,
-    any other block product NonRealSignError, and a coordinate set reached
-    with both signs SignConflictError.  The resulting form does not depend
-    on the order of the seeds or of the matrices.
+    product, written into T; the next level is the images whose entries of
+    T were 0 before they were written.  A matrix that is not block-monomial
+    raises NotMonomialError, any other block product NonRealSignError, and
+    a label set reached with both signs SignConflictError.  The resulting
+    form does not depend on the order of the seeds or of the matrices.
     """
-    signs = {}
-    for t in seeds:
-        if signs.setdefault(t.coords, t.sign) != t.sign:
-            raise SignConflictError(f"conflicting seed signs on {t.sorted_coords}")
-    level = [SignedTriple(c, s) for c, s in signs.items()]
-    while level:
-        idx, level_signs = _term_arrays(level)
-        new = []
+    t = np.zeros((27, 27, 27), dtype=np.int8)
+    form = CubicForm(seeds)
+    idx, signs = form.idx, form.signs
+    _write(t, idx, signs)
+    while len(idx):
+        level = [idx[:0]]
         for m in gens:
             d3, monomial, sigma, _, prods = _term_map(m, idx)
             if not monomial:
@@ -228,44 +229,28 @@ def close_terms(seeds, gens) -> CubicForm:
             real = (np.abs(prods[:, 0]) == d3) & ~prods[:, 1:].any(axis=1)
             if not real.all():
                 raise NonRealSignError(f"the scalar product on "
-                                       f"{level[int(real.argmin())].sorted_coords} is not +-1")
-            for img, sign in zip(sigma[idx], level_signs * np.sign(prods[:, 0])):
-                u = SignedTriple(frozenset(LABELS[i] for i in img), int(sign))
-                if u.coords not in signs:
-                    signs[u.coords] = u.sign
-                    new.append(u)
-                elif signs[u.coords] != u.sign:
-                    raise SignConflictError(f"sign conflict reaching {u.sorted_coords}")
-        level = new
-    return CubicForm(SignedTriple(c, s) for c, s in signs.items())
+                                       f"{_labels(idx[real.argmin()])} is not +-1")
+            # sigma is a permutation, so the images of one level are distinct
+            images = np.sort(sigma[idx], axis=1)
+            level.append(images[_write(t, images, signs * np.sign(prods[:, 0]))])
+        idx = np.concatenate(level)
+        signs = t[tuple(idx.T)].astype(np.int64)
+    form = CubicForm.__new__(CubicForm)
+    form._hold(t)
+    return form
 
 
-def eigenvalue_check(t: SignedTriple) -> bool:
-    """Whether both diagonal generators act trivially on the monomial."""
-    for table in (F1_EXP, F2_EXP):
-        if sum(table[LABEL_INDEX[c]] for c in t.coords) % 5 != 0:
-            return False
-    return True
+def eigenvalue_check(c: CubicForm) -> np.ndarray:
+    """For each term of c, whether both diagonal generators act trivially on
+    its monomial."""
+    return ~(np.array([F1_EXP, F2_EXP])[:, c.idx].sum(axis=2) % 5).any(axis=0)
 
 
 @lru_cache(maxsize=1)
 def dickson_form() -> CubicForm:
     """The 45-term form: closure of the seeds under the monomial generators."""
     g = generators.build_all()
-    form = close_terms(SEEDS, (g.d, g.ac))
-    assert len(form) == 45
-    return form
-
-
-def _tensor_array(c: CubicForm) -> np.ndarray:
-    """The fully symmetric coefficient tensor of c on label indices, a
-    27 x 27 x 27 int8 array: T[u, v, w] = sign for every ordering of each
-    term, 270 nonzero entries for 45 terms, and C(x) = T(x, x, x)/6."""
-    idx, signs = _term_arrays(c)
-    t = np.zeros((27, 27, 27), dtype=np.int8)
-    for order in itertools.permutations(idx.T):
-        t[order] = signs
-    return t
+    return close_terms(SEEDS, (g.d, g.ac))
 
 
 #: Slabs of T' per slot-i and slot-j product; their temporaries stay small.
@@ -278,15 +263,15 @@ def _dense_invariant(c: CubicForm, m: ExactMatrix) -> bool:
     # the image is compared with D^3 T, so D^3 must be an int64 too (T is int8)
     zkernel.check_range(1, act.den ** 3, 1)
     d3 = np.int64(act.den ** 3)
-    t = _tensor_array(c)
+    t = c.tensor
     # slot k on all 729 rows of T at once: first[i, j, a] = D * sum_k m_ka T_ijk
     first = act.raw(t.reshape(729, 27)).reshape(27, 27, 27, 8)
     for a in range(0, 27, SLABS):
         # slots i and j of SLABS slabs, each moved last in turn and transformed
         rows = first[:, :, a:a + SLABS].transpose(1, 2, 0, 3)
         for _ in range(2):
-            rows = act.raw(rows.reshape(-1, zkernel.DIM)).reshape(27, SLABS, 27, 8)
-            rows = rows.transpose(2, 1, 0, 3)
+            rows = rows.reshape(-1, zkernel.DIM)  # a copy: the last product is freed first
+            rows = act.raw(rows).reshape(27, SLABS, 27, 8).transpose(2, 1, 0, 3)
         # rows[e, s, b] = D^3 T'_b,e,a+s
         if not (np.array_equal(rows[..., 0], d3 * t[:, :, a:a + SLABS].transpose(1, 2, 0))
                 and not rows[..., 1:].any()):
@@ -298,24 +283,26 @@ def invariance_report(c: CubicForm, m: ExactMatrix):
     """Decide C(m x) = C(x) exactly on the integer kernel.
 
     Returns (invariant, flip_safe) where `invariant` says C(m x) = C(x) and
-    `flip_safe` lists, in form order, the terms t whose monomial m fixes:
-    (m x)_i (m x)_j (m x)_k = x_i x_j x_k for t = {i, j, k}.  Flipping t
-    changes C by -2 sign_t x_i x_j x_k, so for an invariant form the
-    flipped form is invariant iff t is flip-safe (expected empty for a
-    faithful dense generator).  A block-monomial m is decided by its term
-    map, any other by `_dense_invariant` (see the module docstring).
+    `flip_safe` lists, in form order, as (labels, sign) pairs, the terms t
+    whose monomial m fixes: (m x)_i (m x)_j (m x)_k = x_i x_j x_k for
+    t = {i, j, k}.  Flipping t changes C by -2 sign_t x_i x_j x_k, so for an
+    invariant form the flipped form is invariant iff t is flip-safe
+    (expected empty for a faithful dense generator).  A block-monomial m is
+    decided by its term map, any other by `_dense_invariant` (see the module
+    docstring).
     """
-    idx, signs = _term_arrays(c)
+    idx, signs = c.idx, c.signs
     d3, monomial, sigma, mapped, prods = _term_map(m, idx)
     e0 = np.eye(8, dtype=np.int64)[0]
     fixed = np.zeros(len(idx), dtype=bool)
     fixed[mapped] = ((np.sort(sigma[idx[mapped]], axis=1) == idx[mapped]).all(axis=1)
                      & (prods == d3 * e0).all(axis=1))
-    flip_safe = [t for t, ok in zip(c, fixed) if ok]
+    flip_safe = [(_labels(row), int(s)) for row, s in zip(idx[fixed], signs[fixed])]
     if not monomial:
         return _dense_invariant(c, m), flip_safe
-    signs *= [c.sign_of(LABELS[i] for i in img) or 0 for img in sigma[idx]]
-    return np.array_equal(prods, np.outer(d3 * signs, e0)), flip_safe
+    # T is symmetric, so it reads the sign of sigma(t) in any order, 0 off the terms
+    images = signs * c.tensor[tuple(sigma[idx].T)]
+    return np.array_equal(prods, np.outer(d3 * images, e0)), flip_safe
 
 
 def jordan_identity_check(c: CubicForm, gens) -> tuple:
@@ -336,7 +323,6 @@ def jordan_identity_check(c: CubicForm, gens) -> tuple:
     for name, m in gens.items():
         act = zkernel.IntegerAction.of(m)
         checks.append((f"{name} fixes (1,1,1;0^24)", np.array_equal(act.raw(row), act.den * wide)))
-    idx, signs = _term_arrays(c)
-    value = int((signs * row[0, idx].prod(axis=1)).sum())
+    value = int((c.signs * row[0, c.idx].prod(axis=1)).sum())
     checks.append(("form value on fixed vector is +1", value == 1))
     return tuple(checks)

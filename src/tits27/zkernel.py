@@ -56,13 +56,15 @@ Exactness guards
     its axes then permuted: an entry sums 8 coefficients times 0 or +-1, so
     each partial sum is at most 8c, B is exact and max|B| <= 8c (1 or 2 for
     every paper generator).  Before each application `raw` checks
-    216 * max|B| * max|V| < 2^24, with max|B| and max|V| taken as at least 1,
-    and raises KernelOverflowError otherwise.  Then every entry of B and of
-    the rows, and every product of one entry of each, is an integer below
-    2^24.  An entry of the result is a sum of at most 216 of those products;
-    in any summation order, and with or without fused multiply-add, each
-    partial sum is an integer bounded by the sum of the absolute values of
-    its terms, below 2^24, so no operation rounds.  Rows of either kind,
+    w * max|B| * max|V| < 2^24, with w the row width, 216 or 27, and max|B|
+    and max|V| taken as at least 1, and raises KernelOverflowError
+    otherwise.  Then every entry of B and of the rows, and every product of
+    one entry of each, is an integer below 2^24.  An entry of the result is
+    a sum of w of those products: a 216-column row meets all 216 rows of B,
+    a 27-column row only the 27 rows B[0::8].  In any summation order, and
+    with or without fused multiply-add, each partial sum is an integer
+    bounded by the sum of the absolute values of its terms, below 2^24, so
+    no operation rounds.  Rows of either kind,
     integers or floats that hold integers (the kernel's own images), are
     cast to float32 exactly, and the result is a float32 array of exact
     integers for the caller to key or compare; a caller that scales it casts
@@ -71,7 +73,7 @@ Exactness guards
     stack (`IntegerAction.stack`) places the B of k actions side by side,
     one 216 x 216k matrix, so `raw` applies them all to the same rows as one
     product.  Each entry of that product is the entry of one block's
-    product, a sum of 216 products of an entry of that B and one of the
+    product, a sum of w products of an entry of that B and one of the
     rows, so the guard above holds with max|B| taken over the stack.  A call
     divides only the blocks whose D exceeds 1, each by its own D, with the
     exactness test below and ScaleError; the blocks with D = 1 are left as
@@ -148,7 +150,6 @@ class IntegerAction:
         own D (see Exactness guards)."""
         act = cls.__new__(cls)
         act.dens = tuple(a.den for a in actions)
-        act.den = max(act.dens)
         act.max_b = max(a.max_b for a in actions)
         act.dense = np.hstack([a.dense for a in actions])
         return act
@@ -168,8 +169,8 @@ class IntegerAction:
         The rows are integers, or floats that hold integers, and the product
         must fit the guard of the module docstring.
         """
-        check_range(DIM, max(self.max_b, 1), max(max_abs(rows), 1), bits=24)
         dense = self.dense if rows.shape[1] == DIM else self.dense[0::8]
+        check_range(len(dense), max(self.max_b, 1), max(max_abs(rows), 1), bits=24)
         return rows.astype(np.float32, copy=False) @ dense
 
     def __call__(self, rows):

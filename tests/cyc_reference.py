@@ -7,7 +7,7 @@ block is placed with its scalar by one `CycNum` product per entry.  The
 exponent tables are `generators.F1_EXP` and `F2_EXP`; the eprime layout is
 restated here.  Also `scale_matrix`, the scalar multiple of a matrix entry
 by entry, and `conj_transpose`, the conjugate transpose entry by entry;
-and the test-side views `point`, `with_flipped`, `is_diagonal` and
+and the test-side views `point`, `terms`, `with_flipped`, `is_diagonal` and
 `approx`, which no program code reads.
 """
 
@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from tits27 import cyclo, generators
-from tits27.cubicform import CubicForm, SignedTriple
+from tits27.cubicform import CubicForm
 from tits27.cyclo import CycNum
 from tits27.exactlinalg import ExactMatrix, RING_CYC
 from tits27.orbits import SCALE
@@ -46,11 +46,16 @@ def point(row) -> tuple:
     return tuple(CycNum(row[8 * j:8 * j + 8], SCALE) for j in range(27))
 
 
+def terms(form: CubicForm) -> list:
+    """The (labels, sign) pairs of the form, in form order."""
+    return [(tuple(generators.LABELS[i] for i in row), int(s))
+            for row, s in zip(form.idx, form.signs)]
+
+
 def with_flipped(form: CubicForm, coords) -> CubicForm:
     """The form with the sign of its term on `coords` flipped."""
-    coords = frozenset(coords)
-    return CubicForm(SignedTriple(t.coords, -t.sign if t.coords == coords else t.sign)
-                     for t in form.terms)
+    return CubicForm((labels, -s if set(labels) == set(coords) else s)
+                     for labels, s in terms(form))
 
 
 def is_diagonal(m: ExactMatrix) -> bool:

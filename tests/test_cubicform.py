@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 import cyc_reference
-from tits27 import certificates, cubicform as cf, cyclo, exactlinalg as la, gf41, orbits, zkernel
+from tits27 import certificates, cli, cubicform as cf, cyclo, exactlinalg as la, gf41, orbits
+from tits27 import zkernel
 from tits27.cubicform import (CubicForm, NonRealSignError, NotMonomialError,
-                              SignConflictError, SignedTriple, close_terms, eigenvalue_check,
-                              triple)
+                              SignConflictError, close_terms, eigenvalue_check)
+from cyc_reference import terms
 
 
 @pytest.fixture(scope="module")
@@ -30,13 +31,18 @@ def _entries(m):
 
 
 def _step(m, t):
-    """The image of the signed triple t under the term map of m."""
-    idx, _ = cf._term_arrays([t])
+    """The image of the (labels, sign) pair t under the term map of m."""
+    labels, sign = t
+    idx = np.array([[cf.LABEL_INDEX[lab] for lab in labels]])
     d3, monomial, sigma, mapped, prods = cf._term_map(m, idx)
     assert monomial and mapped.all() and not prods[0, 1:].any()
     assert abs(prods[0, 0]) == d3
-    return SignedTriple(frozenset(cf.LABELS[i] for i in sigma[idx[0]]),
-                        t.sign * int(np.sign(prods[0, 0])))
+    return tuple(sorted(cf.LABELS[i] for i in sigma[idx[0]])), sign * int(np.sign(prods[0, 0]))
+
+
+def _sign(form, labels):
+    """The sign of the form's term on `labels`, read off its tensor; 0 off the terms."""
+    return int(form.tensor[tuple(cf.LABEL_INDEX[lab] for lab in labels)])
 
 
 def test_term_map_reads_monomial_generators(monomials):
@@ -57,17 +63,15 @@ def test_closure_step_examples(monomials, dickson):
     # d scales the corner by (1, -1, -1): product +1, same triple; ac cycles
     # it without signs
     images = {
-        "d": [triple(-3, -2, -1, +1), triple(-3, 1, 4, -1),
-              triple(1, 13, 23, +1), triple(1, 14, 19, +1)],
-        "ac": [triple(-3, -2, -1, +1), triple(-2, 18, 19, -1),
-               triple(2, 10, 18, -1), triple(4, 15, 18, +1)],
+        "d": [((-3, -2, -1), +1), ((-3, 1, 4), -1), ((1, 13, 23), +1), ((1, 14, 19), +1)],
+        "ac": [((-3, -2, -1), +1), ((-2, 18, 19), -1), ((2, 10, 18), -1), ((4, 15, 18), +1)],
     }
     for name, m in (("d", d), ("ac", ac)):
         got = [_step(m, s) for s in cf.SEEDS]
         assert got == images[name], name
-        assert all(dickson.sign_of(u.coords) == u.sign for u in got)
+        assert all(_sign(dickson, labels) == sign for labels, sign in got)
     identity = la.ExactMatrix.identity(27, la.RING_CYC)
-    u = triple(1, 9, 17, -1)
+    u = ((1, 9, 17), -1)
     assert _step(identity, u) == u
     assert close_terms([u], [identity]) == CubicForm([u])
 
@@ -78,14 +82,14 @@ def test_closure_rejects_complex_scalar(monomials):
     entries = _entries(d)
     lab = next(cf.LABELS[i] for i, e in enumerate(entries) if e == cyclo.I)
     real = [cf.LABELS[i] for i, e in enumerate(entries) if e in (cyclo.ONE, cyclo.MINUS_ONE)]
-    bad = triple(lab, real[0], real[1], +1)
+    bad = ((lab, real[0], real[1]), +1)
     with pytest.raises(NonRealSignError):
         close_terms([bad], [d])
     # 1 + i has coefficient 0 equal to 1, and is still not a sign
     i = cf.LABEL_INDEX[1]
     skew = _with_entry(la.ExactMatrix.identity(27, la.RING_CYC), i, i, cyclo.ONE + cyclo.I)
     with pytest.raises(NonRealSignError):
-        close_terms([triple(1, 9, 17, +1)], [skew])
+        close_terms([((1, 9, 17), +1)], [skew])
 
 
 def test_closure_gives_45_terms(dickson):
@@ -108,7 +112,7 @@ def test_flipped_seed_detected_by_invariance(gens, monomials):
     # character, so closure cannot see a flipped seed sign; the flipped form
     # closes consistently but is no longer invariant under the dense
     # generator.
-    bad = list(cf.SEEDS[:3]) + [triple(1, 10, 24, -1)]
+    bad = list(cf.SEEDS[:3]) + [((1, 10, 24), -1)]
     form = close_terms(bad, monomials)
     assert len(form) == 45
     assert not cf.invariance_report(form, gens.eprime)[0]
@@ -120,7 +124,7 @@ def test_sign_conflict_from_negative_loop():
     i = cf.LABEL_INDEX[1]
     flipper = _with_entry(la.ExactMatrix.identity(27, la.RING_CYC), i, i, cyclo.MINUS_ONE)
     with pytest.raises(SignConflictError):
-        close_terms([triple(1, 9, 17, +1)], [flipper])
+        close_terms([((1, 9, 17), +1)], [flipper])
 
 
 def test_closure_rejects_column_collision():
@@ -130,36 +134,44 @@ def test_closure_rejects_column_collision():
     images = list(range(27))
     images[a] = b
     with pytest.raises(NotMonomialError):
-        close_terms([triple(1, 9, 17, +1)], [_permutation(images)])
+        close_terms([((1, 9, 17), +1)], [_permutation(images)])
 
 
 def test_eigenvalue_check_examples():
-    assert eigenvalue_check(triple(1, 9, 17, 1))
-    assert eigenvalue_check(triple(-3, -2, -1, 1))
-    assert not eigenvalue_check(triple(1, 2, 3, 1))
+    # one verdict per term, in form order: (-3,-2,-1), (1,2,3), (1,9,17)
+    form = CubicForm([((1, 9, 17), 1), ((-3, -2, -1), 1), ((1, 2, 3), 1)])
+    assert eigenvalue_check(form).tolist() == [True, False, True]
 
 
 def test_every_term_passes_eigenvalue_check(dickson):
-    assert all(eigenvalue_check(t) for t in dickson)
+    ok = eigenvalue_check(dickson)
+    assert ok.shape == (45,) and ok.all()
 
 
 def test_block_structure(dickson):
-    for t in dickson:
-        cs = t.sorted_coords
+    for cs, _ in terms(dickson):
         if all(c > 0 for c in cs):
             assert sorted((c - 1) // 8 for c in cs) == [0, 1, 2]
 
 
 def test_tensor_counts(dickson):
-    tens = cf._tensor_array(dickson)
+    tens = dickson.tensor
+    assert tens.shape == (27, 27, 27) and tens.dtype == np.int8
+    assert not any(a.flags.writeable for a in (tens, dickson.idx, dickson.signs))
     assert np.count_nonzero(tens) == 270
     assert set(np.unique(tens)) == {-1, 0, 1}
     for axes in ((1, 0, 2), (0, 2, 1), (2, 1, 0), (1, 2, 0), (2, 0, 1)):
         assert np.array_equal(tens.transpose(axes), tens)
-    assert not cf._tensor_array(CubicForm([])).any()
-    t1 = cf._tensor_array(CubicForm([triple(-3, -2, -1, +1)]))
+    # idx: one increasing row per term, in lexicographic order; signs read off T
+    idx = dickson.idx
+    assert idx.shape == (45, 3) and (np.diff(idx, axis=1) > 0).all()
+    assert sorted(map(tuple, idx)) == list(map(tuple, idx))
+    assert (dickson.signs == tens[tuple(idx.T)]).all()
+    assert not CubicForm([]).tensor.any() and len(CubicForm([])) == 0
+    t1 = CubicForm([((-1, -3, -2), +1)]).tensor
     assert np.count_nonzero(t1) == 6
     assert set(t1[t1 != 0]) == {1}
+    assert CubicForm([((-1, -3, -2), +1)]) == CubicForm([((-3, -2, -1), +1)])
 
 
 def test_invariance_under_all_generators(gens, dickson):
@@ -177,13 +189,33 @@ def test_flip_breaks_eprime_invariance(gens, dickson):
     assert cf.invariance_report(flipped, gens.f1)[0]
 
 
-def test_signed_triple_validation():
+def test_constructor_validation():
     with pytest.raises(ValueError):
-        SignedTriple(frozenset({1, 2}), 1)
+        CubicForm([((1, 2), 1)])
     with pytest.raises(ValueError):
-        triple(1, 2, 3, 0)
+        CubicForm([((1, 2, 3), 0)])
     with pytest.raises(SignConflictError):
-        CubicForm([triple(1, 2, 3, 1), triple(1, 2, 3, -1)])
+        CubicForm([((1, 2, 3), 1), ((3, 2, 1), -1)])
+    for labels in ((1, 1, 2), (1, 2, 3, 4), (1, 2, 25)):
+        with pytest.raises(ValueError):
+            CubicForm([(labels, 1)])
+
+
+def test_the_45_term_row_decides_a_short_closure(monkeypatch, capsys, dickson):
+    # a closure that misses a term is a failed certificate, exit 1, and not
+    # an error raised before the table is printed
+    short = CubicForm(terms(dickson)[:44])
+    monkeypatch.setattr(cf, "close_terms", lambda seeds, gens: short)
+    cf.dickson_form.cache_clear()
+    try:
+        assert dict(certificates.rows(fast=True))["cubic form has 45 terms"] is False
+        capsys.readouterr()
+        assert cli.run(["verify", "--fast"]) == 1
+    finally:
+        cf.dickson_form.cache_clear()
+    (line,) = [ln for ln in capsys.readouterr().out.splitlines()
+               if ln.startswith("cubic form has 45 terms")]
+    assert line.endswith("FAIL")
 
 
 def test_form_evaluation(dickson):
@@ -259,20 +291,20 @@ def reference_report(c, m, polys=None):
     """
     den, rows = _scaled_rows(m)
     d3 = (den ** 3,) + (0,) * 7
-    target = {tuple(sorted(cf.LABEL_INDEX[l] for l in t.coords)): tuple(t.sign * v for v in d3)
-              for t in c}
+    target = {tuple(sorted(cf.LABEL_INDEX[l] for l in labels)): tuple(sign * v for v in d3)
+              for labels, sign in terms(c)}
     polys = {} if polys is None else polys
     total = {}
     flip_safe = []
-    for t in c:
-        key = tuple(sorted(cf.LABEL_INDEX[l] for l in t.coords))
+    for labels, sign in terms(c):
+        key = tuple(sorted(cf.LABEL_INDEX[l] for l in labels))
         if key not in polys:
             polys[key] = _term_poly(rows, key)
         poly = polys[key]
         if poly == {key: d3}:
-            flip_safe.append(t)
+            flip_safe.append((labels, sign))
         for k, v in poly.items():
-            acc = tuple(a + t.sign * b for a, b in zip(total.get(k, (0,) * 8), v))
+            acc = tuple(a + sign * b for a, b in zip(total.get(k, (0,) * 8), v))
             if any(acc):
                 total[k] = acc
             else:
@@ -302,8 +334,8 @@ def _sub_form(form):
     # the expansion costs about 7,000 products of 8-tuples per term under a
     # dense matrix, so dense cases run on the first three terms, which
     # include the flippable (-3, 1, 4)
-    sub = CubicForm(form.terms[:3])
-    assert sub.sign_of((-3, 1, 4)) is not None
+    sub = CubicForm(terms(form)[:3])
+    assert _sign(sub, (-3, 1, 4)) != 0
     return sub
 
 
@@ -384,14 +416,14 @@ def test_term_map_negative_cases(gens, dickson):
     twisted = _with_entry(gens.f1, i, i, gens.f1.data[i][i] * cyclo.CycNum.zeta(1))
     got = cf.invariance_report(dickson, twisted)
     assert got == reference_report(dickson, twisted)
-    assert not got[0] and len(got[1]) == 45 - sum(1 in t.coords for t in dickson)
+    assert not got[0] and len(got[1]) == 45 - sum(1 in labels for labels, _ in terms(dickson))
 
     # swapping labels 1 and 2 moves (1, 9, 17) onto (2, 9, 17), not a term
     a, b = cf.LABEL_INDEX[1], cf.LABEL_INDEX[2]
     images = list(range(27))
     images[a], images[b] = b, a
     swap = _permutation(images)
-    assert dickson.sign_of((2, 9, 17)) is None
+    assert _sign(dickson, (2, 9, 17)) == 0
     got = cf.invariance_report(dickson, swap)
     assert got == reference_report(dickson, swap)
     assert not got[0]
@@ -402,9 +434,9 @@ def test_term_map_negative_cases(gens, dickson):
     # 2 x_b x_c x_e, although each image is a term with the right sign
     images[a], images[b] = b, b
     collide = _permutation(images)
-    form = CubicForm([triple(2, 9, 17, +1), triple(1, 9, 17, +1)])
+    form = CubicForm([((2, 9, 17), +1), ((1, 9, 17), +1)])
     got = cf.invariance_report(form, collide)
-    assert got == reference_report(form, collide) == (False, [triple(2, 9, 17, +1)])
+    assert got == reference_report(form, collide) == (False, [((2, 9, 17), +1)])
 
 
 def test_cubic_checks_make_no_scalar_products(gens, dickson, monkeypatch):
@@ -431,7 +463,7 @@ def _raw_calls_before_overflow(monkeypatch, m, match=None):
     """The kernel calls invariance_report makes before KernelOverflowError."""
     calls = _count_raw(monkeypatch)
     with pytest.raises(zkernel.KernelOverflowError, match=match):
-        cf.invariance_report(CubicForm([triple(-3, -2, -1, +1)]), m)
+        cf.invariance_report(CubicForm([((-3, -2, -1), +1)]), m)
     return calls
 
 
@@ -461,7 +493,7 @@ def test_term_map_guard_boundary(monkeypatch):
     k = 20 reaches 2^63 exactly.  For k = 19 the block product is 2^57 e_0,
     not D^3 e_0, so the form is not invariant and no term is flip-safe.
     """
-    form = CubicForm([triple(-3, -2, -1, +1)])
+    form = CubicForm([((-3, -2, -1), +1)])
     identity = la.ExactMatrix.identity(27, la.RING_CYC)
     decided = cyc_reference.scale_matrix(identity, cyclo.CycNum.from_int(2 ** 19))
     assert cf.invariance_report(form, decided) == (False, [])
@@ -469,17 +501,18 @@ def test_term_map_guard_boundary(monkeypatch):
     assert _raw_calls_before_overflow(monkeypatch, refused) == []
 
 
-@pytest.mark.parametrize("exponent", [52, 42, 41, 30, 20, 19, 16, 15])
+@pytest.mark.parametrize("exponent", [52, 42, 41, 30, 20, 19, 18, 16, 15])
 def test_invariance_refuses_int64_overflow_of_zeta_power_products(monkeypatch, gens,
                                                                   exponent):
     # unlike the identity, eprime has a denominator and every power of zeta
     # up to 6.  5 * eprime has coefficients up to 2, so 2^k eprime fails the
     # bound when compiled for k >= 20 (8 * 2 * 2^20 >= 2^24), before any
-    # product; 2^19 and 2^16 eprime pass it, and the first slot's product,
-    # 216 * 2 * 2^16 >= 2^24, is refused; 2^15 eprime passes that too, in
-    # float32, and fails before the second slot's first product
+    # product; 2^19 eprime passes it, and the first slot's product, on rows
+    # of 27 columns, 27 * 2 * 2^19 >= 2^24, is refused; 2^18, 2^16 and 2^15
+    # eprime pass that too (27 * 2 * 2^18 < 2^24), in float32, and fail
+    # before the second slot's first product
     big = cyc_reference.scale_matrix(gens.eprime, cyclo.CycNum.from_int(2 ** exponent))
-    expected = ([] if exponent >= 20 else _FIRST_SLOT_THEN_REFUSED[:1] if exponent >= 16
+    expected = ([] if exponent >= 20 else _FIRST_SLOT_THEN_REFUSED[:1] if exponent >= 19
                 else _FIRST_SLOT_THEN_REFUSED)
     assert _raw_calls_before_overflow(monkeypatch, big, match=r"2\^24") == expected
 
@@ -501,7 +534,7 @@ def _int64_invariant(c, m):
     """The dense verdict in int64 arithmetic, one product per slot on the
     whole tensor, each refused unless its sums stay below 2^63."""
     b = zkernel.IntegerAction.of(m).transposed().dense.astype(np.int64)
-    t = rows = cf._tensor_array(c).astype(np.int64)  # the slot to transform comes last
+    t = rows = c.tensor.astype(np.int64)  # the slot to transform comes last
     for _ in range(3):
         dense = b if rows.ndim == 4 else b[0::8]
         zkernel.check_range(dense.shape[0], zkernel.max_abs(dense), zkernel.max_abs(rows))
@@ -511,15 +544,13 @@ def _int64_invariant(c, m):
 
 
 def test_torus_weight_keeps_every_term(dickson):
-    idx, _ = cf._term_arrays(dickson)
-    assert not _TORUS_WEIGHT[idx].sum(axis=1).any()
+    assert not _TORUS_WEIGHT[dickson.idx].sum(axis=1).any()
 
 
 @pytest.mark.parametrize("t, dtypes", [
     (2, "fff"), (3, "ffd"),   # the slot-j product crosses 2^24
-    (4, "fdd"),               # the slot-i product crosses it
-    (14, "fdd"), (15, "ddd"),  # the first slot crosses it
-    (17, "ddd")])
+    (4, "fdd"), (14, "fdd"),  # the slot-i product crosses it
+    (23, "fdd"), (24, "ddd")])  # the first slot, on rows of 27 columns, crosses it
 def test_dense_path_at_the_float32_edge(monkeypatch, gens, dickson, t, dtypes):
     # diag(t^w) eprime keeps the form for every t, so a rounded product would
     # break the equality with D^3 T.  Each letter says on which side of the
@@ -556,15 +587,16 @@ def test_dense_path_at_the_float32_edge(monkeypatch, gens, dickson, t, dtypes):
 
 def test_dense_path_refuses_past_2_53(monkeypatch, gens, dickson):
     # 18 is the least t whose transform of the full form passes 2^53, and
-    # 15 the least whose first slot passes 2^24 (above): at 18 the first
-    # slot's product is refused before it is formed.  5 t^2 diag(t^w) eprime
+    # 24 the least whose first slot passes 2^24 (above): at 18 the first
+    # slot's product is formed in float32, and the first slot-i product is
+    # refused before it is formed.  5 t^2 diag(t^w) eprime
     # has coefficients up to 2 t^4, so compiling admits t = 31 and refuses
     # t = 32, where 8 * 2 * 32^4 = 2^24
     m = _torus_eprime(gens, 18)
     calls = _count_raw(monkeypatch)
     with pytest.raises(zkernel.KernelOverflowError, match=r"2\^24"):
         cf.invariance_report(dickson, m)
-    assert calls == [(729, 27)]
+    assert calls == _FIRST_SLOT_THEN_REFUSED
     assert zkernel.IntegerAction.of(_torus_eprime(gens, 31)).max_b == 2 * 31 ** 4
     with pytest.raises(zkernel.KernelOverflowError, match=r"2\^24"):
         zkernel.IntegerAction.of(_torus_eprime(gens, 32))
@@ -591,7 +623,8 @@ def test_orientation_on_a_shear():
     rows = [[cyclo.ONE if i == j else cyclo.ZERO for j in range(27)] for i in range(27)]
     rows[d][a] = cyclo.ONE
     shear = la.ExactMatrix(la.RING_CYC, rows)
-    form = CubicForm([triple(1, 9, 17, -1)])
-    assert cf.invariance_report(form, shear) == reference_report(form, shear) == (True, list(form))
+    form = CubicForm([((1, 9, 17), -1)])
+    expected = (True, terms(form))
+    assert cf.invariance_report(form, shear) == reference_report(form, shear) == expected
     sheared = la.transpose(shear)
     assert cf.invariance_report(form, sheared) == reference_report(form, sheared) == (False, [])

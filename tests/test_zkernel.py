@@ -89,19 +89,22 @@ def test_dense_division_is_exact_or_refused(gens):
 
 def test_dense_kernel_refuses_large_rows(gens):
     # 5 * eprime has coefficients 0, +-1 and +-2, and so does its 216x216
-    # matrix B, so rows up to max|v| pass while 216 * 2 * max|v| < 2^24;
-    # at the limit the float32 product still equals the integer one
+    # matrix B, so rows of width w up to max|v| pass while
+    # w * 2 * max|v| < 2^24: a 216-column row meets all 216 rows of B, a
+    # 27-column row only B[0::8].  At each limit the float32 product still
+    # equals the integer one, and one past it is refused
     act = IntegerAction(gens.eprime)
     assert act.max_b == 2
-    limit = (2 ** 24 - 1) // (DIM * 2)
-    rows = np.full((2, DIM), limit, dtype=np.int64)
-    rows[1, ::3] *= -1
-    out = act.raw(rows)
-    assert out.dtype == np.float32 and (out == reference_dense(gens.eprime, rows)).all()
-    with pytest.raises(KernelOverflowError, match=r"2\^24"):
-        act.raw(np.full((1, DIM), limit + 1, dtype=np.int64))
-    with pytest.raises(KernelOverflowError, match=r"2\^24"):
-        act.raw(np.full((1, 27), -limit - 1, dtype=np.int64))
+    for width in (DIM, 27):
+        limit = (2 ** 24 - 1) // (width * 2)
+        rows = np.full((2, width), limit, dtype=np.int64)
+        rows[1, ::3] *= -1
+        out = act.raw(rows)
+        assert out.dtype == np.float32 and (out == reference_dense(gens.eprime, rows)).all()
+        with pytest.raises(KernelOverflowError, match=r"2\^24"):
+            act.raw(np.full((1, width), limit + 1, dtype=np.int64))
+        with pytest.raises(KernelOverflowError, match=r"2\^24"):
+            act.raw(np.full((1, width), -limit - 1, dtype=np.int64))
 
 
 def test_stack_is_each_action_side_by_side(monkeypatch, gens):
@@ -109,7 +112,7 @@ def test_stack_is_each_action_side_by_side(monkeypatch, gens):
     # (D = 5), and an image there that 5 does not divide is still refused
     acts = [IntegerAction(m) for m in gens.in_order()]
     stack = IntegerAction.stack(acts)
-    assert stack.dens == (1, 1, 1, 1, 5) and stack.den == 5 and stack.max_b == 2
+    assert stack.dens == (1, 1, 1, 1, 5) and stack.max_b == 2
     rnd = random.Random(28)
     rows = 5 * _rows(rnd, 6, DIM)
     divides = []
@@ -131,16 +134,17 @@ def test_stack_is_each_action_side_by_side(monkeypatch, gens):
             stack(odd.astype(cast))
 
 
-def _top(act, bits):
-    """The largest max|v| with 216 * max|B| * max|v| < 2^bits."""
-    return (2 ** bits - 1) // (DIM * act.max_b)
+def _top(act, bits, width):
+    """The largest max|v| of rows of `width` columns, 216 or 27, with
+    width * max|B| * max|v| < 2^bits."""
+    return (2 ** bits - 1) // (width * act.max_b)
 
 
 def _rows_under_the_guard(rnd, act, n, width, top=None):
     """Mixed-sign rows with max|v| = top, by default the largest value the
     2^24 guard accepts for act, one of them signed like a column of B so that
     its image is as large as it gets."""
-    top = _top(act, 24) if top is None else top
+    top = _top(act, 24, width) if top is None else top
     rows = np.array([[rnd.choice((-1, 1)) * rnd.randint(top // 2, top) for _ in range(width)]
                      for _ in range(n)], dtype=np.int64)
     rows[0, 0] = top
@@ -170,19 +174,19 @@ def test_kernel_is_exact_just_under_the_guard(seed):
         assert (act(multiples) == reference_dense(m, multiples) // act.den).all()
         # one step past the guard, the same rows are refused before any product
         with pytest.raises(KernelOverflowError, match=r"2\^24"):
-            act.raw(rows + (rows == _top(act, 24)))
+            act.raw(rows + (rows == _top(act, 24, width)))
 
 
 @pytest.mark.parametrize("name", generators.NAMES)
 def test_float32_kernel_is_exact_up_to_its_guard(gens, name):
-    # float rows are multiplied in float32 while 216 * max|B| * max|v| < 2^24,
-    # equal to the product in Python integers, and refused from the first
-    # max|v| past it
+    # float rows of w columns are multiplied in float32 while
+    # w * max|B| * max|v| < 2^24, equal to the product in Python integers,
+    # and refused from the first max|v| past it
     m = getattr(gens, name)
     act = IntegerAction(m)
     rnd = random.Random(name)
-    top = _top(act, 24)
     for width in (DIM, 27):
+        top = _top(act, 24, width)
         rows = _rows_under_the_guard(rnd, act, 4, width, top)
         out = act.raw(rows.astype(np.float32))
         assert out.dtype == np.float32 and (out == reference_dense(m, rows)).all()
@@ -199,7 +203,7 @@ def test_float32_kernel_is_exact_up_to_its_guard(gens, name):
             act(rows.astype(np.float32))
     if act.den > 1:
         # eprime: images of rows at the bound that D does not divide are refused
-        rows = _rows_under_the_guard(rnd, act, 4, DIM, top)
+        rows = _rows_under_the_guard(rnd, act, 4, DIM)
         assert (reference_dense(m, rows) % act.den != 0).any()
         assert act.raw(rows.astype(np.float32)).dtype == np.float32
         with pytest.raises(ScaleError):
@@ -211,12 +215,12 @@ def test_float_rows_past_the_float64_guard_are_refused(gens):
     # value past the 2^24 guard, and multiplied in float32 up to it
     act = IntegerAction(gens.eprime)
     for dtype in (np.float64, np.int64):
-        for max_v in (_top(act, 53) + 1, _top(act, 24) + 1):
+        for max_v in (_top(act, 53, DIM) + 1, _top(act, 24, DIM) + 1):
             with pytest.raises(KernelOverflowError, match=r"2\^24"):
                 act.raw(np.full((1, DIM), max_v, dtype=dtype))
         with pytest.raises(KernelOverflowError, match=r"2\^24"):
-            act.raw(np.full((1, DIM), -_top(act, 24) - 1, dtype=dtype))
-        rows = np.full((1, DIM), _top(act, 24), dtype=dtype)
+            act.raw(np.full((1, DIM), -_top(act, 24, DIM) - 1, dtype=dtype))
+        rows = np.full((1, DIM), _top(act, 24, DIM), dtype=dtype)
         out = act.raw(rows)
         assert out.dtype == np.float32
         assert (out == reference_dense(gens.eprime, rows.astype(np.int64))).all()
@@ -290,7 +294,7 @@ def test_compile_refuses_a_denominator_of_2_to_the_24():
     # under D = 2^24 - 1 the largest row I / D admits is refused, not rounded
     act = IntegerAction(_scaled_identity(1, 2 ** 24 - 1))
     assert act.den == 2 ** 24 - 1
-    top = np.full((1, DIM), _top(act, 24), dtype=np.int64)
+    top = np.full((1, DIM), _top(act, 24, DIM), dtype=np.int64)
     with pytest.raises(ScaleError):
         act(top)
     assert not act(0 * top).any()
