@@ -115,9 +115,12 @@ def _cmd_eval(args):
     from . import wordlang  # imported only by the two commands that parse words
     env = {}
     for binding in args.bind or []:
-        if "=" not in binding:
+        name, eq, path = binding.partition("=")
+        if not eq:
             raise _UsageError(f"bad binding {binding!r}, expected name=file")
-        name, path = binding.split("=", 1)
+        if name in env or not wordlang.is_name(name):
+            why = "is bound twice" if name in env else "is not an ASCII letter then letters or digits"
+            raise _UsageError(f"bad binding {binding!r}, {name!r} {why}")
         env[name] = la.load_matrix(path)
     expr = wordlang.parse_word(args.word, names=env.keys() if env else None)
     result = wordlang.eval_word(expr, env)

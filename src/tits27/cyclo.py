@@ -194,6 +194,8 @@ class CycNum:
         parts = text.split()
         if len(parts) != 8:
             raise ValueError(f"expected 8 coefficients, got {len(parts)}")
+        if not text.isascii() or "_" in text:
+            raise ValueError(f"coefficients must be ASCII, without '_': {text!r}")
         return cls.from_coeffs(Fraction(p) for p in parts)
 
     # -- object protocol -----------------------------------------------------

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -36,6 +37,7 @@ from .gf41 import SingularMatrixError
 RING_CYC = "cyc"
 RING_GF41 = "gf41"
 _RINGS = (RING_CYC, RING_GF41)
+_INTEGER = re.compile(r"[+-]?[0-9]+")  # file dimensions and residues are ASCII
 
 
 class DimensionMismatchError(ValueError):
@@ -330,7 +332,7 @@ def parse_matrix(text: str) -> ExactMatrix:
     if not lines:
         raise ValueError("empty matrix file")
     header = lines[0].split()
-    if len(header) != 3 or header[0] not in _RINGS:
+    if len(header) != 3 or header[0] not in _RINGS or not all(map(_INTEGER.fullmatch, header[1:])):
         raise ValueError(f"bad matrix header {lines[0]!r}")
     ring, rows, cols = header[0], int(header[1]), int(header[2])
     body = lines[1:]
@@ -349,6 +351,8 @@ def parse_matrix(text: str) -> ExactMatrix:
         parts = ln.split()
         if len(parts) != cols:
             raise ValueError(f"expected {cols} residues per row")
+        if not all(map(_INTEGER.fullmatch, parts)):
+            raise ValueError(f"residues must be ASCII integers: {ln!r}")
         data.append([int(p) % gf41.P for p in parts])
     return from_residues(data)
 

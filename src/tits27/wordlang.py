@@ -8,12 +8,17 @@ Grammar (Atlas conventions):
                | atom                   conjugation: x^w means w^-1 x w
     atom     ::= identifier | '(' word ')'
 
-Identifiers are maximal alphanumeric runs.  A run that is a bound name, a
-single letter, or a letter followed by digits (f1, f2, ...) is one
-generator; a longer run of letters splits into single-letter generators, the
-classic two-generator reading under which abab^2 means a b a b^2.  A
-multi-letter name is therefore only reachable when it is bound in `names`
-or separated from its neighbours by whitespace or parentheses.
+A word is read as one list of tokens, whitespace between them ignored:
+ASCII runs [A-Za-z][A-Za-z0-9]*, ASCII integers -?[0-9]+, and single other
+characters.  Non-ASCII letters and digits are never names or numbers; they
+are syntax errors like any other stray character.
+
+Identifiers are maximal name runs.  A run that is a bound name, a single
+letter, or a letter followed by digits (f1, f2, ...) is one generator; any
+other run splits into letter-then-digits parts, the classic two-generator
+reading under which abab^2 means a b a b^2.  A multi-letter name is
+therefore only reachable when it is bound in `names` and separated from its
+neighbours by whitespace or other characters.
 
 Trees print with spaces between product factors and parentheses around
 compound bases and exponents, so parse(print(tree), names) returns a
@@ -72,136 +77,106 @@ class Conj:
     by: object
 
 
-_RUN = re.compile(r"[A-Za-z][A-Za-z0-9]*")
+#: One token after optional whitespace: an ASCII name run, an ASCII integer,
+#: any other character, or the end of the word.  `lastgroup` is its kind.
+_TOKEN = re.compile(r"\s*(?:(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<number>-?[0-9]+)"
+                    r"|(?P<char>\S)|(?P<end>\Z))")
 _NAME_PART = re.compile(r"[A-Za-z][0-9]*")
 
 #: Deepest nesting of factors (parentheses and exponents) a word may have;
-#: the parser, the printer and the evaluator all recurse once per level.
+#: the parser recurses up to four frames a level, printer and evaluator two.
 MAX_NESTING = 100
 
 
+def is_name(text):
+    """Whether `text` is one whole name run, the form a bound name takes."""
+    m = _TOKEN.fullmatch(text)
+    return m is not None and m.start("name") == 0
+
+
 class _Parser:
+    """Recursive descent over the (kind, text, position) tokens of a word,
+    which end in ("end", "", len(src))."""
+
     def __init__(self, src, names):
-        self.src = src
-        self.pos = 0
+        self.tokens = [(m.lastgroup, m[m.lastgroup], m.start(m.lastgroup))
+                       for m in _TOKEN.finditer(src)]
         self.names = names
-        self.depth = 0
-
-    def _skip_ws(self):
-        while self.pos < len(self.src) and self.src[self.pos].isspace():
-            self.pos += 1
-
-    def _peek(self):
-        return self.src[self.pos] if self.pos < len(self.src) else None
+        self.i = self.depth = 0
 
     def parse_product(self):
         factors = []
-        while True:
-            self._skip_ws()
-            c = self._peek()
-            if c is None or c == ")":
-                break
-            if c == "(" or c.isalpha():
-                factors.extend(self._parse_factor())
-            else:
-                raise WordSyntaxError(f"unexpected character {c!r}", self.pos)
+        kind, text, pos = self.tokens[self.i]
+        while kind != "end" and text != ")":
+            if kind != "name" and text != "(":
+                raise WordSyntaxError(f"unexpected character {text[0]!r}", pos)
+            factors.extend(self._parse_factor(text, pos))
+            kind, text, pos = self.tokens[self.i]
         if not factors:
-            raise WordSyntaxError("empty word", self.pos)
+            raise WordSyntaxError("empty word", pos)
         return factors[0] if len(factors) == 1 else Prod(tuple(factors))
 
-    def _parse_factor(self):
+    def _parse_factor(self, text, pos):
         self.depth += 1
         if self.depth > MAX_NESTING:
-            raise WordSyntaxError(f"word nested deeper than {MAX_NESTING} levels",
-                                  self.pos)
-        c = self._peek()
-        if c == "(":
-            self.pos += 1
-            inner = self.parse_product()
-            self._skip_ws()
-            if self._peek() != ")":
-                raise WordSyntaxError("unbalanced parentheses", self.pos)
-            self.pos += 1
-            exprs = [inner]
+            raise WordSyntaxError(f"word nested deeper than {MAX_NESTING} levels", pos)
+        if text == "(":
+            exprs = [self._parse_group()]
         else:
-            start = self.pos
-            m = _RUN.match(self.src, self.pos)
-            run = m.group()
-            self.pos = m.end()
-            exprs = [Gen(n) for n in self._resolve_run(run, start)]
-        while True:
-            self._skip_ws()
-            if self._peek() != "^":
-                break
-            self.pos += 1
+            self.i += 1
+            exprs = [Gen(n) for n in self._names_of(text, pos)]
+        while self.tokens[self.i][1] == "^":
+            self.i += 1
             exprs[-1] = self._parse_exponent(exprs[-1])
         self.depth -= 1
         return exprs
 
-    def _parse_exponent(self, base):
-        self._skip_ws()
-        c = self._peek()
-        if c is None:
-            raise WordSyntaxError("empty exponent", self.pos)
-        if c == "-" or c.isdigit():
-            start = self.pos
-            if c == "-":
-                self.pos += 1
-            digits = ""
-            while self._peek() is not None and self._peek().isdigit():
-                digits += self.src[self.pos]
-                self.pos += 1
-            if not digits:
-                raise WordSyntaxError("empty exponent", start)
-            n = int(digits) * (-1 if c == "-" else 1)
-            if n == 0:
-                raise WordSyntaxError("zero exponent", start)
-            if n == -1:
-                return Inv(base)
-            return Pow(base, n)
-        if c == "(":
-            self.pos += 1
-            w = self.parse_product()
-            self._skip_ws()
-            if self._peek() != ")":
-                raise WordSyntaxError("unbalanced parentheses", self.pos)
-            self.pos += 1
-            return Conj(base, w)
-        if c.isalpha():
-            start = self.pos
-            m = _RUN.match(self.src, self.pos)
-            self.pos = m.end()
-            parts = self._resolve_run(m.group(), start)
-            by = Gen(parts[0]) if len(parts) == 1 else Prod(tuple(Gen(p) for p in parts))
-            return Conj(base, by)
-        raise WordSyntaxError(f"bad exponent start {c!r}", self.pos)
+    def _parse_group(self):
+        """A bracketed word, from its '(' through its ')'."""
+        self.i += 1
+        inner = self.parse_product()
+        _, text, pos = self.tokens[self.i]
+        if text != ")":
+            raise WordSyntaxError("unbalanced parentheses", pos)
+        self.i += 1
+        return inner
 
-    def _resolve_run(self, run, start):
-        names = self.names
-        if names is not None and run in names:
-            return [run]
-        if len(run) == 1 or _NAME_PART.fullmatch(run):
-            self._check_known(run, start)
+    def _parse_exponent(self, base):
+        kind, text, pos = self.tokens[self.i]
+        if kind == "number":
+            self.i += 1
+            n = int(text)
+            if n == 0:
+                raise WordSyntaxError("zero exponent", pos)
+            return Inv(base) if n == -1 else Pow(base, n)
+        if kind == "end" or text == "-":
+            raise WordSyntaxError("empty exponent", pos)
+        if text == "(":
+            return Conj(base, self._parse_group())
+        if kind != "name":
+            raise WordSyntaxError(f"bad exponent start {text!r}", pos)
+        self.i += 1
+        by = [Gen(n) for n in self._names_of(text, pos)]
+        return Conj(base, by[0] if len(by) == 1 else Prod(tuple(by)))
+
+    def _names_of(self, run, pos):
+        """The run itself if it is bound, else its letter-then-digits parts."""
+        if self.names is not None and run in self.names:
             return [run]
         parts = _NAME_PART.findall(run)
-        if "".join(parts) != run:
-            raise WordSyntaxError(f"bad identifier {run!r}", start)
         for p in parts:
-            self._check_known(p, start)
+            if self.names is not None and p not in self.names:
+                raise WordSyntaxError(f"unknown generator {p!r}", pos)
         return parts
-
-    def _check_known(self, name, start):
-        if self.names is not None and name not in self.names:
-            raise WordSyntaxError(f"unknown generator {name!r}", start)
 
 
 def parse_word(src: str, names=None):
     """Parse a word; `names`, when given, lists the bound generator names."""
     p = _Parser(src, frozenset(names) if names is not None else None)
     expr = p.parse_product()
-    p._skip_ws()
-    if p.pos != len(src):
-        raise WordSyntaxError("trailing input", p.pos)
+    kind, _, pos = p.tokens[p.i]
+    if kind != "end":
+        raise WordSyntaxError("trailing input", pos)
     return expr
 
 
@@ -216,9 +191,7 @@ def word_to_text(expr) -> str:
     if isinstance(expr, Pow):
         return f"{_atom_text(expr.expr)}^{expr.exponent}"
     if isinstance(expr, Conj):
-        by = expr.by
-        by_text = by.name if isinstance(by, Gen) else f"({word_to_text(by)})"
-        return f"{_atom_text(expr.base)}^{by_text}"
+        return f"{_atom_text(expr.base)}^{_atom_text(expr.by)}"
     raise TypeError(f"not a word expression: {expr!r}")
 
 
@@ -239,10 +212,7 @@ def gen_names(expr):
     if isinstance(expr, Gen):
         return {expr.name}
     if isinstance(expr, Prod):
-        out = set()
-        for f in expr.factors:
-            out |= gen_names(f)
-        return out
+        return set().union(*map(gen_names, expr.factors))
     if isinstance(expr, (Inv, Pow)):
         return gen_names(expr.expr)
     if isinstance(expr, Conj):

@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -213,6 +214,35 @@ def test_eval_bad_binding(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("names, message", [
+    (("a", "a"), "'a' is bound twice"),
+    (("",), "'' is not an ASCII letter then letters or digits"),
+    (("a b",), "'a b' is not an ASCII letter then letters or digits"),
+    (("1a",), "'1a' is not an ASCII letter then letters or digits"),
+    (("é",), "'é' is not an ASCII letter then letters or digits"),
+])
+def test_eval_refuses_a_malformed_or_repeated_name(tmp_path, capsys, names, message):
+    binds = [f"{name}={tmp_path / f'{k}.mat'}" for k, name in enumerate(names)]
+    for k in range(len(names)):
+        (tmp_path / f"{k}.mat").write_text("gf41 1 1\n2\n")
+    code, err = run_err(capsys, "eval", "--word", "a", *(f"--bind={b}" for b in binds))
+    assert (code, err) == (2, f"error: bad binding {binds[-1]!r}, {message}\n")
+
+
+@pytest.mark.parametrize("word, message", [
+    ("é", "unexpected character 'é' (at position 0)"),
+    ("aé", "unexpected character 'é' (at position 1)"),
+    ("ß", "unexpected character 'ß' (at position 0)"),
+    ("a^é", "bad exponent start 'é' (at position 2)"),
+    ("a^٣", "bad exponent start '٣' (at position 2)"),
+    ("a^²", "bad exponent start '²' (at position 2)"),
+])
+def test_eval_non_ascii_words_exit_2(capsys, word, message):
+    code, err = run_err(capsys, "eval", "--word", word)
+    assert (code, err) == (2, f"error: {message}\n")
+    assert "Traceback" not in err
+
+
 def test_reduce41(tmp_path, capsys):
     g = generators.build_all()
     la.save_matrix(g.eprime, tmp_path / "ep.mat")
@@ -393,7 +423,8 @@ _dims = st.tuples(st.integers(1, 3), st.integers(1, 3))
 _residue_rows = _dims.flatmap(lambda d: st.lists(
     st.lists(st.integers(0, 40).map(str), min_size=d[1], max_size=d[1]),
     min_size=d[0], max_size=d[0]))
-_not_an_integer = st.sampled_from(["1.5", "x", "1/2", "1e3", "nan", "--1", "4O", "0x1f", "1,2"])
+_not_an_integer = st.sampled_from(["1.5", "x", "1/2", "1e3", "nan", "--1", "4O", "0x1f", "1,2",
+                                   "1_0", "٣", "５"])
 
 
 def _gf41_text(rows, header=None):
@@ -470,6 +501,21 @@ def test_malformed_matrix_files_exit_2(text, argv_for):
     assert err.startswith("error: ") and "Traceback" not in err, text
 
 
+@pytest.mark.parametrize("text", [
+    "gf41 1 1\n1_0\n", "gf41 1 1\n٣\n", "gf41 1 1\n５\n", "gf41 ٣ 1\n1\n1\n1\n",
+    "cyc 1 1\n1_0 0 0 0 0 0 0 0\n", "cyc 1 1\n٣/٤ 0 0 0 0 0 0 0\n",
+    "cyc 1 1\n1/2_0 0 0 0 0 0 0 0\n"])
+def test_matrix_file_numbers_are_ascii(text):
+    with pytest.raises(ValueError, match="ASCII|bad matrix header"):
+        la.parse_matrix(text)
+    assert _cli_on_file(text, lambda path: ["reduce41", "--in", path])[0] == 2
+
+
+def test_cyc_coefficients_may_be_decimals_fractions_or_exponents():
+    m = la.parse_matrix("cyc 1 1\n1.5 1/2 1e3 -2 +3 0 0 0\n")
+    assert m.data[0][0].coeffs == (Fraction(3, 2), Fraction(1, 2), 1000, -2, 3, 0, 0, 0)
+
+
 def test_usage_errors(capsys):
     assert cli.run(["nonsense"]) == 2
     assert cli.run([]) == 2
@@ -504,7 +550,7 @@ def bound_files(tmp_path_factory):
 
 
 @settings(max_examples=200, deadline=None)
-@given(word=st.one_of(_words, st.text(alphabet="abf12x ()^-09", max_size=16)),
+@given(word=st.one_of(_words, st.text(alphabet="abf12x ()^-09é٣", max_size=16)),
        names=st.one_of(st.just(set(_BOUND)), st.sets(st.sampled_from(sorted(_BOUND)))))
 def test_eval_words_on_bound_files_never_trace_back(bound_files, word, names):
     argv = [f"--word={word}"] + [f"--bind={n}={bound_files[n]}" for n in sorted(names)]

@@ -50,6 +50,56 @@ def test_syntax_errors_carry_position():
         assert exc.pos == 3
 
 
+_DEEP = "(" * (wl.MAX_NESTING + 1) + "a" + ")" * (wl.MAX_NESTING + 1)
+
+
+@pytest.mark.parametrize("word, names, message", [
+    ("a 2", None, "unexpected character '2' (at position 2)"),
+    ("a-1", None, "unexpected character '-' (at position 1)"),
+    ("a*b", None, "unexpected character '*' (at position 1)"),
+    ("", None, "empty word (at position 0)"),
+    ("a ( )", None, "empty word (at position 4)"),
+    (_DEEP, None, "word nested deeper than 100 levels (at position 100)"),
+    ("(ab", None, "unbalanced parentheses (at position 3)"),
+    ("a^(b ", None, "unbalanced parentheses (at position 5)"),
+    ("a^", None, "empty exponent (at position 2)"),
+    ("ab^", None, "empty exponent (at position 3)"),
+    ("a^-", None, "empty exponent (at position 2)"),
+    ("a^- 1", None, "empty exponent (at position 2)"),
+    ("a^0", None, "zero exponent (at position 2)"),
+    ("a^ -00", None, "zero exponent (at position 3)"),
+    ("a^)", None, "bad exponent start ')' (at position 2)"),
+    ("a^^2", None, "bad exponent start '^' (at position 2)"),
+    ("xq", {"a", "b"}, "unknown generator 'x' (at position 0)"),
+    ("a ab^bc", {"a", "b"}, "unknown generator 'c' (at position 5)"),
+    ("a)b", None, "trailing input (at position 1)"),
+])
+def test_every_syntax_error_message_and_position(word, names, message):
+    with pytest.raises(WordSyntaxError) as exc:
+        parse_word(word, names=names)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("word, message", [
+    ("é", "unexpected character 'é' (at position 0)"),
+    ("aé", "unexpected character 'é' (at position 1)"),
+    ("ß", "unexpected character 'ß' (at position 0)"),
+    ("a^é", "bad exponent start 'é' (at position 2)"),
+    ("a^٣", "bad exponent start '٣' (at position 2)"),
+    ("a^²", "bad exponent start '²' (at position 2)"),
+    ("a^-٣", "empty exponent (at position 2)"),
+])
+def test_non_ascii_letters_and_digits_are_syntax_errors(word, message):
+    with pytest.raises(WordSyntaxError) as exc:
+        parse_word(word)
+    assert str(exc.value) == message
+
+
+def test_is_name_is_one_whole_run():
+    assert all(map(wl.is_name, ["a", "f1", "eprime", "A9b"]))
+    assert not any(map(wl.is_name, ["", "1a", "a b", " a", "a ", "é", "a_b", "a-1", "a^2"]))
+
+
 def test_nesting_limit():
     depth = wl.MAX_NESTING - 1
     assert parse_word("(" * depth + "a" + ")" * depth) == Gen("a")
