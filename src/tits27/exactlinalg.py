@@ -37,7 +37,9 @@ from .gf41 import SingularMatrixError
 RING_CYC = "cyc"
 RING_GF41 = "gf41"
 _RINGS = (RING_CYC, RING_GF41)
-_INTEGER = re.compile(r"[+-]?[0-9]+")  # file dimensions and residues are ASCII
+# file dimensions and residues are ASCII; only a residue has a sign
+_COUNT = re.compile(r"[0-9]+")
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 class DimensionMismatchError(ValueError):
@@ -332,7 +334,7 @@ def parse_matrix(text: str) -> ExactMatrix:
     if not lines:
         raise ValueError("empty matrix file")
     header = lines[0].split()
-    if len(header) != 3 or header[0] not in _RINGS or not all(map(_INTEGER.fullmatch, header[1:])):
+    if len(header) != 3 or header[0] not in _RINGS or not all(map(_COUNT.fullmatch, header[1:])):
         raise ValueError(f"bad matrix header {lines[0]!r}")
     ring, rows, cols = header[0], int(header[1]), int(header[2])
     body = lines[1:]

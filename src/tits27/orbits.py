@@ -1,31 +1,34 @@
 """Orbit enumeration, permutation images and their certified base.
 
 Points and generators
-    An orbit stores its points as one n x 216 int64 array at the fixed scale
-    SCALE = 25, so a stored row is 25 times the power-basis coefficients of
-    the point (see `zkernel` for the Z^216 coordinates); every point of the
-    2304-point vector orbit and of the 1755-point projective orbit is
-    integral at that scale (the largest stored value is 25).  Each generator
-    is compiled once into its `zkernel.IntegerAction`, kept on the matrix,
-    and breadth-first search stacks the k generators' 216x216 integer
-    matrices side by side (`IntegerAction.stack`) and applies them to a
-    whole BFS level as one exact float product.  Row i of the product holds
-    the images of point i under each generator in turn, so viewed as n * k
-    rows of 216 it lists the level's images in (point, generator) order, and
-    they go through one canonical form and one key pass.  The seed row goes
-    to the kernel as it is, int64, and the frontier and its images then stay
-    in float32, the kernel's one product type, from level to level; `coords`
-    becomes int64 once, at the end.  `perm_images` applies a matrix that did
-    not build the orbit to `coords` as they are, through the same kernel
-    call.
+    An orbit stores its points as one n x 216 float32 array of integers at
+    the fixed scale SCALE = 25, so a stored row is 25 times the power-basis
+    coefficients of the point (see `zkernel` for the Z^216 coordinates);
+    every point of the 2304-point vector orbit and of the 1755-point
+    projective orbit is integral at that scale (the largest stored value is
+    25).  Each generator is compiled once into its `zkernel.IntegerAction`,
+    kept on the matrix, and breadth-first search stacks the k generators'
+    216x216 integer matrices side by side (`IntegerAction.stack`) and
+    applies them to a BFS level, CHUNK = 256 frontier rows at a time, each
+    chunk as one exact float product written into the same float32 array.
+    Row i of the product holds the images of point i under each generator
+    in turn, so viewed as n * k rows of 216 it lists the chunk's images in
+    (point, generator) order, and they go through one canonical form and
+    one key pass.  The seed, checked to be below 2^24, and every frontier
+    and image after it are float32, the kernel's one product type, and
+    `coords` is the levels' new rows joined, with no copy in another type:
+    the kernel's guard makes each of them exact (see Exactness guards).
+    `perm_images` applies a matrix that did not build the orbit to `coords`
+    as they are, through the same kernel call.
 
 Exactness guards
     All products run through `zkernel`, which never rounds, has no other
     arithmetic path and raises KernelOverflowError before any product whose
     partial sums could reach 2^24.  Whether its rows are int64 or float, it
-    multiplies in float32, and only when 216 * max|B| * max|v| < 2^24, so
-    each product, and its division by D, equals the integer one: for the
-    paper orbits 216 * 2 * 25 = 10,800.  Every image must divide exactly by
+    multiplies in float32, and only when 216 * max|B| * max|v| < 2^24, with
+    max|v| over the rows of the call (in the BFS, one chunk), so each
+    product, and its division by D, equals the integer one: for the paper
+    orbits 216 * 2 * 25 = 10,800.  Every image must divide exactly by
     the generator's denominator lcm (skipped when it is 1), so it is again
     integral at scale 25, or the kernel raises ScaleError, as `Seed.of` does
     for a seed that is not integral at scale 25.  Each entry of a rotated
@@ -78,18 +81,23 @@ Seeds and characters
 Numbering
     BFS visits point i and then the generators in order, and numbers each
     new image when it is first met, so the numbering is deterministic for a
-    fixed seed and generator order.  A level's keys are numbered in that
+    fixed seed and generator order.  A chunk's keys are numbered in that
     order in one pass of `index.setdefault`, a new key taking the next
     number; so an image is new exactly where its number exceeds every number
-    before it in the level, and the next frontier is one gather of those
-    rows.  The cap is checked once a level is numbered.  A point's key is
-    the 216 bytes of its row cast to int8 when every entry fits in int8
-    (-128..127), and the 1,728 bytes of its int64 row otherwise, whether the
-    row is held as integers or as floats.  The key depends only on the row's
-    values, and two keys are equal only for equal rows: keys of different
-    lengths are never equal, and each cast is one-to-one on the rows it is
-    used for.  The stored entries of both paper orbits lie within +-25, so
-    every lookup in them copies and hashes 216 bytes, not 1,728.
+    before it in the chunk and every number given before the chunk, and the
+    chunk's new rows are one gather, copied out before the next chunk
+    overwrites its images.  The chunks of a level are taken in order, so the
+    numbers, `index`, `images` and the rows are those of numbering the
+    whole level in one pass, whatever CHUNK is; chunking only bounds the
+    images held at once to CHUNK * k rows.  The cap is checked once a chunk
+    is numbered.  A point's key is the 216 bytes of its row cast to int8
+    when every entry fits in int8 (-128..127), and the 1,728 bytes of its
+    int64 row otherwise, whether the row is held as integers or as floats.
+    The key depends only on the row's values, and two keys are equal only
+    for equal rows: keys of different lengths are never equal, and each
+    cast is one-to-one on the rows it is used for.  The stored entries of
+    both paper orbits lie within +-25, so every lookup in them copies and
+    hashes 216 bytes, not 1,728.
     The BFS looks up the key of the image of every point under every
     generator, so it records the permutations of the point indices as it
     goes; `perm_images` reads them for the generators that built the orbit
@@ -144,6 +152,10 @@ _ROTS = _ROT.transpose(1, 0, 2).reshape(8, 20 * 8)
 _KEY8 = np.dtype((np.void, DIM))  # a row's int8 bytes as one key
 _KEY64 = np.dtype((np.void, 8 * DIM))  # a row's int64 bytes as one key
 _SIGN_BIT = np.int64(-2 ** 63)  # x ^ _SIGN_BIT orders as uint64 as x does as int64
+
+#: Frontier rows per BFS product (see Numbering); their images go into one
+#: float32 array, reused for every chunk of every level.
+CHUNK = 256
 
 
 class OrbitNotClosedError(la.CheckFailed):
@@ -253,10 +265,11 @@ def _row_keys(rows) -> list:
 class Orbit:
     """An indexed orbit, closed under the generators that built it.
 
-    `coords[i]` is point i as SCALE times its 216 power-basis coefficients;
-    `index` maps the key of a row (its int8 bytes if every entry fits in
-    int8, else its int64 bytes; see Numbering) to its point number;
-    `images[k, i]` is the number of the image of point i under `gens[k]`.
+    `coords[i]` is point i as SCALE times its 216 power-basis coefficients,
+    held as float32 integers; `index` maps the key of a row (its int8 bytes
+    if every entry fits in int8, else its int64 bytes; see Numbering) to its
+    point number; `images[k, i]` is the number of the image of point i
+    under `gens[k]`.
     """
 
     coords: np.ndarray
@@ -285,25 +298,32 @@ def enumerate_orbit(seed: Seed, gens, cap: int = 10000) -> Orbit:
         raise CapExceededError(f"orbit exceeds cap {cap}")
     gens = tuple(gens)
     stack = IntegerAction.stack([IntegerAction.of(g) for g in gens]) if gens else None
-    # float rows after the seed, in the type each product is exact in
+    # every stored row is float32, the kernel's product type, so the seed must be exact in it
     frontier = _canonical(seed.row, seed.mode)
+    check_range(1, max_abs(frontier), 1, bits=24)
+    frontier = frontier.astype(np.float32, copy=False)
     levels = [frontier]
     index = {_row_keys(frontier)[0]: 0}
-    targets = []  # per level, in (point, generator) order (see Numbering)
+    targets = []  # per chunk, in (point, generator) order (see Numbering)
+    out = np.empty((CHUNK, len(gens) * DIM), dtype=np.float32)
     while gens and len(frontier):
-        # row i * len(gens) + k: the image of frontier point i under gens[k]
-        images = _canonical(stack(frontier).reshape(-1, DIM), seed.mode)
-        start = len(index)
-        level = np.array([index.setdefault(key, len(index)) for key in _row_keys(images)],
-                         dtype=np.intp)
-        if len(index) > cap:
-            raise CapExceededError(f"orbit exceeds cap {cap}")
-        # a point is new where its number first exceeds every number before it
-        seen = np.maximum.accumulate(np.maximum(level, start - 1))
-        frontier = images[np.flatnonzero(np.diff(seen, prepend=start - 1))]
-        targets.append(level)
+        fresh = []
+        for lo in range(0, len(frontier), CHUNK):
+            chunk = frontier[lo:lo + CHUNK]
+            # row i * len(gens) + k: the image of chunk point i under gens[k]
+            images = _canonical(stack(chunk, out[:len(chunk)]).reshape(-1, DIM), seed.mode)
+            start = len(index)
+            numbers = np.array([index.setdefault(key, len(index)) for key in _row_keys(images)],
+                               dtype=np.intp)
+            if len(index) > cap:
+                raise CapExceededError(f"orbit exceeds cap {cap}")
+            # a point is new where its number first exceeds every number before it
+            seen = np.maximum.accumulate(np.maximum(numbers, start - 1))
+            fresh.append(images[np.flatnonzero(np.diff(seen, prepend=start - 1))])
+            targets.append(numbers)
+        frontier = np.concatenate(fresh)
         levels.append(frontier)
-    return Orbit(np.concatenate(levels).astype(np.int64), index, seed.mode, gens,
+    return Orbit(np.concatenate(levels), index, seed.mode, gens,
                  np.concatenate(targets or [np.empty(0, np.intp)]).reshape(len(index), len(gens)).T)
 
 

@@ -18,25 +18,33 @@ Stabilizer chain
     assigned at its depth or deeper, as `pos[x]` (the BFS visit number of
     point x, -1 off the orbit), the BFS tree (per point, the `parent` it was
     reached from and the `label` of the generator that reached it, and the
-    `layers` of visit numbers) and the table `uinv`, whose row r is the
-    inverse of u_e for the r-th point e visited, where u_e = s_k u_d if
-    generator s_k first reached e from d;
-  * `uinv` is filled on first use, by a Schreier batch of its level or by a
-    sift of more than WALK_ROWS = 64 rows, and dropped when the level is
-    rebuilt; until then a sift maps a row through u_e^-1 by walking the tree
-    from e to the base point and applying s_k^-1 for each edge, the
-    Schreier-vector trade of time for space (Seress, "Permutation Group
-    Algorithms", 2003, section 4.1).  So sifting the input generators, each
-    of which rebuilds level 0, fills no table, and level 0 is filled once;
-  * u is filled one BFS layer at a time by one gather, each row through
-    its own generator; `uinv` is filled per layer and generator, by one take
-    of the parents' rows through the inverse generator, since a gather of
-    whole rows each through its own inverse takes twice as long and holds
-    intp indices for every entry of the layer;
-  * u itself is formed only on the test points (see Known base), from the
-    tree, while the level's Schreier generators u_e^-1 s u_d are sifted, and
-    again whenever a new base point joins the test points; the one full row
-    u_d that a residue needs is the inverse of row d of `uinv`;
+    `layers` of visit numbers, one per edge of the longest path from the
+    base point) and the table `uinv`, whose row r is the inverse of u_e for
+    the r-th point e visited, where u_e = s_k u_d if generator s_k first
+    reached e from d;
+  * a sift maps a row through u_e^-1 by walking the tree from e to the base
+    point and applying s_k^-1 for each edge, the Schreier-vector trade of
+    time for space (Seress, "Permutation Group Algorithms", 2003, section
+    4.1), and reads `uinv` instead once it is filled.  A batch fills it
+    when walking would gather more entries than the table holds: rows x
+    columns x layers above orbit length x degree.  The table is dropped
+    when the level is rebuilt.  A level is never rebuilt while its own
+    Schreier generators are sifted, so it is filled before the first of
+    them when walking all of them would gather more than it holds.  On the
+    27-point certified base, level 0 of G walks: 11,520 rows of at most 31
+    columns x 9 layers is at most 3.2M entries, against the 5.3M of its
+    2304 x 2304 int16 table (10.1 MiB), which is never filled.  A set
+    without a base tests every point, and there the tables are filled;
+  * `uinv` is filled per layer and generator, by one take of the parents'
+    rows through the inverse generator, since a gather of whole rows each
+    through its own inverse takes twice as long and holds intp indices for
+    every entry of the layer;
+  * u is formed only on the test points (see Known base), one BFS layer at
+    a time by one gather, each row through its own generator, from the
+    tree, while the level's Schreier generators u_e^-1 s u_d are sifted,
+    and again whenever a new base point joins the test points; the one
+    full row u_d that a residue needs is the inverse of u_d^-1, read by
+    walking the tree on an identity row (or from the table, once filled);
   * every Schreier generator of a level is sifted through the deeper levels,
     and nontrivial residues are appended where they escape.
 
@@ -75,13 +83,15 @@ Batches
     batch starts at the row after it, against the new chain.  This holds
     for batches of any size, so the base and the strong generators, in
     their order, are those of sifting one Schreier generator at a time,
-    whatever the sizes are.  A batch starts at 64 rows and doubles after
-    each batch that sifts clean, up to 2^20 // |Q| rows, which bounds the
-    temporaries; after a residue it starts again at 64.  Residues come
-    early and close together (the 7 of the 2304-point level all come within
-    its first 107 of 11,520 rows), and every row after the first escape in
-    a batch is formed again, so small batches there and large ones later
-    form each row about once.
+    whatever the sizes are.  Each level maps a batch through its u_e^-1
+    along its tree or through its table, by the rule of the Stabilizer
+    chain section, and both give the same rows.  A batch starts at 64 rows
+    and doubles after each batch that sifts clean, up to 2^20 // |Q| rows,
+    which bounds the temporaries; after a residue it starts again at 64.
+    Residues come early and close together (the 7 of the 2304-point level
+    all come within its first 107 of 11,520 rows), and every row after the
+    first escape in a batch is formed again, so small batches there and
+    large ones later form each row about once.
 """
 
 import math
@@ -121,7 +131,8 @@ def _bfs(gens, beta):
     """BFS from beta under the rows of `gens`, each point then each generator:
     every point's visit number (-1: unreached); per visit number, the visit
     number of its parent and the generator that reached it (0 and 0 for
-    beta); and the visit numbers [lo, hi) of each layer after the first."""
+    beta); and the visit numbers [lo, hi) of each nonempty layer after the
+    first, one per edge on the longest path from beta."""
     pos = np.full(gens.shape[1], -1, dtype=np.intp)
     pos[beta] = 0
     frontier, parent, label, layers = np.array([beta]), [[0]], [[0]], [(0, 1)]
@@ -135,15 +146,13 @@ def _bfs(gens, beta):
         lo = layers[-1][1]
         pos[frontier] = lo + np.arange(hits.size)
         layers.append((lo, lo + hits.size))
-    return pos, np.concatenate(parent), np.concatenate(label), layers[1:]
+    return pos, np.concatenate(parent), np.concatenate(label), layers[1:-1]
 
 
 class _Level:
     """A base point and its transversal: `pos`, `points`, the BFS tree
-    (`parent`, `label`, `layers`) and the `uinv` table, filled on first use."""
-
-    #: A sift of more rows than this fills the table; fewer walk the tree.
-    WALK_ROWS = 64
+    (`parent`, `label`, `layers`) and the `uinv` table, filled only where it
+    pays (`table_pays`)."""
 
     def __init__(self, beta):
         self.beta = beta
@@ -168,12 +177,17 @@ class _Level:
                 uinv[pick] = np.take(uinv[self.parent[pick]], ginv, axis=1)
         return uinv
 
+    def table_pays(self, entries):
+        """Whether walking the tree for `entries` row entries would gather
+        more than the table holds: entries x layers > orbit length x degree."""
+        return entries * len(self.layers) > self.pos.size * len(self.points)
+
     def unwind(self, r, a):
         """Row k of `a` mapped through u_e^-1, e the r[k]-th point visited:
-        by the table once it is filled or for a batch of more than WALK_ROWS
-        rows, and otherwise by walking the tree from e to the base point,
-        applying s^-1 for each edge s(d) = e on the way."""
-        if "uinv" in self.__dict__ or len(a) > self.WALK_ROWS:
+        by the table once it is filled or when it pays for `a`, and otherwise
+        by walking the tree from e to the base point, applying s^-1 for each
+        edge s(d) = e on the way."""
+        if "uinv" in self.__dict__ or self.table_pays(a.size):
             return _gather(self.uinv, r, a)
         a = a.copy()
         live = np.flatnonzero(r)
@@ -246,7 +260,7 @@ class StabChain:
 def _schreier(lv, gens, d, s, ud):
     """Images under u_e^-1 s u_d, e = s(d), one row per (d, s), of the points
     whose images under u_d are the row's entries of `ud`."""
-    return _gather(lv.uinv, lv.pos[gens[s, d]], _gather(gens, s, ud))
+    return lv.unwind(lv.pos[gens[s, d]], _gather(gens, s, ud))
 
 
 def build_stab_chain(pset: PermSet) -> StabChain:
@@ -286,6 +300,8 @@ def build_stab_chain(pset: PermSet) -> StabChain:
         d = np.repeat(lv.points, len(gens))
         s = np.tile(np.arange(len(gens)), len(lv.points))
         row, size, pts = 0, 64, ()
+        if lv.table_pays(len(d) * len(test)):
+            lv.uinv  # one fill serves every Schreier row: the level is not rebuilt under them
         while row < len(d):
             if len(pts) != len(test):  # first pass, or a residue added a base point
                 pts = np.array(list(test), dtype=ident.dtype)
@@ -299,6 +315,7 @@ def build_stab_chain(pset: PermSet) -> StabChain:
                 row, size = end, 2 * size
                 continue
             row, size = row + int(escaped[0]) + 1, 64
-            ud = np.argsort(lv.uinv[lv.pos[d[row - 1]]], kind="stable")  # u_d in full
+            # u_d in full: the inverse of u_d^-1, the tree walked on an identity row
+            ud = np.argsort(lv.unwind(lv.pos[d[row - 1:row]], ident[None])[0], kind="stable")
             add(_schreier(lv, gens, d[row - 1:row], s[row - 1:row], ud[None])[0], i + 1)
     return StabChain(levels, strong[:, 0], pset.degree)

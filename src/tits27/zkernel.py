@@ -161,22 +161,24 @@ class IntegerAction:
         act.dense = self.dense.reshape(27, 8, 27, 8).transpose(2, 1, 0, 3).reshape(DIM, DIM)
         return act
 
-    def raw(self, rows):
+    def raw(self, rows, out=None):
         """The rows of D * (m v), with no division, as a float32 array.
 
         `rows` is n x 216, or n x 27 for vectors whose entries are rational
         integers (coefficient 0 of each block only); the result is n x 216.
         The rows are integers, or floats that hold integers, and the product
-        must fit the guard of the module docstring.
+        must fit the guard of the module docstring.  With `out`, a float32
+        array of the result's shape, the product is written into it.
         """
         dense = self.dense if rows.shape[1] == DIM else self.dense[0::8]
         check_range(len(dense), max(self.max_b, 1), max(max_abs(rows), 1), bits=24)
-        return rows.astype(np.float32, copy=False) @ dense
+        return np.matmul(rows.astype(np.float32, copy=False), dense, out=out)
 
-    def __call__(self, rows):
-        """The rows of m v, as float32; the division by D must be exact, and
-        a stack divides only its blocks whose D is above 1."""
-        out = self.raw(rows)
+    def __call__(self, rows, out=None):
+        """The rows of m v, as float32, in `out` if given (see `raw`); the
+        division by D must be exact, and a stack divides only its blocks
+        whose D is above 1."""
+        out = self.raw(rows, out)
         for k, den in enumerate(self.dens or (self.den,)):
             if den == 1:
                 continue
@@ -185,4 +187,3 @@ class IntegerAction:
             if (block != np.trunc(block)).any():  # exact when D divides, never integral otherwise
                 raise ScaleError("an image is not integral at the scale of its preimage")
         return out
-

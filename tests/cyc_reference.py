@@ -41,8 +41,11 @@ def conj_transpose(m: ExactMatrix) -> ExactMatrix:
 
 
 def point(row) -> tuple:
-    """27 exact scalars from a 216-coefficient orbit row at SCALE."""
-    row = row.ravel().tolist()
+    """27 exact scalars from a 216-coefficient orbit row at SCALE, held as
+    integers or as floats that hold integers (the stored float32 rows)."""
+    ints = np.asarray(row).ravel().astype(np.int64)
+    assert np.array_equal(ints, np.asarray(row).ravel()), "not an integer row"
+    row = ints.tolist()
     return tuple(CycNum(row[8 * j:8 * j + 8], SCALE) for j in range(27))
 
 

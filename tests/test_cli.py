@@ -511,6 +511,14 @@ def test_matrix_file_numbers_are_ascii(text):
     assert _cli_on_file(text, lambda path: ["reduce41", "--in", path])[0] == 2
 
 
+@pytest.mark.parametrize("text", ["gf41 -1 -1\n", "cyc -1 -1\n1 0 0 0 0 0 0 0\n"])
+def test_signed_header_dimensions_are_a_bad_header(text):
+    # a signed dimension was once read as a count: "expected -1 rows, got 0"
+    # and "expected 8 coefficients, got 1"; residues keep their sign
+    code, err = _cli_on_file(text, lambda path: ["reduce41", "--in", path])
+    assert (code, err) == (2, f"error: bad matrix header {text.splitlines()[0]!r}\n")
+
+
 def test_cyc_coefficients_may_be_decimals_fractions_or_exponents():
     m = la.parse_matrix("cyc 1 1\n1.5 1/2 1e3 -2 +3 0 0 0\n")
     assert m.data[0][0].coeffs == (Fraction(3, 2), Fraction(1, 2), 1000, -2, 3, 0, 0, 0)

@@ -6,6 +6,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 import weakref
 
@@ -39,6 +40,14 @@ def test_seed_refusals(gens5):
     zero = ob.Seed.of([cyclo.ZERO] * 27, ob.PROJECTIVE)
     with pytest.raises(ValueError, match="nonzero"):
         ob.enumerate_orbit(zero, gens5)
+    # stored rows are float32, exact below 2^24, even with no generator to apply
+    for c, refused in ((2 ** 24 // ob.SCALE, False), (2 ** 24 // ob.SCALE + 1, True)):
+        seed = ob.Seed.of([cyclo.CycNum.from_int(c)] + [cyclo.ZERO] * 26, ob.VECTOR)
+        if refused:
+            with pytest.raises(ob.KernelOverflowError, match=r"2\^24"):
+                ob.enumerate_orbit(seed, [])
+        else:
+            assert ob.enumerate_orbit(seed, []).coords[0, 0] == ob.SCALE * c
 
 
 def test_trivial_orbit(gens):
@@ -134,7 +143,7 @@ def test_kernel_refuses_int64_overflow(monkeypatch, exponent):
     calls = []
     raw = zkernel.IntegerAction.raw
     monkeypatch.setattr(zkernel.IntegerAction, "raw",
-                        lambda self, rows: calls.append(1) or raw(self, rows))
+                        lambda self, rows, out=None: calls.append(1) or raw(self, rows, out))
     big = _scalar(cyclo.CycNum.from_int(2 ** exponent))
     with pytest.raises(ob.KernelOverflowError, match=r"2\^24"):
         ob.enumerate_orbit(ob.seed_fixed_vector(), [big])
@@ -153,7 +162,7 @@ def test_recorded_images_equal_applied_images(request, monkeypatch, gens, which,
     chosen = [getattr(gens, name) for name in subset]
     applied = ob.perm_images(orbit, [la.ExactMatrix(m.ring, m.data) for m in chosen])
 
-    def no_product(self, rows):
+    def no_product(self, rows, out=None):
         raise AssertionError("the recorded permutations need no product")
 
     monkeypatch.setattr(zkernel.IntegerAction, "raw", no_product)
@@ -388,8 +397,8 @@ def test_canonical_refusals():
     assert got.dtype == np.float32 and got.tolist() == _reference_canonical(rows)
 
 
-# sha256 of coords.tobytes() and of images.astype(np.int64).tobytes(),
-# recorded with the per-rotation canonical form
+# sha256 of coords.astype(np.int64).tobytes() and of images.astype(np.int64).tobytes(),
+# recorded with the per-rotation canonical form when coords were int64
 PINNED_ORBITS = {
     "orbit2304": ("e0f439546efc6f2a45aa2d249714ef427ff1533215660333e413abafc7d733ad",
                   "01887a18e51e70bf48b6362f5ebc09b1147cbf2fe67ac4f56d77ef1d7e2a38de"),
@@ -401,21 +410,24 @@ PINNED_ORBITS = {
 @pytest.mark.parametrize("which", sorted(PINNED_ORBITS))
 def test_orbit_bytes_are_pinned(request, which):
     orbit = request.getfixturevalue(which)
-    assert (hashlib.sha256(orbit.coords.tobytes()).hexdigest(),
-            hashlib.sha256(orbit.images.astype(np.int64).tobytes()).hexdigest()) \
-        == PINNED_ORBITS[which]
+    assert _orbit_hashes(orbit) == PINNED_ORBITS[which]
+
+
+def _orbit_hashes(orbit):
+    return (hashlib.sha256(orbit.coords.astype(np.int64).tobytes()).hexdigest(),
+            hashlib.sha256(orbit.images.astype(np.int64).tobytes()).hexdigest())
 
 
 def test_bfs_applies_every_matrix_to_float32_rows(monkeypatch, gens5):
     # entries of both paper orbits lie within +-25, so 216 * max|B| * 25 is far
     # below 2^24: every product, in the BFS and in perm_images, is in float32,
     # whatever the type of its rows, no cast leaves its range, and the stored
-    # rows are int64 as pinned
+    # rows are float32, with the pinned integer values
     seen = []
     raw = zkernel.IntegerAction.raw
 
-    def spy(self, rows):
-        out = raw(self, rows)
+    def spy(self, rows, out=None):
+        out = raw(self, rows, out)
         seen.append(out.dtype)
         return out
 
@@ -428,10 +440,8 @@ def test_bfs_applies_every_matrix_to_float32_rows(monkeypatch, gens5):
         applied = {name: ob.perm_images(orbit, copies) for name, orbit in built.items()}
     assert len(seen) > 2 * len(copies) and set(seen) == {np.dtype(np.float32)}
     for name, orbit in built.items():
-        assert orbit.coords.dtype == np.int64
-        assert (hashlib.sha256(orbit.coords.tobytes()).hexdigest(),
-                hashlib.sha256(orbit.images.astype(np.int64).tobytes()).hexdigest()) \
-            == PINNED_ORBITS[name]
+        assert orbit.coords.dtype == np.float32
+        assert _orbit_hashes(orbit) == PINNED_ORBITS[name]
         assert applied[name].perms == tuple(map(tuple, orbit.images.tolist()))
 
 
@@ -491,7 +501,7 @@ def test_stacked_bfs_with_wide_keys_at_the_guard(monkeypatch, gens5, orbit2304):
     seen = []
     raw = zkernel.IntegerAction.raw
     monkeypatch.setattr(zkernel.IntegerAction, "raw",
-                        lambda self, rows: seen.append(raw(self, rows)) or seen[-1])
+                        lambda self, rows, out=None: seen.append(raw(self, rows, out)) or seen[-1])
     orbit = ob.enumerate_orbit(_scaled_seed(s), gens5)
     assert seen and {out.dtype for out in seen} == {np.dtype(np.float32)}
     assert {len(k) for k in orbit.index} == {1728}
@@ -517,6 +527,10 @@ def test_stack_refuses_what_the_per_generator_bfs_refuses(gens, gens5):
     # generators (max|B| = 1) are accepted and eprime (max|B| = 2) is not.
     # 2^10 I passes its first product and is refused one level later, where
     # eprime still takes the rows of 25 * 2^10
+    _assert_guard_cases_match_the_reference(gens, gens5)
+
+
+def _assert_guard_cases_match_the_reference(gens, gens5):
     s = (2 ** 24 - 1) // (zkernel.DIM * ob.SCALE)
     seventh = cyc_reference.scale_matrix(gens.f1, cyclo.CycNum.rational(1, 7))
     big = _scalar(cyclo.CycNum.from_int(2 ** 10))
@@ -537,8 +551,63 @@ def test_stack_refuses_what_the_per_generator_bfs_refuses(gens, gens5):
             assert isinstance(got, ob.Orbit)
             assert np.array_equal(got.coords, expected[0])
             assert np.array_equal(got.images, expected[2])
+            assert list(got.index.items()) == list(expected[1].items())
         else:
             assert got == expected and got[0] is refusal
+
+
+def _level_sizes(orbit):
+    """The number of points of each BFS level: points are numbered in BFS
+    order, so the next level ends at the largest image of this one."""
+    sizes, lo, hi = [], 0, 1
+    while lo < hi:
+        sizes.append(hi - lo)
+        lo, hi = hi, max(hi, int(orbit.images[:, lo:hi].max()) + 1)
+    return sizes
+
+
+@pytest.mark.parametrize("which", sorted(PINNED_ORBITS))
+def test_paper_orbits_have_a_level_larger_than_a_chunk(request, which):
+    orbit = request.getfixturevalue(which)
+    sizes = _level_sizes(orbit)
+    assert sum(sizes) == len(orbit)
+    assert max(sizes) > ob.CHUNK
+
+
+@pytest.mark.parametrize("chunk", [1, 7, ob.CHUNK])
+def test_bfs_chunks_do_not_change_the_orbit(request, monkeypatch, gens, gens5, chunk):
+    # each level is applied CHUNK frontier rows at a time, and the keys are
+    # numbered in (point, generator) order across the chunks, so the orbit is
+    # the one a whole-level product gives, whatever the chunk size
+    monkeypatch.setattr(ob, "CHUNK", chunk)
+    for name, seed in (("orbit2304", ob.seed_fixed_vector), ("orbit1755", ob.seed_proj_1755)):
+        whole = request.getfixturevalue(name)
+        orbit = ob.enumerate_orbit(seed(), gens5)
+        assert np.array_equal(orbit.coords, whole.coords) and orbit.coords.dtype == np.float32
+        assert np.array_equal(orbit.images, whole.images)
+        assert list(orbit.index.items()) == list(whole.index.items())
+        assert _orbit_hashes(orbit) == PINNED_ORBITS[name]
+    _assert_guard_cases_match_the_reference(gens, gens5)
+
+
+def _traced_peak_mib(fn, *args):
+    """The peak of the memory that tracemalloc traces while fn(*args) runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_bfs_and_chain_footprints(gens5, orbit2304, perms_all):
+    # measured 6.6 MiB for each orbit (11.5 and 10.4 when each level was one
+    # product and coords an int64 copy) and 2.6 MiB for the chain of G (13.9
+    # with its 2304 x 2304 int16 table at level 0); the generators are
+    # compiled already, by the orbit2304 fixture
+    assert _traced_peak_mib(ob.enumerate_orbit, ob.seed_fixed_vector(), gens5) < 8
+    assert _traced_peak_mib(ob.enumerate_orbit, ob.seed_proj_1755(), gens5) < 8
+    assert _traced_peak_mib(ob.build_stab_chain, perms_all) < 4
 
 
 def test_point_stabilizer_row_needs_generators_that_fix_the_seed(monkeypatch):

@@ -119,14 +119,20 @@ def _count_fills(monkeypatch):
 
 
 @pytest.mark.parametrize("which", ["G", "H"])
-def test_level_zero_table_is_filled_once(request, monkeypatch, which):
-    # the input generators are sifted by walking level 0's tree, which is
-    # rebuilt for each of them; only its Schreier generators fill the table
+def test_certified_base_chain_fills_no_level_zero_table(request, monkeypatch, which):
+    # on the 27-point certified base, walking level 0's tree for every
+    # Schreier row gathers fewer entries than its table (orbit length x 2304)
+    # holds, so the table is never filled; the same generators without a base
+    # test all 2304 points, and there the table is filled, once
+    pset = request.getfixturevalue("perms_all" if which == "G" else "perms_psl")
     fills = _count_fills(monkeypatch)
-    chain = pg.build_stab_chain(request.getfixturevalue("perms_all" if which == "G" else "perms_psl"))
+    chain = pg.build_stab_chain(pset)
     assert _pinned(chain) == PINNED_CHAINS[which]
-    assert fills[chain._levels[0]] == 1
-    assert all(fills[lv] >= 1 for lv in chain._levels)
+    assert fills[chain._levels[0]] == 0
+    if which == "H":  # the plain chain of G takes about 0.4 s
+        plain = pg.build_stab_chain(pg.PermSet(pset.degree, pset.perms))
+        assert _pinned(plain) == PINNED_CHAINS[which]
+        assert fills[plain._levels[0]] == 1
 
 
 def _closure(perms, degree):
@@ -146,21 +152,26 @@ def _closure(perms, degree):
     st.lists(st.permutations(range(n)), min_size=20, max_size=20))), st.booleans())
 def test_chain_matches_brute_force_closure(case, walk):
     # a plain PermSet: every point is a test point, and residues restart the
-    # batches; with `walk`, the tables are dropped and batches of at most
-    # WALK_ROWS rows are sifted along the trees, filling no table
+    # batches.  Membership takes both paths: with the tables read first, all
+    # members are sifted through them at once; with them dropped, about 50
+    # members are sifted one at a time, and walking a tree of depth below the
+    # orbit length for one row gathers fewer entries than a table holds, so
+    # no table is filled
     perms, others = ([tuple(p) for p in ps] for ps in case)
     degree = len(perms[0])
     group = _closure(perms, degree)
     chain = pg.build_stab_chain(pg.PermSet(degree, tuple(perms)))
     assert chain.order() == len(group)
-    size = len(group)
-    if walk:
-        for lv in chain._levels:
-            del lv.uinv
-        size = pg._Level.WALK_ROWS
-    members = list(group)
+    for lv in chain._levels:
+        if walk:
+            vars(lv).pop("uinv", None)
+        else:
+            lv.uinv
+    size = 1 if walk else len(group)
+    members = list(group)[::1 + len(group) // 50 if walk else 1]
     assert all(chain.contains_many(members[k:k + size]).all() for k in range(0, len(members), size))
-    assert chain.contains_many(others).tolist() == [p in group for p in others]
+    assert [chain.contains_many(others[k:k + size]).tolist() for k in range(0, len(others), size)] \
+        == [[p in group for p in others[k:k + size]] for k in range(0, len(others), size)]
     assert all(("uinv" in vars(lv)) != walk for lv in chain._levels)
 
 

@@ -134,6 +134,25 @@ def test_stack_is_each_action_side_by_side(monkeypatch, gens):
             stack(odd.astype(cast))
 
 
+def test_products_into_a_given_array(gens):
+    # raw and a call write into `out` and return it, with the values they
+    # return without it; the guard and the division test are unchanged
+    acts = [IntegerAction(m) for m in gens.in_order()]
+    stack = IntegerAction.stack(acts)
+    rows = 5 * _rows(random.Random(29), 6, DIM)
+    out = np.full((8, 5 * DIM), np.nan, dtype=np.float32)
+    for fn in (stack.raw, stack):
+        got = fn(rows, out[:6])
+        assert np.shares_memory(got, out) and np.array_equal(got, fn(rows))
+    assert np.isnan(out[6:]).all()
+    with pytest.raises(KernelOverflowError, match=r"2\^24"):
+        stack.raw(np.full((6, DIM), _top(stack, 24, DIM) + 1), out[:6])
+    odd = rows.copy()
+    odd[:, 0] += 1
+    with pytest.raises(ScaleError):
+        stack(odd, out[:6])
+
+
 def _top(act, bits, width):
     """The largest max|v| of rows of `width` columns, 216 or 27, with
     width * max|B| * max|v| < 2^bits."""
