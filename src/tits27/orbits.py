@@ -9,7 +9,7 @@ Points and generators
     25).  Each generator is compiled once into its `zkernel.IntegerAction`,
     kept on the matrix, and breadth-first search stacks the k generators'
     216x216 integer matrices side by side (`IntegerAction.stack`) and
-    applies them to a BFS level, CHUNK = 256 frontier rows at a time, each
+    applies them to a BFS level, CHUNK = 128 frontier rows at a time, each
     chunk as one exact float product written into the same float32 array.
     Row i of the product holds the images of point i under each generator
     in turn, so viewed as n * k rows of 216 it lists the chunk's images in
@@ -155,7 +155,7 @@ _SIGN_BIT = np.int64(-2 ** 63)  # x ^ _SIGN_BIT orders as uint64 as x does as in
 
 #: Frontier rows per BFS product (see Numbering); their images go into one
 #: float32 array, reused for every chunk of every level.
-CHUNK = 256
+CHUNK = 128
 
 
 class OrbitNotClosedError(la.CheckFailed):

@@ -601,8 +601,8 @@ def _traced_peak_mib(fn, *args):
 
 
 def test_bfs_and_chain_footprints(gens5, orbit2304, perms_all):
-    # measured 6.6 MiB for each orbit (11.5 and 10.4 when each level was one
-    # product and coords an int64 copy) and 2.6 MiB for the chain of G (13.9
+    # measured 6.1 and 5.1 MiB for the orbits (11.5 and 10.4 when each level
+    # was one product and coords an int64 copy) and 2.6 MiB for the chain of G (13.9
     # with its 2304 x 2304 int16 table at level 0); the generators are
     # compiled already, by the orbit2304 fixture
     assert _traced_peak_mib(ob.enumerate_orbit, ob.seed_fixed_vector(), gens5) < 8

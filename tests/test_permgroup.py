@@ -153,10 +153,10 @@ def _closure(perms, degree):
 def test_chain_matches_brute_force_closure(case, walk):
     # a plain PermSet: every point is a test point, and residues restart the
     # batches.  Membership takes both paths: with the tables read first, all
-    # members are sifted through them at once; with them dropped, about 50
-    # members are sifted one at a time, and walking a tree of depth below the
-    # orbit length for one row gathers fewer entries than a table holds, so
-    # no table is filled
+    # members are sifted through them at once; with them dropped, all members
+    # are sifted in batches of at most orbit length // depth rows at every
+    # level, so walking never gathers more entries than a table holds and no
+    # table is filled
     perms, others = ([tuple(p) for p in ps] for ps in case)
     degree = len(perms[0])
     group = _closure(perms, degree)
@@ -167,8 +167,8 @@ def test_chain_matches_brute_force_closure(case, walk):
             vars(lv).pop("uinv", None)
         else:
             lv.uinv
-    size = 1 if walk else len(group)
-    members = list(group)[::1 + len(group) // 50 if walk else 1]
+    size = min((len(lv.points) // len(lv.layers) for lv in chain._levels), default=1) if walk else len(group)
+    members = list(group)
     assert all(chain.contains_many(members[k:k + size]).all() for k in range(0, len(members), size))
     assert [chain.contains_many(others[k:k + size]).tolist() for k in range(0, len(others), size)] \
         == [[p in group for p in others[k:k + size]] for k in range(0, len(others), size)]
