@@ -34,11 +34,11 @@ Residue arrays
     A matrix is a (27, 27) int64 array of residues mod 41, and the five
     generators are one (5, 27, 27) stack.  Products, ranks, nullspaces and
     inverses run on the kernel in `gf41`, which checks once per call that no
-    sum can round or overflow: `gf41.matmul` multiplies in float64 after
-    checking n * 40^2 < 2^53 for an inner size n (43,200 for n = 27), and
-    `gf41.rref`, which ranks, nullspaces and inverses call, eliminates in
-    int64 after checking n * 40^2 < 2^63 for n columns; diagonal
-    conjugation multiplies three residues, below 41^3.
+    sum can round or overflow: `gf41.matmul` multiplies residues in -20..20
+    in float32 after checking n * 20^2 < 2^24 for an inner size n (10,800
+    for n = 27), and `gf41.rref`, which ranks, nullspaces and inverses
+    call, eliminates in int64 after checking n * 40^2 < 2^63 for n columns;
+    diagonal conjugation multiplies three residues, below 41^3.
     A gf41 `ExactMatrix` holds such an array, so `la.residues` hands one
     over without conversion, and `la.from_residues` wraps a result back.
     The results equal those of per-residue `Gf41` arithmetic: the closure

@@ -48,24 +48,23 @@ def rows(fast: bool = False, seed: int = 12345):
     yield ("cubic form has 45 terms", len(form) == 45)
     yield ("every term passes the eigenvalue test",
            bool(cubicform.eigenvalue_check(form).all()))
-    for name, m in g.as_dict().items():
+    for name, m in g._asdict().items():
         ok, flip_safe = cubicform.invariance_report(form, m)
         yield (f"cubic form invariant under {name}", ok)
         if name == "eprime":
             yield ("every single sign flip breaks eprime invariance", not flip_safe)
     yield from cubicform.jordan_identity_check(
-        form, {n: m for n, m in g.as_dict().items() if n != "d"})
+        form, {n: m for n, m in g._asdict().items() if n != "d"})
 
     if fast:
         return
 
     # the orbit is dropped once both permutation sets are read off it, and each
     # chain once its order is read, so neither is alive during the next search
-    gens5 = list(g.in_order())
-    orbit = orbits.enumerate_orbit(orbits.seed_fixed_vector(), gens5)
+    orbit = orbits.enumerate_orbit(orbits.seed_fixed_vector(), g)
     degree = len(orbit)
     yield ("orbit of (1,1,1;0^24) has 2304 points", degree == 2304)
-    p5 = orbits.perm_images(orbit, gens5)
+    p5 = orbits.perm_images(orbit, g)
     psub = orbits.perm_images(orbit, [g.f1, g.f2, g.ac, g.eprime])
     del orbit
     order = orbits.build_stab_chain(p5).order()
@@ -78,7 +77,7 @@ def rows(fast: bool = False, seed: int = 12345):
     yield ("index is 2304", order // sub_order == degree == 2304)
 
     line = orbits.seed_proj_1755()
-    proj = orbits.enumerate_orbit(line, gens5)
+    proj = orbits.enumerate_orbit(line, g)
     yield ("projective orbit has 1755 points", len(proj) == 1755)
     # zeta^k is i or -i exactly when k is 5 or 15
     yield ("(ac)^3 scales the projective seed by a power of i",

@@ -33,8 +33,7 @@ class _UsageError(Exception):
 
 
 def _gen_subset(selector: str):
-    g = generators.build_all()
-    byname = g.as_dict()
+    byname = generators.build_all()._asdict()
     if selector == "all":
         names = list(generators.NAMES)
     else:
@@ -48,10 +47,7 @@ def _gen_subset(selector: str):
 
 
 def _cmd_gens(args):
-    if args.gf41:
-        mats = dict(zip(generators.NAMES, generators.build_all_gf41()))
-    else:
-        mats = generators.build_all().as_dict()
+    mats = (generators.build_all_gf41() if args.gf41 else generators.build_all())._asdict()
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         for name, m in mats.items():
@@ -81,8 +77,7 @@ def _cmd_orbit(args):
 
 def _cmd_order(args):
     _, subset = _gen_subset(args.gens)
-    g = generators.build_all()
-    orbit = orbits.enumerate_orbit(orbits.seed_fixed_vector(), list(g.in_order()),
+    orbit = orbits.enumerate_orbit(orbits.seed_fixed_vector(), generators.build_all(),
                                    cap=args.cap)
     pset = orbits.perm_images(orbit, subset)
     chain = orbits.build_stab_chain(pset)
@@ -96,9 +91,8 @@ def _cmd_cubic(args):
         u, v, w = (generators.LABELS[i] for i in row)
         print(f"{'+' if sign > 0 else '-'} {u} {v} {w}")
     if args.check:
-        g = generators.build_all()
         failed = False
-        for name, m in g.as_dict().items():
+        for name, m in generators.build_all()._asdict().items():
             ok, flip_safe = cubicform.invariance_report(form, m)
             line = f"invariant under {name}: {'PASS' if ok else 'FAIL'}"
             if name == "eprime":

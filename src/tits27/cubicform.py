@@ -216,10 +216,8 @@ def close_terms(seeds, gens) -> CubicForm:
     a label set reached with both signs SignConflictError.  The resulting
     form does not depend on the order of the seeds or of the matrices.
     """
-    t = np.zeros((27, 27, 27), dtype=np.int8)
     form = CubicForm(seeds)
-    idx, signs = form.idx, form.signs
-    _write(t, idx, signs)
+    t, idx, signs = form.tensor.copy(), form.idx, form.signs
     while len(idx):
         level = [idx[:0]]
         for m in gens:

@@ -20,8 +20,9 @@ denominator (1 for f1, f2, d and ac; 5 for eprime), the one array an
 `ExactMatrix` holds and the form the kernel in `zkernel` compiles.  A 4x4
 block is an array of indices into the coefficient rows of 0, +-1, sigma and
 tau, and a scalar zeta^k on a block is one product with `zkernel.ROT[k]`.
-The reductions mod 41 are one `gf41.reduce_rows` per generator
-(`exactlinalg.reduce_matrix_mod41`), kept as residue arrays that
+`build_all` and `build_all_gf41` both return a `GeneratorSet`, the five
+matrices by name.  The reductions mod 41 are one `gf41.reduce_rows` per
+generator (`exactlinalg.reduce_matrix_mod41`), kept as residue arrays that
 `basisfinder` and the GF(41) matrix files read as they are.  Printing a
 generator reads its array too, so no scalar object is made on the way.
 Unitarity is decided as D^2 m m* = D^2 (`verify_relations`), with the
@@ -34,8 +35,8 @@ computed: parsing cyc matrix files, the cyclotomic products and inverses of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -137,23 +138,16 @@ def _eprime():
     return out
 
 
-@dataclass(frozen=True)
-class GeneratorSet:
+class GeneratorSet(NamedTuple):
+    """The five generators by name, in standard order, over either ring."""
     f1: ExactMatrix
     f2: ExactMatrix
     d: ExactMatrix
     ac: ExactMatrix
     eprime: ExactMatrix
 
-    def as_dict(self):
-        return {"f1": self.f1, "f2": self.f2, "d": self.d,
-                "ac": self.ac, "eprime": self.eprime}
 
-    def in_order(self):
-        return (self.f1, self.f2, self.d, self.ac, self.eprime)
-
-
-NAMES = ("f1", "f2", "d", "ac", "eprime")
+NAMES = GeneratorSet._fields
 
 
 @lru_cache(maxsize=1)
@@ -165,9 +159,9 @@ def build_all() -> GeneratorSet:
 
 
 @lru_cache(maxsize=1)
-def build_all_gf41():
-    """The five generators reduced entrywise modulo 41, in standard order."""
-    return tuple(map(la.reduce_matrix_mod41, build_all().in_order()))
+def build_all_gf41() -> GeneratorSet:
+    """The five generators reduced entrywise modulo 41."""
+    return GeneratorSet(*map(la.reduce_matrix_mod41, build_all()))
 
 
 def verify_relations(g: GeneratorSet) -> tuple:
@@ -177,13 +171,15 @@ def verify_relations(g: GeneratorSet) -> tuple:
     unitarity check per generator in standard order.
 
     Every row is decided on the exact integer kernel of `zkernel`, which
-    has no other arithmetic path.  A word w, rightmost factor first, is applied to
-    the 27 unit vectors, giving the rows of D * (w e_j) with D the product
-    of the factors' denominators; two words are equal iff the rows of each
-    times the other's D agree, compared in int64 (`_same`).  `check_range` guards every application and
-    both multiplications, so an unsafe generator set raises
-    KernelOverflowError and gets no verdict; the `zkernel` docstring gives
-    the argument.  For square matrices X ac = 1 makes X the inverse of ac,
+    has no other arithmetic path.  A word w, a list of matrices as
+    `orbits.scalar_character` takes, is applied rightmost factor first to
+    the 27 unit vectors, through each matrix's `IntegerAction.of`, giving
+    the rows of D * (w e_j) with D the product of the factors'
+    denominators; two words are equal iff the rows of each times the
+    other's D agree, compared in int64 (`_same`).  `check_range` guards
+    every application and both multiplications, so an unsafe generator set
+    raises KernelOverflowError and gets no verdict; the `zkernel` docstring
+    gives the argument.  For square matrices X ac = 1 makes X the inverse of ac,
     so "eprime inverts ac" is decided as eprime ac eprime ac = 1, and "f1
     conjugated by ac is f2" as f1 ac = ac f2, the same relation for an
     invertible ac (a singular ac fails both rows about ac before it).  ac
@@ -191,13 +187,13 @@ def verify_relations(g: GeneratorSet) -> tuple:
     decided as D^2 m m* = D^2 (`_times_adjoint`): for a square matrix a
     one-sided inverse is two-sided, so m m* = 1 iff m* m = 1.
     """
-    acts = dict(zip(NAMES, map(zkernel.IntegerAction.of, g.in_order())))
+    f1, f2, d, ac, eprime = g
 
     def images(word):
-        """(rows, D) after each factor of `word`, applied right to left."""
+        """(rows, D) after each matrix of `word`, applied right to left."""
         rows, den = np.eye(27, dtype=np.int64), 1
-        for name in reversed(word.split()):
-            rows, den = acts[name].raw(rows), den * acts[name].den
+        for act in map(zkernel.IntegerAction.of, reversed(word)):
+            rows, den = act.raw(rows), den * act.den
             yield rows, den
 
     def image(word):
@@ -207,21 +203,21 @@ def verify_relations(g: GeneratorSet) -> tuple:
     def is_one(word):
         return _same(image(word), _ONE)
 
-    def has_order(name, n):
-        ones = [_same(x, _ONE) for x in images(f"{name} " * n)]
+    def has_order(m, n):
+        ones = [_same(x, _ONE) for x in images([m] * n)]
         return ones[-1] and not any(ones[:-1])
 
     checks = [
-        ("f1^5 = 1", is_one("f1 " * 5)),
-        ("f2^5 = 1", is_one("f2 " * 5)),
-        ("f1 f2 = f2 f1", _same(image("f1 f2"), image("f2 f1"))),
-        ("d^2 = 1", is_one("d d")),
-        ("(ac)^12 = 1 and no smaller power", has_order("ac", 12)),
-        ("eprime^2 = 1", is_one("eprime eprime")),
-        ("eprime inverts ac", is_one("eprime ac eprime ac")),
-        ("f1 conjugated by ac is f2", _same(image("f1 ac"), image("ac f2"))),
+        ("f1^5 = 1", is_one([f1] * 5)),
+        ("f2^5 = 1", is_one([f2] * 5)),
+        ("f1 f2 = f2 f1", _same(image([f1, f2]), image([f2, f1]))),
+        ("d^2 = 1", is_one([d, d])),
+        ("(ac)^12 = 1 and no smaller power", has_order(ac, 12)),
+        ("eprime^2 = 1", is_one([eprime, eprime])),
+        ("eprime inverts ac", is_one([eprime, ac, eprime, ac])),
+        ("f1 conjugated by ac is f2", _same(image([f1, ac]), image([ac, f2]))),
     ]
-    for name, m in zip(NAMES, g.in_order()):
+    for name, m in g._asdict().items():
         checks.append((f"{name} unitary", _same(_times_adjoint(m), _ONE)))
     return tuple(checks)
 

@@ -16,17 +16,18 @@ value forced by 9 * 16^-1, so the constant verifies itself.
 
 Matrices over GF(41) as int64 arrays
     `matmul`, `rref`, `rank`, `nullspace` and `inverse` reduce their input
-    mod 41 and return int64 residues.  An entry of a product sums n terms,
-    each a product of two residues, below 40^2.  `matmul` forms it in
-    float64 by BLAS after checking n * 40^2 < 2^53 (43,200 for n = 27),
-    or raises KernelOverflowError; every partial sum is then an integer
-    below 2^53, so the product is exact in any summation order, as for the
-    products of `zkernel` (its "Exactness guards"), and is cast back to
-    int64 before it is reduced.  `rref` eliminates in int64: per pivot it
-    scales the pivot row to 1, subtracts one outer product (each entry
-    below 40^2) from the whole matrix and reduces once, after checking
-    n * 40^2 < 2^63 for n columns.  `reduce_rows` reduces vectors in the
-    Z^216 layout of `zkernel` with one contraction.
+    mod 41 and return int64 residues.  `matmul` takes each residue in
+    -20..20, so an entry of a product sums n terms of absolute value at
+    most 20^2.  It forms them in float32 by BLAS after checking
+    n * 20^2 < 2^24 (10,800 for n = 27; inner sizes up to 41,943 pass), or
+    raises KernelOverflowError; every partial sum is then an integer of
+    absolute value below 2^24, so the product is exact in any summation
+    order, as for the products of `zkernel` (its "Exactness guards"), and
+    is cast back to int64 before it is reduced.  `rref` eliminates in
+    int64: per pivot it scales the pivot row to 1, subtracts one outer
+    product (each entry below 40^2) from the whole matrix and reduces once,
+    after checking n * 40^2 < 2^63 for n columns.  `reduce_rows` reduces
+    vectors in the Z^216 layout of `zkernel` with one contraction.
 """
 
 from __future__ import annotations
@@ -49,8 +50,8 @@ class SingularMatrixError(ValueError):
 
 def check_range(inner, max_b, max_v, bits=63):
     """Refuse a product of `inner`-term sums whose partial sums could reach
-    2^bits: 2^63 for int64 arithmetic, 2^53 for float64 (`matmul`), 2^24
-    for float32 (see `zkernel`)."""
+    2^bits: 2^63 for int64 arithmetic, 2^24 for float32 (`matmul` and
+    `zkernel`)."""
     if inner * max_b * max_v >= 2 ** bits:
         raise KernelOverflowError(
             f"{inner} * {max_b} * {max_v} reaches 2^{bits}; the kernel "
@@ -200,12 +201,15 @@ def lift_table() -> dict:
 
 # -- matrices over GF(41) as int64 residue arrays --------------------------------
 
+#: Residue r as a float32 of its representative in -20..20 (see `matmul`).
+_CENTRED = ((np.arange(P) + P // 2) % P - P // 2).astype(np.float32)
+
+
 def matmul(a, b):
     """a @ b over GF(41); either operand may be a stack or a vector."""
-    a = np.asarray(a, dtype=np.int64) % P
-    check_range(a.shape[-1], P - 1, P - 1, bits=53)  # exact in float64 (module docstring)
-    b = np.asarray(b, dtype=np.int64) % P
-    return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64) % P
+    a, b = (_CENTRED[np.asarray(x, dtype=np.int64) % P] for x in (a, b))
+    check_range(a.shape[-1], P // 2, P // 2, bits=24)  # exact in float32 (module docstring)
+    return (a @ b).astype(np.int64) % P
 
 
 def rref(a):

@@ -345,9 +345,7 @@ def perm_images(orbit: Orbit, gens) -> PermSet:
             perms.append(tuple(orbit.index[key] for key in _row_keys(images)))
         except KeyError:
             raise OrbitNotClosedError("image of an orbit point is missing") from None
-    pset = PermSet(len(orbit), tuple(perms))
-    object.__setattr__(pset, "certified_base", orbit.certified_base)
-    return pset
+    return PermSet(len(orbit), tuple(perms), orbit.certified_base)
 
 
 def scalar_character(seed: Seed, word) -> int:

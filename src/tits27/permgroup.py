@@ -105,14 +105,14 @@ import numpy as np
 class PermSet:
     """Permutations of 0..degree-1, one per generator.
 
-    `certified_base`, set only by `orbits.perm_images`, lists points that
-    only the identity of the generated group fixes pointwise; None means
-    every point.
+    `certified_base` lists points that only the identity of the generated
+    group fixes pointwise, as proved by whoever builds the set
+    (`orbits.perm_images`); None means every point.
     """
 
     degree: int
     perms: tuple
-    certified_base: tuple = field(default=None, init=False, compare=False)
+    certified_base: tuple = field(default=None, compare=False)
 
     def __post_init__(self):
         full = set(range(self.degree))

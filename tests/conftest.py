@@ -12,7 +12,7 @@ def gens():
 
 @pytest.fixture(scope="session")
 def gens5(gens):
-    return list(gens.in_order())
+    return list(gens)
 
 
 @pytest.fixture(scope="session")

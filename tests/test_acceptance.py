@@ -109,8 +109,8 @@ def test_07_mod41_consistency(certificate, gens):
     assert gf41.reduce_cyc(cyclo.TAU) == gf41.gf(35)
     assert gf41.reduce_cyc(cyclo.FIFTH) == gf41.gf(33)
 
-    env = gens.as_dict()
-    env41 = dict(zip(generators.NAMES, generators.build_all_gf41()))
+    env = gens._asdict()
+    env41 = generators.build_all_gf41()._asdict()
     rng = random.Random(20240501)
     names = list(generators.NAMES)
     for _ in range(10):
@@ -133,7 +133,7 @@ def test_09_word_language(gens):
         expr = wordlang.parse_word(text)
         names = wordlang.gen_names(expr)
         assert wordlang.parse_word(wordlang.word_to_text(expr), names=names) == expr
-    env = gens.as_dict()
+    env = gens._asdict()
     assert wordlang.eval_word(wordlang.parse_word("f1^ac", names=env), env) == gens.f2
     _report("9. word formulas parse, round-trip, and evaluate", t0)
 

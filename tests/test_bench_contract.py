@@ -72,6 +72,19 @@ def test_gf41_generators_hold_scalar_objects():
     assert isinstance(eprime41.data[0][0], gf41.Gf41)
 
 
+def test_cubic_target_reads_the_generator_set(layers, dickson):
+    # the wrapper of invariance_report names its span from the set that
+    # build_all last returned, by its eprime field
+    tracer = layers.Tracer()
+    tracer._note("generators.build_all", generators.build_all())
+    kinds = {name: layers._cubic_target(tracer, (dickson, m))
+             for name, m in generators.build_all()._asdict().items()}
+    assert kinds == {"f1": "monomial", "f2": "monomial", "d": "monomial",
+                     "ac": "monomial", "eprime": "eprime"}
+    assert generators.build_all_gf41()[4] is generators.build_all_gf41().eprime
+    assert len(generators.NAMES) == 5
+
+
 def test_chain_kind_reads_the_permutation_sets(layers, perms_all, perms_psl):
     # the wrapper of build_stab_chain names its span from the first argument
     tracer = layers.Tracer()

@@ -175,7 +175,7 @@ def test_tensor_counts(dickson):
 
 
 def test_invariance_under_all_generators(gens, dickson):
-    for m in gens.in_order():
+    for m in gens:
         assert cf.invariance_report(dickson, m)[0]
 
 
@@ -226,7 +226,7 @@ def test_form_evaluation(dickson):
 
 
 def test_jordan_identity_check(gens, dickson):
-    fix = {n: m for n, m in gens.as_dict().items() if n != "d"}
+    fix = {n: m for n, m in gens._asdict().items() if n != "d"}
     rows = cf.jordan_identity_check(dickson, fix)
     assert all(ok for _, ok in rows)
     # d moves the vector: (1,1,1;0) -> (1,-1,-1;0)
@@ -441,7 +441,7 @@ def test_term_map_negative_cases(gens, dickson):
 
 def test_cubic_checks_make_no_scalar_products(gens, dickson, monkeypatch):
     # compiled inside the count
-    fresh = {n: la.ExactMatrix(la.RING_CYC, m.data) for n, m in gens.as_dict().items()}
+    fresh = {n: la.ExactMatrix(la.RING_CYC, m.data) for n, m in gens._asdict().items()}
     calls = []
     mul = cyclo.CycNum.__mul__
     monkeypatch.setattr(cyclo.CycNum, "__mul__", lambda a, b: calls.append(None) or mul(a, b))
@@ -472,14 +472,15 @@ def _raw_calls_before_overflow(monkeypatch, m, match=None):
 _FIRST_SLOT_THEN_REFUSED = [(729, 27), (27 * cf.SLABS, zkernel.DIM)]
 
 
-@pytest.mark.parametrize("exponent", [60, 43, 42])
+@pytest.mark.parametrize("exponent", [60, 43, 42, 21])
 def test_invariance_refuses_int64_overflow(monkeypatch, exponent):
-    # each fails the bound when the matrix is compiled (8 * 2^42 >= 2^24), so
-    # no dense product is formed; the term map's own int64 refusal, for a
-    # matrix that compiles, is test_term_map_guard_boundary's
+    # each fails the bound when the matrix is compiled (8 * 2^21 = 2^24, the
+    # smallest such power), so no dense product is formed; the term map's own
+    # int64 refusal, for a matrix that compiles (2^20), is
+    # test_term_map_guard_boundary's
     big = cyc_reference.scale_matrix(la.ExactMatrix.identity(27, la.RING_CYC),
                                      cyclo.CycNum.from_int(2 ** exponent))
-    assert _raw_calls_before_overflow(monkeypatch, big) == []
+    assert _raw_calls_before_overflow(monkeypatch, big, match=r"reaches 2\^24") == []
 
 
 def test_term_map_guard_boundary(monkeypatch):

@@ -1,6 +1,5 @@
 """Construction of the five generators."""
 
-import dataclasses
 import itertools
 from collections import Counter
 
@@ -176,7 +175,7 @@ def reference_relations(g):
         ("f1 conjugated by ac is f2", mul(mul(ac_inv, g.f1), g.ac) == g.f2),
     ]
     rows += [(f"{name} unitary", mul(cyc_reference.conj_transpose(m), m) == ident)
-             for name, m in zip(generators.NAMES, g.in_order())]
+             for name, m in g._asdict().items()]
     return tuple(rows)
 
 
@@ -189,14 +188,14 @@ def _double_first_entry(m):
 
 def _perturbed(g):
     """Generator sets on which, between them, every row fails at least once."""
-    f1, f2, d, ac, ep = g.in_order()
+    f1, f2, d, ac, ep = g
     gs = generators.GeneratorSet
     sets = {"f1<->f2": gs(f2, f1, d, ac, ep),
             "eprime=1": gs(f1, f2, d, ac, ExactMatrix.identity(27, RING_CYC)),
             "ac=ac^2": gs(f1, f2, d, la.mat_mul(ac, ac), ep),
             "f2=ac": gs(f1, ac, d, ac, ep)}
     for k, name in enumerate(generators.NAMES):
-        mats = list(g.in_order())
+        mats = list(g)
         mats[k] = _double_first_entry(mats[k])
         sets[f"{name} doubled"] = gs(*mats)
     return sets
@@ -321,7 +320,7 @@ def test_generators_equal_the_per_scalar_reference(gens, name):
 
 
 def test_gf41_generators_reduce_the_per_scalar_reference():
-    for m, ref in zip(generators.build_all_gf41(), cyc_reference.build_all().in_order()):
+    for m, ref in zip(generators.build_all_gf41(), cyc_reference.build_all()):
         assert m.ring == RING_GF41
         assert m.data == [[gf41.reduce_cyc(e) for e in row] for row in ref.data]
 
@@ -351,7 +350,7 @@ def test_fast_certificates_form_no_adjoint(monkeypatch):
     fresh = generators.build_all.__wrapped__()
     monkeypatch.setattr(generators, "build_all", lambda: fresh)
     assert all(ok for _, ok in certificates.rows(fast=True))
-    assert made == [*(("_compile", m.action) for m in fresh.in_order()),
+    assert made == [*(("_compile", m.action) for m in fresh),
                     ("transposed", fresh.eprime.action)]
 
 
@@ -361,7 +360,7 @@ def _verdicts_with_eprime(monkeypatch, change):
     g = generators.build_all.__wrapped__()
     coeffs = g.eprime.coeffs.copy()
     change(coeffs)
-    changed = dataclasses.replace(g, eprime=ExactMatrix.from_coeffs(coeffs, g.eprime.den))
+    changed = g._replace(eprime=ExactMatrix.from_coeffs(coeffs, g.eprime.den))
     monkeypatch.setattr(generators, "build_all", lambda: changed)
     return {name: ok for name, ok in itertools.islice(certificates.rows(fast=True), 16)
             if name.startswith("eprime")}

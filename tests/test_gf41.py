@@ -176,23 +176,25 @@ def test_kernel_matmul_all_forty(inner):
 
 
 def test_kernel_matmul_past_float32():
-    # odd sums beyond 2^24 that float32 would round: 11,101 terms of 39 * 39
+    # 11,101 terms of 39 * 39 sum beyond 2^24, where float32 would round an
+    # odd sum; as residues in -20..20 they are terms of (-2) * (-2)
     v = np.full(11_101, 39)
     assert 1521 * 11_101 > 2 ** 24
     assert gf41.matmul(v, v) == 1521 * 11_101 % 41
     assert np.array_equal(gf41.matmul(np.stack([v, -v]), v), [1521 * 11_101 % 41, -1521 * 11_101 % 41])
 
 
-def test_kernel_matmul_guard_is_float64(monkeypatch):
-    seen = []
-    monkeypatch.setattr(gf41, "check_range", lambda *args, **kw: seen.append((args, kw)))
-    gf41.matmul(np.ones((2, 27), dtype=np.int64), np.ones((27, 3), dtype=np.int64))
-    assert seen == [((27, 40, 40), {"bits": 53})]
-    edge = -(-2 ** 53 // 1600)             # the least inner size with edge * 40^2 >= 2^53
-    monkeypatch.undo()
-    gf41.check_range(edge - 1, 40, 40, bits=53)
-    with pytest.raises(gf41.KernelOverflowError, match="2\\^53"):
-        gf41.check_range(edge, 40, 40, bits=53)
+def test_kernel_matmul_guard_is_float32():
+    # residues are multiplied in -20..20, and n * 20^2 < 2^24 holds up to
+    # n = 41,943: there the all-20 product, a sum of 41,943 terms 400, is
+    # exact in float32; at 41,944 it is refused
+    edge = 2 ** 24 // 400
+    a = np.full((1, edge), 20, dtype=np.int64)
+    assert np.array_equal(gf41.matmul(a, a.T), a @ a.T % 41)
+    assert np.array_equal(gf41.matmul(a, -a.T), -a @ a.T % 41)
+    a = np.full((1, edge + 1), 20, dtype=np.int64)
+    with pytest.raises(gf41.KernelOverflowError, match="2\\^24"):
+        gf41.matmul(a, a.T)
 
 
 @pytest.mark.parametrize("rows", [

@@ -198,7 +198,7 @@ def test_orbit_rows_fail_on_an_orbit_of_another_size(monkeypatch):
     # with -eprime the orbit has 4608 points, yet |G| / |H| is still
     # 35,942,400 / 15,600 = 2304, so only the orbit size can fail these rows
     g = generators.build_all.__wrapped__()
-    negated = dataclasses.replace(g, eprime=la.ExactMatrix.from_coeffs(-g.eprime.coeffs, 5))
+    negated = g._replace(eprime=la.ExactMatrix.from_coeffs(-g.eprime.coeffs, 5))
     monkeypatch.setattr(generators, "build_all", lambda: negated)
     verdicts = {}
     for name, ok in certificates.rows(seed=3):

@@ -122,19 +122,19 @@ def test_all_standard_words_parse():
 
 
 def test_eval_conjugation_is_f2(gens):
-    env = gens.as_dict()
+    env = gens._asdict()
     assert eval_word(parse_word("f1^ac", names=env), env) == gens.f2
 
 
 def test_eval_conj_matches_matrix_formula(gens):
-    env = gens.as_dict()
+    env = gens._asdict()
     expr = parse_word("eprime^ac", names=env)
     expected = la.mat_mul(la.mat_mul(la.mat_inv(gens.ac), gens.eprime), gens.ac)
     assert eval_word(expr, env) == expected
 
 
 def test_eval_orders(gens):
-    env = gens.as_dict()
+    env = gens._asdict()
     ident = ExactMatrix.identity(27, RING_CYC)
     assert eval_word(parse_word("f1 f1 f1 f1 f1", names=env), env) == ident
     assert eval_word(parse_word("eprime^-1", names=env), env) == gens.eprime
@@ -142,7 +142,7 @@ def test_eval_orders(gens):
 
 
 def test_eval_negative_power_is_inverse(gens):
-    env = gens.as_dict()
+    env = gens._asdict()
     m1 = eval_word(parse_word("ac^-5", names=env), env)
     m2 = la.mat_inv(eval_word(parse_word("ac^5", names=env), env))
     assert m1 == m2

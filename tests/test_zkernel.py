@@ -110,7 +110,7 @@ def test_dense_kernel_refuses_large_rows(gens):
 def test_stack_is_each_action_side_by_side(monkeypatch, gens):
     # raw gives every block's product; a call divides only eprime's block
     # (D = 5), and an image there that 5 does not divide is still refused
-    acts = [IntegerAction(m) for m in gens.in_order()]
+    acts = [IntegerAction(m) for m in gens]
     stack = IntegerAction.stack(acts)
     assert stack.dens == (1, 1, 1, 1, 5) and stack.max_b == 2
     rnd = random.Random(28)
@@ -137,7 +137,7 @@ def test_stack_is_each_action_side_by_side(monkeypatch, gens):
 def test_products_into_a_given_array(gens):
     # raw and a call write into `out` and return it, with the values they
     # return without it; the guard and the division test are unchanged
-    acts = [IntegerAction(m) for m in gens.in_order()]
+    acts = [IntegerAction(m) for m in gens]
     stack = IntegerAction.stack(acts)
     rows = 5 * _rows(random.Random(29), 6, DIM)
     out = np.full((8, 5 * DIM), np.nan, dtype=np.float32)
@@ -268,7 +268,7 @@ def test_fast_certificates_run_every_product_in_float32(monkeypatch):
 
     monkeypatch.setattr(IntegerAction, "raw", spy)
     assert all(ok for _, ok in certificates.rows(fast=True))
-    own = [m.action for m in fresh.in_order()]
+    own = [m.action for m in fresh]
     others = {id(act): act for act, _, _ in seen if not any(act is a for a in own)}
     assert len(others) == 1
     (other,) = others.values()
@@ -350,7 +350,7 @@ def test_adjoint_matches_the_conjugate_transpose(products, gens, name):
     # nor the random matrix is Hermitian; the random one has coefficients on
     # every power of zeta and denominators 1, 2 and 5
     rnd = random.Random(name)
-    m = _random_matrix(rnd) if name == "random" else {**gens.as_dict(), **products}[name]
+    m = _random_matrix(rnd) if name == "random" else {**gens._asdict(), **products}[name]
     star = cyc_reference.conj_transpose(m)
     assert math.lcm(*(e.den for row in star.data for e in row)) == m.den
     columns = reference_dense(star, np.eye(27, dtype=np.int64))  # row i: D m* e_i
@@ -380,7 +380,7 @@ def test_each_generator_is_compiled_once_per_certificate_run(monkeypatch):
     # fresh generators, so that no action compiled by an earlier test is
     # reused; building them compiles nothing
     fresh = generators.build_all.__wrapped__()
-    assert all(m.action is None for m in fresh.in_order())
+    assert all(m.action is None for m in fresh)
     monkeypatch.setattr(generators, "build_all", lambda: fresh)
     compiled = []
     compile_ = IntegerAction._compile
@@ -390,5 +390,5 @@ def test_each_generator_is_compiled_once_per_certificate_run(monkeypatch):
     # every compile goes through _compile: each generator's coefficients
     # exactly once, and nothing else: unitarity reads conjugate rows off the
     # coefficients, and the cubic transform transposes a compiled action
-    assert [sum(c is m.coeffs for c in compiled) for m in fresh.in_order()] == [1] * 5
+    assert [sum(c is m.coeffs for c in compiled) for m in fresh] == [1] * 5
     assert len(compiled) == 5
