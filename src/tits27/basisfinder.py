@@ -33,23 +33,28 @@ scramble up to a global sign, which the asserted multiset cannot see.
 Residue arrays
     A matrix is a (27, 27) int64 array of residues mod 41, and the five
     generators are one (5, 27, 27) stack.  Products, ranks, nullspaces and
-    inverses run on the kernel in `gf41`, which checks once per call that no
-    sum can round or overflow: `gf41.matmul` multiplies residues in -20..20
-    in float32 after checking n * 20^2 < 2^24 for an inner size n (10,800
-    for n = 27), and `gf41.rref`, which ranks, nullspaces and inverses
-    call, eliminates in int64 after checking n * 40^2 < 2^63 for n columns;
-    diagonal conjugation multiplies three residues, below 41^3.
+    inverses run on the kernel in `gf41`, which computes in float32 and
+    checks once per call, from the shapes alone, that no value it forms
+    leaves +-(2^24 - 16), where it is exact: `gf41.matmul` multiplies
+    residues in -20..20 after checking n * 20^2 < 2^24 for an inner size n
+    (10,800 for n = 27), and `gf41.rref`, which ranks, nullspaces and
+    inverses call, checks 1600 (m + 1) < 2^24 for m = min(rows, cols), the
+    most pivots it can take; diagonal conjugation multiplies three residues
+    in int64, below 41^3.
     A gf41 `ExactMatrix` holds such an array, so `la.residues` hands one
     over without conversion, and `la.from_residues` wraps a result back.
-    The results equal those of per-residue `Gf41` arithmetic: the closure
-    of <d, ac> visits elements breadth first in the same order, a reduced
-    echelon form is unique, so nullspace bases and inverses are unchanged,
-    and `random_invertible` draws `rng.randrange(41)` row-major as before,
-    so every seed gives the same matrix.
+    The results equal those of per-residue arithmetic: the closure of
+    <d, ac> visits elements breadth first in the same order, one BFS level
+    at a time, a reduced echelon form is unique, so nullspace bases and
+    inverses are unchanged, and `random_invertible` draws `rng.randrange(41)`
+    row-major as before, so every seed gives the same matrix.  The scramble
+    matrix and the assembled basis are each eliminated once, as [m | 1]:
+    its pivots decide the rank test, and its right half is the inverse.
 """
 
 from __future__ import annotations
 
+import contextlib
 import random
 
 import numpy as np
@@ -122,23 +127,23 @@ def subgroup_elements(gens, cap: int = 200):
     """Closure of the generators under multiplication, identity first.
 
     Breadth-first and deduplicated by array bytes, so the element order
-    depends only on the abstract group, not on the matrix basis.
+    depends only on the abstract group, not on the matrix basis.  Each BFS
+    level is multiplied by every generator as one stack.
     """
     gens = np.asarray(gens, dtype=np.int64)
     if not len(gens):
         raise ValueError("need at least one generator")
     elements = [np.eye(gens.shape[-1], dtype=np.int64)]
-    seen = {elements[0].tobytes()}
-    i = 0
-    while i < len(elements):
-        for prod in gf41.matmul(elements[i], gens):
+    seen, done = {elements[0].tobytes()}, 0
+    while done < len(elements):
+        level, done = np.stack(elements[done:]), len(elements)
+        for prod in gf41.matmul(level[:, None], gens).reshape(-1, *gens.shape[1:]):
             key = prod.tobytes()
             if key not in seen:
                 if len(elements) >= cap:
                     raise CapExceededError(f"closure exceeds cap {cap}")
                 seen.add(key)
                 elements.append(prod)
-        i += 1
     return elements
 
 
@@ -150,16 +155,16 @@ def assemble_basis(charvec, fixvec, sub):
     under all subgroup elements, deduplicated up to scalar; the retained
     column is the raw first-reached image, so all 24 share one coherent
     scalar (the scalar-normalized form is only the dedup key).  Returns the
-    matrix whose columns are the basis.
+    matrix whose columns are the basis, and its inverse.
     """
     n = len(charvec)
-    identity = np.eye(n, dtype=np.int64)
-    cycle = next((g for g in sub[1:]
-                  if np.array_equal(gf41.matmul(gf41.matmul(g, g), g), identity)), None)
-    if cycle is None:
+    rest = np.asarray(sub[1:], dtype=np.int64).reshape(-1, n, n)
+    squares = gf41.matmul(rest, rest)
+    order3 = (gf41.matmul(squares, rest) == np.eye(n)).all(axis=(1, 2))
+    if not order3.any():
         raise WrongCountError("no order-3 element in the subgroup closure")
-    fix_cols = [fixvec, gf41.matmul(cycle, fixvec)]
-    fix_cols.append(gf41.matmul(cycle, fix_cols[1]))
+    cycle = order3.argmax()
+    fix_cols = [fixvec, *gf41.matmul(np.stack([rest[cycle], squares[cycle]]), fixvec)]
     fix_keys = {_normalized(c).tobytes() for c in fix_cols}
     if len(fix_keys) != 3:
         raise WrongCountError(f"fixed-vector images give {len(fix_keys)} columns, not 3")
@@ -172,14 +177,15 @@ def assemble_basis(charvec, fixvec, sub):
         raise WrongCountError(f"eigenvector images give {len(char_cols)} columns, not 24")
 
     basis = np.column_stack(fix_cols + list(char_cols.values()))
-    if gf41.rank(basis) != n:
-        raise SingularAssemblyError("assembled columns are linearly dependent")
-    return basis
+    try:
+        return basis, gf41.inverse(basis)
+    except gf41.SingularMatrixError:
+        raise SingularAssemblyError("assembled columns are linearly dependent") from None
 
 
-def rebase(gens, basis):
-    """Conjugate every generator by the basis matrix."""
-    return gf41.matmul(gf41.matmul(gf41.inverse(basis), gens), basis)
+def rebase(gens, basis, inverse):
+    """Conjugate every generator by the basis matrix, given its inverse."""
+    return gf41.matmul(gf41.matmul(inverse, gens), basis)
 
 
 def _conj_by_diag(ms, dvals):
@@ -329,17 +335,17 @@ def recover(gens):
     sub = subgroup_elements([dm, acm], cap=100)
     if len(sub) != 48:
         raise WrongCountError(f"<d, ac> closure has {len(sub)} elements, not 48")
-    basis = assemble_basis(charvec, fixvec, sub)
-    return scalar_balance(rebase(gens, basis))
+    return scalar_balance(rebase(gens, *assemble_basis(charvec, fixvec, sub)))
 
 
 def random_invertible(rng: random.Random, n: int = 27):
-    """A uniformly random invertible matrix over GF(41), deterministic per rng."""
+    """A uniformly random invertible matrix over GF(41), deterministic per rng,
+    and its inverse."""
     while True:
         m = np.array([[rng.randrange(41) for _ in range(n)] for _ in range(n)],
                      dtype=np.int64)
-        if gf41.rank(m) == n:
-            return m
+        with contextlib.suppress(gf41.SingularMatrixError):
+            return m, gf41.inverse(m)
 
 
 def scramble_roundtrip(seed: int) -> tuple:
@@ -351,8 +357,8 @@ def scramble_roundtrip(seed: int) -> tuple:
     as a tuple of `(name, ok)` pairs.
     """
     ref = np.stack([la.residues(m) for m in generators.build_all_gf41()])
-    p = random_invertible(random.Random(seed))
-    balanced, _ = recover(gf41.matmul(gf41.matmul(gf41.inverse(p), ref), p))
+    p, p_inv = random_invertible(random.Random(seed))
+    balanced, _ = recover(gf41.matmul(gf41.matmul(p_inv, ref), p))
 
     off_diagonal = balanced * (1 - np.eye(27, dtype=np.int64))
     return (

@@ -14,20 +14,28 @@ homomorphism Z[zeta20, 1/5] -> GF(41).  Under it
 OMEGA is recomputed by brute force at import time and asserted equal to the
 value forced by 9 * 16^-1, so the constant verifies itself.
 
-Matrices over GF(41) as int64 arrays
+Matrices over GF(41) as residue arrays
     `matmul`, `rref`, `rank`, `nullspace` and `inverse` reduce their input
-    mod 41 and return int64 residues.  `matmul` takes each residue in
-    -20..20, so an entry of a product sums n terms of absolute value at
-    most 20^2.  It forms them in float32 by BLAS after checking
-    n * 20^2 < 2^24 (10,800 for n = 27; inner sizes up to 41,943 pass), or
-    raises KernelOverflowError; every partial sum is then an integer of
-    absolute value below 2^24, so the product is exact in any summation
-    order, as for the products of `zkernel` (its "Exactness guards"), and
-    is cast back to int64 before it is reduced.  `rref` eliminates in
-    int64: per pivot it scales the pivot row to 1, subtracts one outer
-    product (each entry below 40^2) from the whole matrix and reduces once,
-    after checking n * 40^2 < 2^63 for n columns.  `reduce_rows` reduces
-    vectors in the Z^216 layout of `zkernel` with one contraction.
+    mod 41 and return int64 residues.  They compute in float32 under one
+    bound: every value they form is an integer of absolute value at most
+    2^24 - 16, where `_mod(x) = x - 41 * floor(x / 41)` is exact (an
+    exhaustive check puts its first failure at -(2^24 - 15), where 41 * q
+    rounds), and so is every partial sum of a BLAS product in any summation
+    order, as for the products of `zkernel` (its "Exactness guards").  An
+    input entry outside +-(2^24 - 16) is reduced by int64 % first.  Each
+    function checks its shape against the bound before it allocates
+    anything, and raises KernelOverflowError naming 2^24 if it fails.
+    `matmul` centres residues to -20..20, so an entry of a product sums n
+    terms of absolute value at most 20^2: it checks n * 20^2 < 2^24 (10,800
+    for n = 27; inner sizes up to 41,943 pass).  `rref` eliminates with
+    delayed reduction (Dumas, Giorgi and Pernet, ACM TOMS 2008): at each
+    pivot it reduces only the pivot column, to choose the pivot and as the
+    multipliers, and the pivot row, to scale it to 1, and subtracts one
+    outer product of residues (each entry at most 40^2) from the rest.  After
+    k pivots every entry lies below 40 + 1600 k, so it checks
+    1600 (min(rows, cols) + 1) < 2^24 (up to 10,484 pivots) and reduces the
+    whole matrix once, at the end.  `reduce_rows` reduces vectors in the
+    Z^216 layout of `zkernel` with one int64 contraction.
 """
 
 from __future__ import annotations
@@ -50,8 +58,8 @@ class SingularMatrixError(ValueError):
 
 def check_range(inner, max_b, max_v, bits=63):
     """Refuse a product of `inner`-term sums whose partial sums could reach
-    2^bits: 2^63 for int64 arithmetic, 2^24 for float32 (`matmul` and
-    `zkernel`)."""
+    2^bits: 2^63 for int64 arithmetic, 2^24 for float32 (the matrix kernel
+    below and `zkernel`)."""
     if inner * max_b * max_v >= 2 ** bits:
         raise KernelOverflowError(
             f"{inner} * {max_b} * {max_v} reaches 2^{bits}; the kernel "
@@ -199,41 +207,58 @@ def lift_table() -> dict:
     }
 
 
-# -- matrices over GF(41) as int64 residue arrays --------------------------------
+# -- matrices over GF(41) as residue arrays --------------------------------------
 
-#: Residue r as a float32 of its representative in -20..20 (see `matmul`).
-_CENTRED = ((np.arange(P) + P // 2) % P - P // 2).astype(np.float32)
+_EXACT, _P = 2 ** 24 - 16, np.float32(P)  # the bound of `_mod`; P without a per-call cast
+
+
+def _mod(x):
+    """x mod 41 for a float32 array of integers with |x| <= 2^24 - 16, exactly."""
+    return x - _P * np.floor(x / _P)
+
+
+def _centred(a):
+    """The residues of an integer array as float32 in -20..20.  Only an array
+    with an entry outside 0..40 is reduced: by `_mod`, after int64 % if an
+    entry lies outside +-(2^24 - 16)."""
+    a = np.asarray(a, dtype=np.int64)
+    if a.min(initial=0) < 0 or a.max(initial=0) >= P:
+        a = _mod((a % P if max_abs(a) > _EXACT else a).astype(np.float32))
+    return a.astype(np.float32, copy=False) - _P * (a > P // 2)
 
 
 def matmul(a, b):
     """a @ b over GF(41); either operand may be a stack or a vector."""
-    a, b = (_CENTRED[np.asarray(x, dtype=np.int64) % P] for x in (a, b))
-    check_range(a.shape[-1], P // 2, P // 2, bits=24)  # exact in float32 (module docstring)
-    return (a @ b).astype(np.int64) % P
+    check_range(np.shape(a)[-1], P // 2, P // 2, bits=24)  # exact in float32 (module docstring)
+    return _mod(_centred(a) @ _centred(b)).astype(np.int64)
 
 
 def rref(a):
-    """Reduced row echelon form of a 2-D array: (array, pivot column list)."""
-    a = np.asarray(a, dtype=np.int64) % P
-    check_range(a.shape[1], P - 1, P - 1)
-    pivots = []
-    r = 0
-    for col in range(a.shape[1]):
-        nonzero = a[r:, col].nonzero()[0]
+    """Reduced row echelon form of a 2-D array: (array, pivot column list).
+
+    Delayed reduction (module docstring): k pivots leave every entry below
+    40 + 1600 k, and there are at most min(rows, cols) of them.  Columns
+    left of the pivot column are 0 mod 41 in the pivot row, so the update
+    skips them.
+    """
+    check_range(min(np.shape(a)) + 1, P - 1, P - 1, bits=24)
+    t = _centred(a).T.copy()  # row j of t is column j of a
+    pivots, r = [], 0
+    for col in range(len(t)):
+        column = _mod(t[col])
+        nonzero = column[r:].nonzero()[0]
         if not nonzero.size:
             continue
         p = r + int(nonzero[0])
-        pivot = a[p] * pow(int(a[p, col]), -1, P) % P
-        # clears column col in every row, row p included, since pivot[col] == 1
-        a -= a[:, col, None] * pivot
-        a %= P
-        a[p] = a[r]  # row p is now zero: move row r there, and the pivot row to r
-        a[r] = pivot
+        pivot = _mod(_mod(t[col:, p]) * pow(int(column[p]), -1, P))
+        t[col:] -= pivot[:, None] * column  # clears column col mod 41, row p included
+        t[:, p] = t[:, r]  # row p is now 0 mod 41: move row r there, and the pivot row to r
+        t[col:, r] = pivot
         pivots.append(col)
         r += 1
-        if r == a.shape[0]:
+        if r == t.shape[1]:
             break
-    return a, pivots
+    return _mod(t).T.astype(np.int64, order="C"), pivots
 
 
 def rank(a) -> int:
@@ -248,8 +273,7 @@ def nullspace(a):
     """
     red, pivots = rref(a)
     free = [c for c in range(red.shape[1]) if c not in pivots]
-    basis = np.zeros((len(free), red.shape[1]), dtype=np.int64)
-    basis[np.arange(len(free)), free] = 1
+    basis = np.eye(red.shape[1], dtype=np.int64)[free]
     basis[:, pivots] = -red[:len(pivots)][:, free].T % P
     return basis
 
@@ -259,6 +283,7 @@ def inverse(a):
     n = len(a)
     if np.shape(a) != (n, n):
         raise ValueError("inverse of a non-square matrix")
+    check_range(n + 1, P - 1, P - 1, bits=24)  # as in rref, before [a | 1] is built
     red, pivots = rref(np.hstack([a, np.eye(n, dtype=np.int64)]))
     if pivots[:n] != list(range(n)):
         raise SingularMatrixError("matrix is singular")

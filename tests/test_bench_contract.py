@@ -16,7 +16,7 @@ import sys
 
 import pytest
 
-from tits27 import certificates, exactlinalg, generators, gf41, orbits
+from tits27 import basisfinder, certificates, exactlinalg, generators, gf41, orbits
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 LAYERS = PERFBENCH / "layers.py"
@@ -118,3 +118,25 @@ def test_certificates_call_the_wrapped_chain_names(layers, monkeypatch):
     assert [layers._chain_kind(tracer, args) for args, _ in chains] == ["group", "subgroup"]
     assert len(chains[0][1].strong_gens) == 11
     assert [name for name, _, _ in calls].count("transitivity_check") == 1
+
+
+def test_every_basis_step_fires_once_per_round_trip(layers, monkeypatch):
+    # the spans basisfinder.<step> see only calls made through these module
+    # attributes: a step inlined into its caller would read 0 with no error
+    calls, results = [], {}
+    for step in layers.BASIS_STEPS:
+        def wrapper(*args, fn=getattr(basisfinder, step), step=step, **kwargs):
+            result = fn(*args, **kwargs)
+            calls.append(step)
+            results[step] = result
+            return result
+
+        monkeypatch.setattr(basisfinder, step, wrapper)
+    checks = basisfinder.scramble_roundtrip(3)
+    assert len(checks) == 6 and all(ok for _, ok in checks)
+    assert sorted(calls) == sorted(layers.BASIS_STEPS)
+    # Tracer._note counts the closure by the len of its result
+    tracer = layers.Tracer()
+    tracer._note("basisfinder.subgroup_elements", results["subgroup_elements"])
+    assert len(results["subgroup_elements"]) == 48
+    assert tracer.facts["basisfinder.subgroup_elements.elements"] == 48

@@ -304,8 +304,8 @@ def test_basis_in_writes_the_recovered_generators(tmp_path, monkeypatch, capsys)
     # no standard generators a, b are at hand, so the standard words evaluate,
     # in turn, to scrambled generators instead; a is the identity, c is ac
     ref = np.stack([la.residues(m) for m in generators.build_all_gf41()])
-    p = basisfinder.random_invertible(random.Random(3))
-    scrambled = dict(zip(generators.NAMES, gf41.matmul(gf41.matmul(gf41.inverse(p), ref), p)))
+    p, p_inv = basisfinder.random_invertible(random.Random(3))
+    scrambled = dict(zip(generators.NAMES, gf41.matmul(gf41.matmul(p_inv, ref), p)))
     scrambled.update(c=scrambled["ac"], e=p)  # e only feeds the word for eprime
     words = iter(wordlang.STANDARD_WORDS)
     monkeypatch.setattr(wordlang, "eval_word",

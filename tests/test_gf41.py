@@ -1,5 +1,7 @@
 """GF(41) arithmetic and the reduction from Q(zeta20)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from tits27 import cyclo, exactlinalg, gf41, zkernel
 from tits27.gf41 import OMEGA, OMEGA_INV, Gf41, evaluate_at, gf, lift_table, reduce_cyc
-from test_basisfinder import reference_rref
+from test_basisfinder import reference_mat_inv, reference_nullspace, reference_rref
 
 small_cyc = st.builds(
     cyclo.CycNum,
@@ -103,7 +105,7 @@ def test_interning_and_hash():
     assert str(gf(40)) == "40"
 
 
-# -- the int64 residue-array kernel ----------------------------------------------
+# -- the float32 residue-array kernel --------------------------------------------
 
 def test_kernel_refuses_overflow():
     big = 2 ** 31 - 2                   # 3 * big^2 >= 2^63 > big^2
@@ -112,7 +114,8 @@ def test_kernel_refuses_overflow():
     gf41.check_range(1, big, big)
     gf41.check_range(27, 40, 40)
     assert zkernel.KernelOverflowError is gf41.KernelOverflowError
-    assert 27 * 40 ** 2 == 43_200      # the bound at p = 41, far below 2^63
+    gf41.check_range(27 + 1, 40, 40, bits=24)   # rref's bound at 27 pivots
+    assert 28 * 40 ** 2 == 44_800      # far below 2^24
 
 
 def test_kernel_reduces_its_input():
@@ -204,6 +207,77 @@ def test_kernel_matmul_guard_is_float32():
 ])
 def test_kernel_rref_matches_reference_with_swaps(rows):
     red, pivots = gf41.rref(np.array(rows))
-    ref_rows, ref_pivots = reference_rref([[gf(v) for v in row] for row in rows])
+    ref_rows, ref_pivots = reference_rref(rows)
     assert pivots == ref_pivots
-    assert red.tolist() == [[e.value for e in row] for row in ref_rows]
+    assert red.tolist() == ref_rows
+
+
+@st.composite
+def int_matrices(draw):
+    """Rows of Python ints: tall, wide or square, of any rank up to full, with
+    zero columns, and lifted off 0..40 by multiples of 41 up to about 2^62."""
+    rows = draw(st.integers(1, 9))
+    cols = draw(st.one_of(st.just(rows), st.integers(1, 9)))
+    rank = draw(st.integers(0, min(rows, cols)))
+    residues = st.integers(0, 40)
+    left = draw(st.lists(st.lists(residues, min_size=rank, max_size=rank),
+                         min_size=rows, max_size=rows))
+    right = draw(st.lists(st.lists(residues, min_size=cols, max_size=cols),
+                          min_size=rank, max_size=rank))
+    zero = draw(st.sets(st.integers(0, cols - 1), max_size=cols))
+    lift = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-2 ** 56, 2 ** 56),
+                     st.sampled_from([2 ** 62 // 41, -(2 ** 62 // 41)]))
+    return [[0 if j in zero else
+             sum(x * y for x, y in zip(left[i], (r[j] for r in right))) % 41 + 41 * draw(lift)
+             for j in range(cols)] for i in range(rows)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_matrices())
+def test_kernel_matches_plain_int_elimination(m):
+    a = np.array(m, dtype=np.int64)
+    ref_rows, ref_pivots = reference_rref(m)
+    red, pivots = gf41.rref(a)
+    assert (red.tolist(), pivots) == (ref_rows, ref_pivots)
+    assert red.dtype == np.int64
+    assert gf41.rank(a) == len(ref_pivots)
+    assert gf41.nullspace(a).tolist() == [list(v) for v in reference_nullspace(m)]
+    if len(m) == len(m[0]) == len(ref_pivots):
+        assert gf41.inverse(a).tolist() == [list(r) for r in reference_mat_inv(m)]
+    elif len(m) == len(m[0]):
+        with pytest.raises(gf41.SingularMatrixError):
+            gf41.inverse(a)
+
+
+def test_float32_reduction_is_exact_below_2_24():
+    # the largest values the kernel reduces: every integer from 2^24 - 1,016
+    # to 2^24 - 16 and their negatives; 41 * floor(x / 41) first rounds at
+    # -(2^24 - 15)
+    x = np.arange(2 ** 24 - 1_016, 2 ** 24 - 15, dtype=np.int64)
+    x = np.concatenate([x, -x])
+    assert gf41._EXACT == 2 ** 24 - 16 == x.max()
+    assert np.array_equal(gf41._mod(x.astype(np.float32)), x % 41)
+    assert np.array_equal(gf41._centred(x), (x + 20) % 41 - 20)
+    assert np.array_equal(gf41._centred(x + 41 * 2 ** 40), (x + 20) % 41 - 20)
+
+
+def test_kernel_refuses_before_allocating():
+    # broadcast views take no memory: the kernel must refuse them from their
+    # shapes, before it copies or reduces anything (an int64 copy of the
+    # rref input would take 880 MB, and inverse's [a | 1] twice that)
+    n = 10_485                          # first n with 1600 * (n + 1) >= 2^24
+    assert 1600 * n < 2 ** 24 <= 1600 * (n + 1)
+    inner = 2 ** 24 // 400 + 1          # first inner size with n * 20^2 >= 2^24
+    cases = [(gf41.rref, np.broadcast_to(np.int64(1), (n, n))),
+             (gf41.rank, np.broadcast_to(np.int64(1), (n, 2 * n))),
+             (gf41.inverse, np.broadcast_to(np.int64(1), (n, n))),
+             (gf41.matmul, np.broadcast_to(np.int64(1), (64, inner)))]
+    tracemalloc.start()
+    try:
+        for fn, a in cases:
+            with pytest.raises(gf41.KernelOverflowError, match="2\\^24"):
+                fn(a) if fn is not gf41.matmul else fn(a, a.T)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
