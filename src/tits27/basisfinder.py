@@ -133,18 +133,16 @@ def subgroup_elements(gens, cap: int = 200):
     gens = np.asarray(gens, dtype=np.int64)
     if not len(gens):
         raise ValueError("need at least one generator")
-    elements = [np.eye(gens.shape[-1], dtype=np.int64)]
-    seen, done = {elements[0].tobytes()}, 0
+    identity = np.eye(gens.shape[-1], dtype=np.int64)
+    elements, done = {identity.tobytes(): identity}, 0  # insertion ordered: BFS order
     while done < len(elements):
-        level, done = np.stack(elements[done:]), len(elements)
+        level, done = np.stack(list(elements.values())[done:]), len(elements)
         for prod in gf41.matmul(level[:, None], gens).reshape(-1, *gens.shape[1:]):
-            key = prod.tobytes()
-            if key not in seen:
+            if prod.tobytes() not in elements:
                 if len(elements) >= cap:
                     raise CapExceededError(f"closure exceeds cap {cap}")
-                seen.add(key)
-                elements.append(prod)
-    return elements
+                elements[prod.tobytes()] = prod
+    return list(elements.values())
 
 
 def assemble_basis(charvec, fixvec, sub):
@@ -158,13 +156,13 @@ def assemble_basis(charvec, fixvec, sub):
     matrix whose columns are the basis, and its inverse.
     """
     n = len(charvec)
-    rest = np.asarray(sub[1:], dtype=np.int64).reshape(-1, n, n)
-    squares = gf41.matmul(rest, rest)
-    order3 = (gf41.matmul(squares, rest) == np.eye(n)).all(axis=(1, 2))
-    if not order3.any():
+    identity = np.eye(n, dtype=np.int64)
+    cycle = next((g for g in sub[1:]
+                  if np.array_equal(gf41.matmul(gf41.matmul(g, g), g), identity)), None)
+    if cycle is None:
         raise WrongCountError("no order-3 element in the subgroup closure")
-    cycle = order3.argmax()
-    fix_cols = [fixvec, *gf41.matmul(np.stack([rest[cycle], squares[cycle]]), fixvec)]
+    fix_cols = [fixvec, gf41.matmul(cycle, fixvec)]
+    fix_cols.append(gf41.matmul(cycle, fix_cols[1]))
     fix_keys = {_normalized(c).tobytes() for c in fix_cols}
     if len(fix_keys) != 3:
         raise WrongCountError(f"fixed-vector images give {len(fix_keys)} columns, not 3")
@@ -342,8 +340,7 @@ def random_invertible(rng: random.Random, n: int = 27):
     """A uniformly random invertible matrix over GF(41), deterministic per rng,
     and its inverse."""
     while True:
-        m = np.array([[rng.randrange(41) for _ in range(n)] for _ in range(n)],
-                     dtype=np.int64)
+        m = np.array([[rng.randrange(41) for _ in range(n)] for _ in range(n)], dtype=np.int64)
         with contextlib.suppress(gf41.SingularMatrixError):
             return m, gf41.inverse(m)
 

@@ -22,7 +22,7 @@ Matrices over GF(41) as residue arrays
     exhaustive check puts its first failure at -(2^24 - 15), where 41 * q
     rounds), and so is every partial sum of a BLAS product in any summation
     order, as for the products of `zkernel` (its "Exactness guards").  An
-    input entry outside +-(2^24 - 16) is reduced by int64 % first.  Each
+    input with an entry outside 0..40 is reduced by int64 % first.  Each
     function checks its shape against the bound before it allocates
     anything, and raises KernelOverflowError naming 2^24 if it fails.
     `matmul` centres residues to -20..20, so an entry of a product sums n
@@ -46,6 +46,7 @@ from . import cyclo
 from .cyclo import CycNum
 
 P = 41
+_P = np.float32(P)  # for the float32 kernel, without a cast on every call
 
 
 class KernelOverflowError(ValueError):
@@ -209,21 +210,16 @@ def lift_table() -> dict:
 
 # -- matrices over GF(41) as residue arrays --------------------------------------
 
-_EXACT, _P = 2 ** 24 - 16, np.float32(P)  # the bound of `_mod`; P without a per-call cast
-
-
 def _mod(x):
     """x mod 41 for a float32 array of integers with |x| <= 2^24 - 16, exactly."""
     return x - _P * np.floor(x / _P)
 
 
 def _centred(a):
-    """The residues of an integer array as float32 in -20..20.  Only an array
-    with an entry outside 0..40 is reduced: by `_mod`, after int64 % if an
-    entry lies outside +-(2^24 - 16)."""
+    """The residues of an integer array as float32 in -20..20; int64 % runs
+    only on an array with an entry outside 0..40."""
     a = np.asarray(a, dtype=np.int64)
-    if a.min(initial=0) < 0 or a.max(initial=0) >= P:
-        a = _mod((a % P if max_abs(a) > _EXACT else a).astype(np.float32))
+    a = a % P if a.min(initial=0) < 0 or a.max(initial=0) >= P else a
     return a.astype(np.float32, copy=False) - _P * (a > P // 2)
 
 
@@ -243,21 +239,19 @@ def rref(a):
     """
     check_range(min(np.shape(a)) + 1, P - 1, P - 1, bits=24)
     t = _centred(a).T.copy()  # row j of t is column j of a
-    pivots, r = [], 0
+    pivots = []
     for col in range(len(t)):
-        column = _mod(t[col])
+        column, r = _mod(t[col]), len(pivots)
         nonzero = column[r:].nonzero()[0]
-        if not nonzero.size:
-            continue
-        p = r + int(nonzero[0])
-        pivot = _mod(_mod(t[col:, p]) * pow(int(column[p]), -1, P))
-        t[col:] -= pivot[:, None] * column  # clears column col mod 41, row p included
-        t[:, p] = t[:, r]  # row p is now 0 mod 41: move row r there, and the pivot row to r
-        t[col:, r] = pivot
-        pivots.append(col)
-        r += 1
-        if r == t.shape[1]:
-            break
+        if nonzero.size:
+            p = r + int(nonzero[0])
+            pivot = _mod(_mod(t[col:, p]) * pow(int(column[p]), -1, P))
+            t[col:] -= pivot[:, None] * column  # clears column col mod 41, row p included
+            t[:, p] = t[:, r]  # row p is now 0 mod 41: move row r there, and the pivot row to r
+            t[col:, r] = pivot
+            pivots.append(col)
+            if r + 1 == t.shape[1]:
+                break
     return _mod(t).T.astype(np.int64, order="C"), pivots
 
 
@@ -273,7 +267,8 @@ def nullspace(a):
     """
     red, pivots = rref(a)
     free = [c for c in range(red.shape[1]) if c not in pivots]
-    basis = np.eye(red.shape[1], dtype=np.int64)[free]
+    basis = np.zeros((len(free), red.shape[1]), dtype=np.int64)
+    basis[np.arange(len(free)), free] = 1
     basis[:, pivots] = -red[:len(pivots)][:, free].T % P
     return basis
 

@@ -367,8 +367,10 @@ def test_array_pipeline_matches_reference(reduced, reduced_exact, seed):
     balanced, common = bf.recover(scrambled)
     assert [as_rows(m) for m in balanced] == balanced_ref
     assert common == common_ref
-    # the same on residue arrays read off the reference's int rows
-    balanced, common = bf.recover([np.array(m, dtype=np.int64) for m in scrambled_ref])
+    # the same on the residues of gf41 ExactMatrix copies of the reference's rows
+    balanced, common = bf.recover(
+        [la.residues(la.ExactMatrix(RING_GF41, [[gf(v) for v in row] for row in m]))
+         for m in scrambled_ref])
     assert [as_rows(m) for m in balanced] == balanced_ref
     assert common == common_ref
     assert Counter(e for e in balanced_ref[4][0] if e) == bf.TOP_ROW_MULTISET

@@ -255,7 +255,7 @@ def test_float32_reduction_is_exact_below_2_24():
     # -(2^24 - 15)
     x = np.arange(2 ** 24 - 1_016, 2 ** 24 - 15, dtype=np.int64)
     x = np.concatenate([x, -x])
-    assert gf41._EXACT == 2 ** 24 - 16 == x.max()
+    assert x.max() == 2 ** 24 - 16
     assert np.array_equal(gf41._mod(x.astype(np.float32)), x % 41)
     assert np.array_equal(gf41._centred(x), (x + 20) % 41 - 20)
     assert np.array_equal(gf41._centred(x + 41 * 2 ** 40), (x + 20) % 41 - 20)
