@@ -7,6 +7,16 @@ rows (relations, eprime structure, the mod-41 lifts, the cubic form and the
 Jordan identity); the full list adds the orbit, order and stabilizer rows
 and five basis round trips starting at `seed`, 44 rows in all.
 
+The order rows rest on two stabilizer chains on the 2304-point orbit of
+e = (1,1,1;0^24).  The chain of the point stabilizer H = <f1, f2, ac,
+eprime> is built first, and G's chain is built below it
+(`permgroup.build_stab_chain(p5, chain_of_H)`): level 0 is the orbit of
+point 0, the smallest point H fixes, under G's five generators, and the
+levels under it are H's.  "certified order is 17971200" reads that chain's
+order, 2304 times the order of G_0 that its Schreier generators certify.
+"index is 2304" compares it with H's order, so it holds exactly when no
+Schreier generator left a residue, that is, when G_0 = H.
+
 Every layer is called through its module (`generators.verify_relations`,
 not a name imported from it), so that a wrapper installed on the module
 attribute sees the call.
@@ -59,22 +69,26 @@ def rows(fast: bool = False, seed: int = 12345):
     if fast:
         return
 
-    # the orbit is dropped once both permutation sets are read off it, and each
-    # chain once its order is read, so neither is alive during the next search
+    # the orbit is dropped once both permutation sets are read off it, each
+    # chain once its order is read and the sets once the index is, so none of
+    # them is alive during the next search
     orbit = orbits.enumerate_orbit(orbits.seed_fixed_vector(), g)
     degree = len(orbit)
     yield ("orbit of (1,1,1;0^24) has 2304 points", degree == 2304)
     p5 = orbits.perm_images(orbit, g)
     psub = orbits.perm_images(orbit, [g.f1, g.f2, g.ac, g.eprime])
     del orbit
-    order = orbits.build_stab_chain(p5).order()
+    # G's chain is built below H's: level 0 is the orbit of the smallest point H fixes
+    sub = orbits.build_stab_chain(psub)
+    sub_order, order = sub.order(), orbits.build_stab_chain(p5, sub).order()
+    del sub
     yield ("certified order is 17971200", order == 17_971_200)
     yield ("degree-2304 action is transitive", p5.degree == 2304 and orbits.transitivity_check(p5))
-    sub_order = orbits.build_stab_chain(psub).order()
     # the four generators fix point 0, the seed, so they lie in its stabilizer
     yield ("point stabilizer has order 7800",
            sub_order == 7800 and all(p[0] == 0 for p in psub.perms))
     yield ("index is 2304", order // sub_order == degree == 2304)
+    del p5, psub
 
     line = orbits.seed_proj_1755()
     proj = orbits.enumerate_orbit(line, g)

@@ -25,16 +25,20 @@ Stabilizer chain
   * a sift maps a row through u_e^-1 by walking the tree from e to the base
     point and applying s_k^-1 for each edge, the Schreier-vector trade of
     time for space (Seress, "Permutation Group Algorithms", 2003, section
-    4.1), and reads `uinv` instead once it is filled.  A batch fills it
+    4.1), and reads `uinv` instead once it is filled.  A walk sorts its
+    rows by tree depth once, deepest first, so the rows still walking after
+    each step are a prefix, updated in place.  A batch fills the table
     when walking would gather more entries than the table holds: rows x
-    columns x layers above orbit length x degree.  The table is dropped
-    when the level is rebuilt.  A level is never rebuilt while its own
+    columns x layers above orbit length x degree.  A level is never
+    changed: adding a strong generator replaces it by a new level, without
+    a table.  A level is never replaced while its own
     Schreier generators are sifted, so it is filled before the first of
     them when walking all of them would gather more than it holds.  On the
-    27-point certified base, level 0 of G walks: 11,520 rows of at most 31
-    columns x 9 layers is at most 3.2M entries, against the 5.3M of its
-    2304 x 2304 int16 table (10.1 MiB), which is never filled.  A set
-    without a base tests every point, and there the tables are filled;
+    27-point certified base, level 0 of G (at 0, below the chain of its
+    point stabilizer) walks: 9,217 rows x 27 columns x 11 layers is 2.7M
+    entries, against the 5.3M of its 2304 x 2304 int16 table (10.1 MiB),
+    which is never filled.  A set without a base tests every point, and
+    there the tables are filled;
   * `uinv` is filled per layer and generator, by one take of the parents'
     rows through the inverse generator, since a gather of whole rows each
     through its own inverse takes twice as long and holds intp indices for
@@ -46,7 +50,11 @@ Stabilizer chain
     full row u_d that a residue needs is the inverse of u_d^-1, read by
     walking the tree on an identity row (or from the table, once filled);
   * every Schreier generator of a level is sifted through the deeper levels,
-    and nontrivial residues are appended where they escape.
+    and nontrivial residues are appended where they escape.  The pairs
+    (d, s) that are edges of the BFS tree (s first reached e = s(d) from d,
+    e not the base point) are skipped: u_e = s u_d, so their Schreier
+    generators are the identity.  A level of n points under k generators
+    has n k - (n - 1) Schreier rows to sift.
 
 The group order is the product of the transversal sizes.  All arithmetic is
 on integer arrays and exact.  `StabChain.contains_many` sifts a whole batch
@@ -74,6 +82,37 @@ Levels that do not change
     Schreier generators were formed from.  Residues land strictly deeper
     than the level being processed, so one top-down pass closes the chain.
 
+A chain below a point stabilizer
+    `build_stab_chain(pset, below)` may start from a complete chain `below`
+    of a subgroup H that fixes a point.  By Schreier's lemma, which holds
+    for any generating set and any transversal, G_beta is generated by the
+    Schreier generators u_e^-1 s u_d of G's own generators s along one BFS
+    tree at beta.  So level 0 is the orbit of beta under `pset.perms`
+    alone, with its tree, and the levels under it are `below`'s own level
+    objects, shared and never changed (only a `uinv` table that a batch
+    fills is cached on them): each Schreier generator that sifts to the
+    identity through them lies in H.
+    If all of them do, G_beta = H, and the order is |beta^G| |H| with none
+    of G's lower levels built.  Two conditions make this exact:
+
+  * every generator `below` was built from (`StabChain.gens`) is one of
+    `pset.perms`, so H lies in G; a subgroup of another group would give
+    the chain of <G, H>;
+  * H fixes a point; beta is the smallest point that every strong
+    generator of `below` fixes.
+
+    Otherwise the build is the plain one, with the same base and strong
+    generators.  The shared levels count as closed: their own Schreier
+    generators already sift through the levels under them.  A residue of
+    level 0 lies in G and is added deeper, exactly as in the plain build
+    (see Levels that do not change); it replaces levels 1..j by new ones,
+    which are processed in the same top-down pass, while the shared levels
+    under j stay closed, and `below` stays as it was.  The order is still
+    the product of the transversal sizes.  For G below H = <f1, f2, ac,
+    eprime>, beta = 0, no residue arises, and the chain has base (0, 3, 1,
+    6), transversal sizes (2304, 78, 25, 4) and 12 strong generators: G's 5
+    at level 0 and H's 7.
+
 Batches
     The Schreier generators of a level, in (point, generator) order, are
     sifted in batches against the chain as it stands.  The chain changes
@@ -88,10 +127,10 @@ Batches
     chain section, and both give the same rows.  A batch starts at 64 rows
     and doubles after each batch that sifts clean, up to 2^20 // |Q| rows,
     which bounds the temporaries; after a residue it starts again at 64.
-    Residues come early and close together (the 7 of the 2304-point level
-    all come within its first 107 of 11,520 rows), and every row after the
-    first escape in a batch is formed again, so small batches there and
-    large ones later form each row about once.
+    Residues come early and close together (in the plain chain of G, the 6
+    of the 2304-point level all come within its first 49 of 9,217 rows),
+    and every row after the first escape in a batch is formed again, so
+    small batches there and large ones later form each row about once.
 """
 
 import math
@@ -151,19 +190,18 @@ def _bfs(gens, beta):
 
 class _Level:
     """A base point and its transversal: `pos`, `points`, the BFS tree
-    (`parent`, `label`, `layers`) and the `uinv` table, filled only where it
-    pays (`table_pays`)."""
+    (`parent`, `label`, `layers` and the first visit number of each layer,
+    `starts`) under the stacked `gens`, and the `uinv` table, filled only
+    where it pays (`table_pays`)."""
 
-    def __init__(self, beta):
-        self.beta = beta
-
-    def build(self, gens, ginvs):
-        """Rebuild the orbit and its tree under the stacked `gens`, whose
-        inverses are `ginvs`, by one BFS; `uinv` is dropped until next used."""
-        self.pos, self.parent, self.label, self.layers = _bfs(gens, self.beta)
+    def __init__(self, beta, gens, ginvs):
+        """The orbit of beta and its tree under the stacked `gens`, whose
+        inverses are `ginvs`, by one BFS.  A level is never changed: adding
+        a strong generator replaces it by a new one."""
+        self.beta, self.gens, self.ginvs = beta, gens, ginvs
+        self.pos, self.parent, self.label, self.layers = _bfs(gens, beta)
         self.points = np.flatnonzero(self.pos >= 0)
-        self.ginvs = ginvs
-        self.__dict__.pop("uinv", None)
+        self.starts = np.array([lo for lo, _ in self.layers], dtype=np.intp)
 
     @cached_property
     def uinv(self):
@@ -189,12 +227,14 @@ class _Level:
         edge s(d) = e on the way."""
         if "uinv" in self.__dict__ or self.table_pays(a.size):
             return _gather(self.uinv, r, a)
-        a = a.copy()
-        live = np.flatnonzero(r)
-        while live.size:
-            a[live] = _gather(self.ginvs, self.label[r[live]], a[live])
-            r = self.parent[r]
-            live = live[r[live] > 0]
+        # rows deepest first, so the rows still walking are always a prefix
+        depth = np.searchsorted(self.starts, r, side="right")
+        order = np.argsort(-depth)
+        a, r = a[order], r[order]
+        for m in np.cumsum(np.bincount(depth)[:0:-1])[::-1].tolist():
+            a[:m] = _gather(self.ginvs, self.label[r[:m]], a[:m])
+            r[:m] = self.parent[r[:m]]
+        a[order] = a.copy()
         return a
 
     def u_on(self, gens, cols):
@@ -225,13 +265,19 @@ def _sift(levels, a, cols, start):
 
 
 class StabChain:
-    """A base, strong generating set and transversals; order is certified."""
+    """A base, strong generating set and transversals; order is certified.
 
-    def __init__(self, levels, strong, degree):
-        self.degree, self._levels = degree, levels
+    `gens` are the generators it was built from (`PermSet.perms`)."""
+
+    def __init__(self, levels, strong, depth, gens):
+        self.degree, self.gens, self._levels = strong.shape[2], gens, levels
+        self._strong, self._depth = strong, depth
         self.base = tuple(lv.beta for lv in levels)
         self.transversal_sizes = tuple(len(lv.points) for lv in levels)
-        self.strong_gens = tuple(map(tuple, strong.tolist()))
+
+    @cached_property
+    def strong_gens(self):
+        return tuple(map(tuple, self._strong[:, 0].tolist()))
 
     def order(self) -> int:
         return math.prod(self.transversal_sizes)
@@ -263,45 +309,67 @@ def _schreier(lv, gens, d, s, ud):
     return lv.unwind(lv.pos[gens[s, d]], _gather(gens, s, ud))
 
 
-def build_stab_chain(pset: PermSet) -> StabChain:
+def build_stab_chain(pset: PermSet, below: StabChain = None) -> StabChain:
     """Deterministic Schreier-Sims, sifting only the images of the test points.
 
     `strong[k]` holds the k-th strong generator and its inverse, and
     `depth[k]` its depth, in the order of the Stabilizer chain section.
     Every residue exits below the level being processed, so that level
-    keeps its generators and transversal (see Levels that do not change)."""
+    keeps its generators and transversal (see Levels that do not change).
+    A `below` that qualifies starts the chain, and its levels, which are
+    `shared`, are not processed again (see A chain below a point
+    stabilizer)."""
     ident = np.arange(pset.degree, dtype=np.int16 if pset.degree <= 2 ** 15 else np.int32)
     levels = []
     # the test points, an ordered set, and col[x]: the column of x among them
     test = dict.fromkeys(pset.certified_base or range(pset.degree))
     col = np.empty(pset.degree, dtype=np.intp)
     strong, depth = np.empty((0, 2, pset.degree), dtype=ident.dtype), np.empty(0, dtype=np.intp)
+    shared, fixed = [], ()
+    if below is not None and below.degree == pset.degree and set(below.gens) <= set(pset.perms):
+        fixed = np.flatnonzero((below._strong[:, 0] == ident).all(axis=0))
+    if len(fixed):
+        gens = np.array(pset.perms, dtype=ident.dtype).reshape(-1, pset.degree)
+        ginvs = np.argsort(gens, axis=1, kind="stable").astype(ident.dtype)
+        strong = np.concatenate([np.stack([gens, ginvs], 1), below._strong])
+        depth = np.concatenate([np.zeros(len(gens), np.intp), below._depth + 1])
+        shared = below._levels
+        levels = [_Level(int(fixed[0]), gens, ginvs)] + shared
+        test.update(dict.fromkeys(lv.beta for lv in levels))
 
     def add(h, lowest):
         """Sift h from level `lowest`, and add a nontrivial residue where it exits."""
         nonlocal strong, depth
         (h,), (j,) = _sift(levels, h[None], ident, lowest)
+        base = [lv.beta for lv in levels]
         if j == len(levels):
             moved = np.flatnonzero(h != ident)
             if not moved.size:
                 return
-            levels.append(_Level(int(moved[0])))
-            test[int(moved[0])] = None
+            base.append(int(moved[0]))
+            test[base[j]] = None
         at = np.count_nonzero(depth <= j)  # after every generator at depth j or less
         strong = np.insert(strong, at, (h, np.argsort(h, kind="stable")), axis=0)
         depth = np.insert(depth, at, j)
-        for k in range(lowest, j + 1):
-            levels[k].build(strong[depth >= k, 0], strong[depth >= k, 1])
+        for k in range(lowest, j + 1):  # replaced, or appended at k = len(levels)
+            levels[k:k + 1] = [_Level(base[k], strong[depth >= k, 0], strong[depth >= k, 1])]
 
-    for p in pset.perms:
-        add(np.array(p, dtype=ident.dtype), 0)
+    if not levels:
+        for p in pset.perms:
+            add(np.array(p, dtype=ident.dtype), 0)
     for i, lv in enumerate(levels):  # also walks the levels that `add` appends
-        gens = strong[depth >= i, 0]
+        if lv in shared:  # closed: its Schreier generators sift through below's levels
+            continue
+        gens = lv.gens
         d = np.repeat(lv.points, len(gens))
         s = np.tile(np.arange(len(gens)), len(lv.points))
+        # less the tree edges s(d) = e, whose Schreier generators are the identity
+        e = lv.pos[gens[s, d]]
+        keep = (e == 0) | (lv.parent[e] != lv.pos[d]) | (lv.label[e] != s)
+        d, s = d[keep], s[keep]
         row, size, pts = 0, 64, ()
         if lv.table_pays(len(d) * len(test)):
-            lv.uinv  # one fill serves every Schreier row: the level is not rebuilt under them
+            lv.uinv  # one fill serves every Schreier row: the level is not replaced under them
         while row < len(d):
             if len(pts) != len(test):  # first pass, or a residue added a base point
                 pts = np.array(list(test), dtype=ident.dtype)
@@ -318,4 +386,4 @@ def build_stab_chain(pset: PermSet) -> StabChain:
             # u_d in full: the inverse of u_d^-1, the tree walked on an identity row
             ud = np.argsort(lv.unwind(lv.pos[d[row - 1:row]], ident[None])[0], kind="stable")
             add(_schreier(lv, gens, d[row - 1:row], s[row - 1:row], ud[None])[0], i + 1)
-    return StabChain(levels, strong[:, 0], pset.degree)
+    return StabChain(levels, strong, depth, pset.perms)

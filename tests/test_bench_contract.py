@@ -115,8 +115,10 @@ def test_certificates_call_the_wrapped_chain_names(layers, monkeypatch):
     assert len(rows) == 44 and all(ok for _, ok in rows)
     chains = [(args, result) for name, args, result in calls if name == "build_stab_chain"]
     tracer = layers.Tracer()
-    assert [layers._chain_kind(tracer, args) for args, _ in chains] == ["group", "subgroup"]
-    assert len(chains[0][1].strong_gens) == 11
+    # the chain of G is built below the chain of the point stabilizer
+    assert [layers._chain_kind(tracer, args) for args, _ in chains] == ["subgroup", "group"]
+    assert len(chains[1][0]) == 2 and chains[1][0][1] is chains[0][1]
+    assert len(chains[1][1].strong_gens) == 12
     assert [name for name, _, _ in calls].count("transitivity_check") == 1
 
 

@@ -635,29 +635,31 @@ def test_point_stabilizer_row_needs_generators_that_fix_the_seed(monkeypatch):
 
 
 def test_certificates_drop_the_orbit_and_the_chain(monkeypatch):
-    # reference counting alone frees the 2304-point orbit before the chain of
-    # G is built, and that chain before the projective search
+    # reference counting alone frees the 2304-point orbit before the chains
+    # are built, and both chains and both permutation sets before the
+    # projective search
     refs, dead = {}, []
     enumerate_orbit, build_stab_chain = ob.enumerate_orbit, ob.build_stab_chain
 
     def enumerated(seed, gens, **kw):
         if seed.mode == ob.PROJECTIVE:
-            dead.append(("chain of G", refs["G"]() is None))
+            dead.extend((name, ref() is None) for name, ref in refs.items() if name != "orbit")
         orbit = enumerate_orbit(seed, gens, **kw)
         refs.setdefault("orbit", weakref.ref(orbit))
         return orbit
 
-    def built(pset):
-        if len(pset.perms) == 5:
-            dead.append(("orbit", refs["orbit"]() is None))
-        chain = build_stab_chain(pset)
-        refs.setdefault("G", weakref.ref(chain))
+    def built(pset, *below):
+        kind = "G" if len(pset.perms) == 5 else "H"
+        dead.append(("orbit", refs["orbit"]() is None))
+        chain = build_stab_chain(pset, *below)
+        refs[f"chain of {kind}"], refs[f"set of {kind}"] = weakref.ref(chain), weakref.ref(pset)
         return chain
 
     monkeypatch.setattr(ob, "enumerate_orbit", enumerated)
     monkeypatch.setattr(ob, "build_stab_chain", built)
     assert all(ok for _, ok in certificates.rows(seed=3))
-    assert dead == [("orbit", True), ("chain of G", True)]
+    assert dead == [("orbit", True)] * 2 + [
+        ("chain of H", True), ("set of H", True), ("chain of G", True), ("set of G", True)]
 
 
 def test_canonical_keeps_float_rows_in_an_exact_type(orbit1755):

@@ -84,10 +84,11 @@ def test_known_base_chain_equals_whole_permutation_chain(request, which):
 
 
 def test_level_zero_forms_each_schreier_row_at_most_twice(monkeypatch, perms_all):
-    # level 0 has 2304 points x 5 generators = 11,520 Schreier generators and
-    # its 7 residues all escape within the first 107 rows; batches of a fixed
-    # 2^20 // 31 rows form the rest of a batch again after each escape, about
-    # 80,500 rows in all
+    # level 0 has 2304 points x 5 generators = 11,520 pairs, of which the 2303
+    # edges of the BFS tree give the identity and are not formed, so 9,217
+    # rows remain; its 7 residues all escape early, and batches of a fixed
+    # 2^20 // 31 rows would form the rest of a batch again after each escape,
+    # about 64,000 rows in all
     rows = collections.Counter()
     schreier = pg._schreier
 
@@ -99,8 +100,71 @@ def test_level_zero_forms_each_schreier_row_at_most_twice(monkeypatch, perms_all
     chain = pg.build_stab_chain(perms_all)
     assert _pinned(chain) == PINNED_CHAINS["G"]
     level0 = chain._levels[0]
-    assert len(level0.points) * len(perms_all.perms) == 11_520
-    assert 11_520 <= rows[level0] <= 2 * 11_520
+    assert len(level0.points) * (len(perms_all.perms) - 1) + 1 == 9_217
+    assert 9_217 <= rows[level0] <= 2 * 9_217
+
+
+# -- a chain started from the chain of a point stabilizer ----------------------
+
+def _agrees_with_plain(chain, pset, seed):
+    """Membership in `chain` agrees with the plain chain of `pset` on both
+    chains' strong generators, 50 random words, the identity and (0 1)."""
+    plain = pg.build_stab_chain(pg.PermSet(pset.degree, pset.perms, pset.certified_base))
+    n = pset.degree
+    swapped = list(range(n))
+    swapped[0], swapped[1] = 1, 0
+    words = _random_words(pset, 50, seed=seed)
+    perms = list(chain.strong_gens) + list(plain.strong_gens) + words \
+        + [tuple(range(n)), tuple(swapped)]
+    assert chain.contains_many(perms).tolist() == plain.contains_many(perms).tolist()
+    assert all(chain.contains_many(words)) and not chain.contains(tuple(swapped))
+    return plain
+
+
+def test_chain_below_the_point_stabilizer(perms_all, chain_psl):
+    # H fixes point 0, so G's chain starts at 0 with H's levels below it, and
+    # every Schreier generator of level 0 sifts through them to the identity
+    chain = pg.build_stab_chain(perms_all, chain_psl)
+    assert chain.order() == 17_971_200 == 2304 * chain_psl.order()
+    assert chain.base == (0, 3, 1, 6)
+    assert chain.transversal_sizes == (2304, 78, 25, 4)
+    assert len(chain.strong_gens) == 12
+    assert chain.strong_gens[5:] == chain_psl.strong_gens
+    assert _pinned(_agrees_with_plain(chain, perms_all, "below")) == PINNED_CHAINS["G"]
+    assert _pinned(chain_psl) == PINNED_CHAINS["H"]
+
+
+def test_chain_below_a_smaller_subgroup_adds_residues(perms_all):
+    # <f1, f2> has order 25 and fixes point 0: level 0's Schreier generators
+    # leave residues, which rebuild the copied levels; `below` stays as it was
+    sub = pg.PermSet(perms_all.degree, perms_all.perms[:2], perms_all.certified_base)
+    below = pg.build_stab_chain(sub)
+    assert below.order() == 25 and all(p[0] == 0 for p in sub.perms)
+    before = (below.base, below.transversal_sizes, below.strong_gens)
+    assert before[:2] == ((3,), (25,))
+    chain = pg.build_stab_chain(perms_all, below)
+    plain = _agrees_with_plain(chain, perms_all, "residues")
+    assert chain.order() == plain.order() == 17_971_200
+    # level 1 starts as the copy of below's 25-point level and grows
+    assert chain.base == (0, 3, 1, 6) and chain.transversal_sizes == (2304, 78, 25, 4)
+    assert len(chain.strong_gens) > 5 + len(below.strong_gens)
+    assert (below.base, below.transversal_sizes, below.strong_gens) == before
+    assert below.order() == 25
+
+
+def test_chain_below_takes_no_shortcut_when_it_does_not_qualify(perms_all, perms_psl):
+    # H conjugated by (0 1) fixes point 1 but does not lie in G; G fixes no
+    # point; a chain of another degree: each time the build is the plain one
+    swap = np.arange(perms_all.degree)
+    swap[[0, 1]] = 1, 0
+    conj = pg.PermSet(perms_psl.degree, tuple(tuple(swap[np.array(p)[swap]].tolist())
+                                              for p in perms_psl.perms), perms_psl.certified_base)
+    conjugated = pg.build_stab_chain(conj)
+    assert conjugated.order() == 7800 and all(p[1] == 1 for p in conj.perms)
+    small = pg.build_stab_chain(pg.PermSet(4, ((1, 0, 2, 3), (0, 2, 1, 3))))
+    assert small.order() == 6 and small.base[0] == 0
+    for below in (conjugated, pg.build_stab_chain(perms_all), small):
+        assert _pinned(pg.build_stab_chain(perms_all, below)) == PINNED_CHAINS["G"]
 
 
 def _count_fills(monkeypatch):
